@@ -11,7 +11,8 @@
 //! (byte-identical results; see the README's parallelism section), and
 //! `--accesses` overrides the per-thread trace length (for smoke runs of
 //! checked-in grids; binary-v2 trace replays truncate to a prefix, while
-//! v1 replays keep their recorded length and a loud warning says so).
+//! text and v1 binary replays keep their recorded length and a loud warning
+//! says so).
 //!
 //! Checkpointing composes with the resume machinery: `--checkpoint-every
 //! <accesses>` drops a versioned snapshot (`<output>.snap`) of the
@@ -38,11 +39,13 @@
 //! ```
 
 use allarm_bench::load_scenario_doc;
+use allarm_core::doc::override_accesses;
 use allarm_core::{
     verify_resume_rows, BatchRunner, CsvFileSink, JsonlFileSink, JsonlSink, ResultSink, ResumeScan,
     SimSnapshot,
 };
 use std::collections::HashSet;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -55,7 +58,7 @@ fn main() -> ExitCode {
     let mut output: Option<String> = None;
     let mut resume = false;
     let mut sim_threads: Option<usize> = None;
-    let mut accesses: Option<usize> = None;
+    let mut accesses: Option<NonZeroUsize> = None;
     let mut checkpoint_every: Option<u64> = None;
     let mut restore_path: Option<String> = None;
     let mut verify_forks = false;
@@ -99,7 +102,7 @@ fn main() -> ExitCode {
             "--accesses" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) => accesses = Some(n),
                 None => {
-                    eprintln!("--accesses needs a per-thread access count\n{USAGE}");
+                    eprintln!("--accesses needs a positive per-thread access count\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -158,22 +161,13 @@ fn main() -> ExitCode {
         }
     }
     if let Some(n) = accesses {
-        // `with_accesses` truncates generated workloads and binary-v2 trace
-        // replays; v1 replays keep their recorded length. Say so out loud —
-        // a smoke run that silently replayed 50M accesses instead of the
-        // requested 10k used to be this flag's worst failure mode.
-        for scenario in &mut scenarios {
-            if scenario.workload.supports_length_override() {
-                scenario.workload = scenario.workload.with_accesses(n);
-            } else {
-                eprintln!(
-                    "[scenario_run] warning: --accesses {n} has no effect on `{}` — its \
-                     workload replays a v1 binary trace at full recorded length; convert \
-                     it with `trace_tool convert --format binary-v2` to make the trace \
-                     truncatable",
-                    scenario.name
-                );
-            }
+        // The override truncates generated workloads and binary-v2 trace
+        // replays; text and v1 replays keep their recorded length. Say so
+        // out loud — a smoke run that silently replayed 50M accesses
+        // instead of the requested 10k used to be this flag's worst
+        // failure mode.
+        for fixed in override_accesses(&mut scenarios, n) {
+            eprintln!("[scenario_run] warning: --accesses {n} has no effect: {fixed}");
         }
     }
     let mut runner = BatchRunner::new().with_verify_forks(verify_forks);

@@ -1,48 +1,24 @@
-//! Shared helpers for the figure-regeneration binaries and benches.
+//! The scenario grids behind the paper's figures and the renderer that
+//! turns their reports into the paper's tables.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the ALLARM
-//! paper. Since the Scenario/Builder redesign each figure is a declarative
-//! [`ScenarioGrid`] — constructed here and also checked in as TOML under
-//! `scenarios/` — executed in parallel by the [`allarm_core::BatchRunner`].
+//! Each figure is a declarative [`ScenarioGrid`] constructed here from an
+//! [`ExperimentConfig`] scale and checked in as TOML under `scenarios/`
+//! (`export_scenarios` regenerates them). `scenario_run` executes a grid
+//! and writes its reports as JSONL; the `figures` binary renders every
+//! table from the three figure grids' JSONL through [`figures`].
 
 #![warn(missing_docs)]
 
-use allarm_core::{
-    AllocationPolicy, BatchRunner, Comparison, ExperimentConfig, Scenario, ScenarioGrid,
-};
+pub mod figures;
+
+use allarm_core::{AllocationPolicy, ExperimentConfig, Scenario, ScenarioGrid};
 use allarm_types::config::{LlcConfig, NocConfig};
 use allarm_workloads::{Benchmark, TraceFormat, WorkloadSpec};
 
 // Scenario-document loading lives in `allarm_core::doc` (one shared parse
 // and error path for `scenario_run`, `trace_tool`, and the HTTP server);
-// re-exported here so the figure binaries keep their historical imports.
+// re-exported here so the command-line tools keep their historical imports.
 pub use allarm_core::doc::{load_scenario_doc, parse_scenario_doc, ScenarioDoc};
-
-/// Reads the experiment scale from the `ALLARM_ACCESSES` environment
-/// variable (main-phase accesses per thread) and the intra-run parallelism
-/// from `ALLARM_SIM_THREADS` (worker threads per simulation; `0` = all
-/// hardware threads; results are byte-identical either way), falling back
-/// to the paper configuration's defaults. Set a smaller access count for
-/// quick smoke runs:
-///
-/// ```text
-/// ALLARM_ACCESSES=20000 cargo run --release -p allarm-bench --bin fig3a_speedup
-/// ALLARM_SIM_THREADS=4 cargo run --release -p allarm-bench --bin all_figures
-/// ```
-pub fn figure_config() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::paper();
-    if let Ok(value) = std::env::var("ALLARM_ACCESSES") {
-        if let Ok(accesses) = value.parse::<usize>() {
-            cfg = cfg.with_accesses_per_thread(accesses);
-        }
-    }
-    if let Ok(value) = std::env::var("ALLARM_SIM_THREADS") {
-        if let Ok(sim_threads) = value.parse::<usize>() {
-            cfg = cfg.with_sim_threads(sim_threads);
-        }
-    }
-    cfg
-}
 
 /// The grid behind Fig. 2 and Fig. 3a–3g: every benchmark of the
 /// multi-threaded evaluation under both allocation policies. Also checked
@@ -239,40 +215,10 @@ pub fn fig4_grid(cfg: &ExperimentConfig) -> ScenarioGrid {
         .policies(AllocationPolicy::ALL.to_vec())
 }
 
-/// Runs the baseline-vs-ALLARM comparison for every benchmark of the
-/// multi-threaded evaluation (the runs behind Fig. 2 and Fig. 3a–3g). All
-/// 16 scenarios execute in parallel across OS threads.
-pub fn all_comparisons(cfg: &ExperimentConfig) -> Vec<(Benchmark, Comparison)> {
-    let scenarios = fig3_grid(cfg).expand();
-    eprintln!(
-        "[allarm-bench] running {} scenarios on {} threads...",
-        scenarios.len(),
-        BatchRunner::new().num_threads()
-    );
-    let results = BatchRunner::new()
-        .run(&scenarios)
-        .unwrap_or_else(|e| panic!("invalid figure configuration: {e}"));
-    let comparisons = results.paired();
-    assert_eq!(
-        comparisons.len(),
-        Benchmark::ALL.len(),
-        "one baseline/allarm pair per benchmark"
-    );
-    Benchmark::ALL.iter().copied().zip(comparisons).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::Path;
-
-    #[test]
-    fn figure_config_defaults_to_paper_scale() {
-        // The env var is not set under `cargo test`, so the default applies.
-        let cfg = figure_config();
-        assert_eq!(cfg.threads, 16);
-        assert!(cfg.accesses_per_thread >= 1_000);
-    }
 
     #[test]
     fn figure_grids_have_the_expected_sizes() {

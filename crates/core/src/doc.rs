@@ -7,8 +7,11 @@
 //! document produces the identical error (naming the format the text was
 //! parsed as) no matter which door it came in through.
 
+use std::fmt;
+use std::num::NonZeroUsize;
 use std::path::Path;
 
+use allarm_workloads::{TraceFormat, WorkloadSpec};
 use serde::Deserialize as _;
 
 use crate::scenario::{Scenario, ScenarioGrid};
@@ -125,6 +128,56 @@ pub fn load_scenario_doc(path: &str) -> Result<ScenarioDoc, String> {
     Ok(doc.resolved_against(dir))
 }
 
+/// A scenario a trace-length override could not shorten: its workload
+/// replays a trace whose format fixes the length (text or v1 binary; only
+/// a frame-chunked `binary-v2` trace supports prefix truncation).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FixedLengthReplay {
+    /// The scenario's name.
+    pub scenario: String,
+    /// The format of the trace it replays.
+    pub format: TraceFormat,
+}
+
+impl fmt::Display for FixedLengthReplay {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "`{}` replays a {} trace at full recorded length; convert it with \
+             `trace_tool convert --format binary-v2` to make the trace truncatable",
+            self.scenario,
+            self.format.name()
+        )
+    }
+}
+
+/// Applies a per-thread trace-length override — `scenario_run --accesses`
+/// and the HTTP server's `?accesses=` — to every scenario. Generated
+/// workloads and `binary-v2` replays are shortened; a text or v1 binary
+/// replay keeps its recorded length and is returned, so the front end can
+/// say so instead of silently replaying the whole trace. (A zero override
+/// cannot be expressed: a zero trace limit means "unlimited".)
+pub fn override_accesses(
+    scenarios: &mut [Scenario],
+    accesses: NonZeroUsize,
+) -> Vec<FixedLengthReplay> {
+    let mut fixed = Vec::new();
+    for scenario in scenarios {
+        match &scenario.workload {
+            WorkloadSpec::TraceFile { format, .. }
+                if !scenario.workload.supports_length_override() =>
+            {
+                fixed.push(FixedLengthReplay {
+                    scenario: scenario.name.clone(),
+                    format: *format,
+                });
+            }
+            workload => scenario.workload = workload.with_accesses(accesses.get()),
+        }
+    }
+    fixed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +202,28 @@ mod tests {
         // JSON forms too.
         let doc = parse_scenario_doc(&single.to_json(), false).unwrap();
         assert_eq!(doc.expand(), vec![single]);
+    }
+
+    #[test]
+    fn accesses_override_shortens_what_it_can_and_reports_the_rest() {
+        let cfg = ExperimentConfig::quick_test();
+        let generated = cfg.scenario(Benchmark::Barnes, AllocationPolicy::Allarm);
+        let mut replay = generated.clone().named("replay/allarm");
+        replay.workload = WorkloadSpec::trace_file("capture.txt", TraceFormat::Text);
+        let mut scenarios = vec![generated, replay.clone()];
+        let fixed = override_accesses(&mut scenarios, NonZeroUsize::new(100).unwrap());
+        assert_eq!(scenarios[0].workload.accesses().unwrap(), 100);
+        assert_eq!(scenarios[1], replay, "a text replay is left untouched");
+        assert_eq!(
+            fixed,
+            vec![FixedLengthReplay {
+                scenario: "replay/allarm".to_string(),
+                format: TraceFormat::Text,
+            }]
+        );
+        assert!(fixed[0]
+            .to_string()
+            .starts_with("`replay/allarm` replays a text trace at full recorded length"));
     }
 
     #[test]

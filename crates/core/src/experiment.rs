@@ -1,20 +1,18 @@
-//! Experiment drivers: the runs behind every figure of the evaluation.
+//! Experiment scales: the machine, thread count, trace length and seed
+//! behind every figure of the evaluation, and the probe-filter coverages
+//! the figures sweep.
 //!
-//! Since the Scenario/Builder redesign these drivers are thin wrappers: each
-//! one assembles a [`ScenarioGrid`], hands it to the parallel
-//! [`BatchRunner`], and reshapes the ordered results into the per-figure
-//! forms ([`Comparison`]s and [`SweepPoint`]s). The declarative grids for
-//! the paper's figures are also checked in under `scenarios/` and used by
-//! the `allarm-bench` binaries.
+//! An [`ExperimentConfig`] stamps its scale into [`Scenario`]s; the
+//! `allarm-bench` grid constructors build the paper's figure grids from
+//! them, which are checked in under `scenarios/`, run by `scenario_run`
+//! and rendered by the `figures` binary.
 
-use crate::batch::BatchRunner;
-use crate::metrics::{Comparison, SimReport};
-use crate::scenario::{Scenario, ScenarioGrid};
+use crate::scenario::Scenario;
 use allarm_coherence::AllocationPolicy;
 use allarm_mem::NumaPolicy;
 use allarm_types::config::MachineConfig;
 use allarm_types::ids::CoreId;
-use allarm_workloads::{Benchmark, Workload, WorkloadSpec};
+use allarm_workloads::{Benchmark, WorkloadSpec};
 
 /// Everything that defines an experiment apart from the benchmark itself:
 /// the machine, the number of threads, the trace length and the seed.
@@ -30,10 +28,6 @@ pub struct ExperimentConfig {
     pub accesses_per_thread: usize,
     /// Seed for workload generation.
     pub seed: u64,
-    /// Host worker threads each simulation shards across (`1`: serial,
-    /// `0`: all hardware threads). Never affects the reports, only the
-    /// wall clock.
-    pub sim_threads: usize,
 }
 
 impl ExperimentConfig {
@@ -48,7 +42,6 @@ impl ExperimentConfig {
             threads: 16,
             accesses_per_thread: 250_000,
             seed: 2014,
-            sim_threads: 1,
         }
     }
 
@@ -63,7 +56,6 @@ impl ExperimentConfig {
             threads: 64,
             accesses_per_thread: 50_000,
             seed: 2014,
-            sim_threads: 1,
         }
     }
 
@@ -79,7 +71,6 @@ impl ExperimentConfig {
             threads: 256,
             accesses_per_thread: 20_000,
             seed: 2014,
-            sim_threads: 1,
         }
     }
 
@@ -91,26 +82,12 @@ impl ExperimentConfig {
             threads: 16,
             accesses_per_thread: 3_000,
             seed: 2014,
-            sim_threads: 1,
         }
-    }
-
-    /// Returns a copy with a different probe-filter coverage (per node).
-    pub fn with_pf_coverage(mut self, coverage_bytes: u64) -> Self {
-        self.machine = self.machine.with_probe_filter_coverage(coverage_bytes);
-        self
     }
 
     /// Returns a copy with a different trace length.
     pub fn with_accesses_per_thread(mut self, accesses: usize) -> Self {
         self.accesses_per_thread = accesses;
-        self
-    }
-
-    /// Returns a copy sharding each run across `sim_threads` worker
-    /// threads (`0`: one per available hardware thread).
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads;
         self
     }
 
@@ -123,7 +100,7 @@ impl ExperimentConfig {
             numa_policy: NumaPolicy::FirstTouch,
             workload: WorkloadSpec::threads(benchmark, self.threads, self.accesses_per_thread),
             seed: self.seed,
-            sim_threads: crate::scenario::SimThreads(self.sim_threads),
+            sim_threads: crate::scenario::SimThreads::SERIAL,
             warmup_accesses: 0,
         }
     }
@@ -147,145 +124,16 @@ impl ExperimentConfig {
                 self.accesses_per_thread,
             ),
             seed: self.seed,
-            sim_threads: crate::scenario::SimThreads(self.sim_threads),
+            sim_threads: crate::scenario::SimThreads::SERIAL,
             warmup_accesses: 0,
         }
     }
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig::paper()
-    }
-}
-
-/// One point of a probe-filter-size sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Probe-filter coverage per node, in bytes.
-    pub pf_coverage_bytes: u64,
-    /// The baseline run at this size.
-    pub baseline: SimReport,
-    /// The ALLARM run at this size.
-    pub allarm: SimReport,
-}
-
-/// Runs an arbitrary workload under one policy.
-///
-/// # Panics
-///
-/// Panics if the machine configuration is invalid; validate first with
-/// [`MachineConfig::validate`] (or use [`Scenario::run`]) to get an error
-/// instead.
-pub fn run_workload(
-    workload: &Workload,
-    policy: AllocationPolicy,
-    machine: MachineConfig,
-) -> SimReport {
-    crate::builder::SimulationBuilder::new(machine)
-        .policy(policy)
-        .build()
-        .unwrap_or_else(|e| panic!("invalid machine configuration: {e}"))
-        .run(workload)
-}
-
-/// Runs a named benchmark under one policy with the given experiment
-/// configuration.
-///
-/// # Panics
-///
-/// Panics if the resulting scenario fails validation.
-pub fn run_benchmark(
-    benchmark: Benchmark,
-    policy: AllocationPolicy,
-    cfg: &ExperimentConfig,
-) -> SimReport {
-    cfg.scenario(benchmark, policy)
-        .run()
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"))
-}
-
-/// Runs a benchmark under both policies on the same workload and machine
-/// (the comparison behind Fig. 3a–3g). The two runs execute in parallel.
-///
-/// # Panics
-///
-/// Panics if the resulting scenarios fail validation.
-pub fn compare_benchmark(benchmark: Benchmark, cfg: &ExperimentConfig) -> Comparison {
-    let grid = ScenarioGrid::new(cfg.scenario(benchmark, AllocationPolicy::Baseline))
-        .policies(AllocationPolicy::ALL.to_vec());
-    let results = BatchRunner::new()
-        .run(&grid.expand())
-        .unwrap_or_else(|e| panic!("invalid experiment configuration: {e}"));
-    results
-        .paired()
-        .into_iter()
-        .next()
-        .expect("a two-policy grid pairs into one comparison")
-}
-
-/// Reshapes a coverage × policy batch into one [`SweepPoint`] per coverage.
-fn sweep_points(grid: &ScenarioGrid, coverages: &[u64]) -> Vec<SweepPoint> {
-    let results = BatchRunner::new()
-        .run(&grid.expand())
-        .unwrap_or_else(|e| panic!("invalid sweep configuration: {e}"));
-    let comparisons = results.paired();
-    assert_eq!(
-        comparisons.len(),
-        coverages.len(),
-        "one baseline/allarm pair per coverage"
-    );
-    coverages
-        .iter()
-        .zip(comparisons)
-        .map(|(&coverage, cmp)| SweepPoint {
-            pf_coverage_bytes: coverage,
-            baseline: cmp.baseline,
-            allarm: cmp.allarm,
-        })
-        .collect()
-}
-
-/// Sweeps the probe-filter coverage for a multi-threaded benchmark
-/// (Fig. 3h). All `2 × coverages_bytes.len()` runs execute in parallel.
-///
-/// Returns one [`SweepPoint`] per entry of `coverages_bytes`, in order.
-///
-/// # Panics
-///
-/// Panics if any swept scenario fails validation.
-pub fn pf_size_sweep(
-    benchmark: Benchmark,
-    cfg: &ExperimentConfig,
-    coverages_bytes: &[u64],
-) -> Vec<SweepPoint> {
-    let grid = ScenarioGrid::new(cfg.scenario(benchmark, AllocationPolicy::Baseline))
-        .pf_coverages(coverages_bytes.to_vec())
-        .policies(AllocationPolicy::ALL.to_vec());
-    sweep_points(&grid, coverages_bytes)
 }
 
 /// The cores the two processes of the multi-process experiment are pinned
 /// to: opposite quadrants of the 4x4 mesh.
 pub fn multiprocess_cores(machine: &MachineConfig) -> [CoreId; 2] {
     [CoreId::new(0), CoreId::new((machine.num_cores / 2) as u16)]
-}
-
-/// Sweeps the probe-filter coverage for the two-process, single-threaded
-/// setup of Section III-B (Fig. 4). All runs execute in parallel.
-///
-/// # Panics
-///
-/// Panics if any swept scenario fails validation.
-pub fn multiprocess_sweep(
-    benchmark: Benchmark,
-    cfg: &ExperimentConfig,
-    coverages_bytes: &[u64],
-) -> Vec<SweepPoint> {
-    let grid = ScenarioGrid::new(cfg.multiprocess_scenario(benchmark, AllocationPolicy::Baseline))
-        .pf_coverages(coverages_bytes.to_vec())
-        .policies(AllocationPolicy::ALL.to_vec());
-    sweep_points(&grid, coverages_bytes)
 }
 
 /// The probe-filter coverages of Fig. 3h (512 kB, 256 kB, 128 kB).
@@ -316,44 +164,7 @@ mod tests {
             threads: 16,
             accesses_per_thread: 800,
             seed: 7,
-            sim_threads: 1,
         }
-    }
-
-    #[test]
-    fn run_benchmark_produces_labelled_report() {
-        let report = run_benchmark(Benchmark::Barnes, AllocationPolicy::Allarm, &tiny_cfg());
-        assert_eq!(report.workload, "barnes");
-        assert_eq!(report.policy, "allarm");
-        assert_eq!(report.pf_coverage_bytes, 512 * 1024);
-    }
-
-    #[test]
-    fn compare_benchmark_pairs_the_policies() {
-        let cmp = compare_benchmark(Benchmark::Cholesky, &tiny_cfg());
-        assert_eq!(cmp.baseline.policy, "baseline");
-        assert_eq!(cmp.allarm.policy, "allarm");
-        assert_eq!(cmp.baseline.total_accesses, cmp.allarm.total_accesses);
-    }
-
-    #[test]
-    fn pf_sweep_covers_requested_sizes_in_order() {
-        let sizes = [256 * 1024, 128 * 1024];
-        let points = pf_size_sweep(Benchmark::Barnes, &tiny_cfg(), &sizes);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].pf_coverage_bytes, 256 * 1024);
-        assert_eq!(points[1].pf_coverage_bytes, 128 * 1024);
-        assert_eq!(points[0].baseline.pf_coverage_bytes, 256 * 1024);
-    }
-
-    #[test]
-    fn multiprocess_sweep_uses_two_processes() {
-        let points = multiprocess_sweep(Benchmark::Barnes, &tiny_cfg(), &[64 * 1024]);
-        assert_eq!(points.len(), 1);
-        assert!(points[0].baseline.workload.ends_with("-2p"));
-        // Two single-threaded processes issue all requests; with first-touch
-        // placement nearly all of them are local.
-        assert!(points[0].baseline.local_fraction() > 0.9);
     }
 
     #[test]
@@ -365,12 +176,9 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let cfg = ExperimentConfig::quick_test()
-            .with_pf_coverage(128 * 1024)
-            .with_accesses_per_thread(100);
-        assert_eq!(cfg.machine.probe_filter.coverage_bytes, 128 * 1024);
+        let cfg = ExperimentConfig::quick_test().with_accesses_per_thread(100);
         assert_eq!(cfg.accesses_per_thread, 100);
-        assert_eq!(ExperimentConfig::default(), ExperimentConfig::paper());
+        assert_eq!(cfg.machine, ExperimentConfig::quick_test().machine);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! ([`allarm_noc`]), the sparse-directory controllers with the baseline and
 //! ALLARM allocation policies ([`allarm_coherence`]) and the energy model
 //! ([`allarm_energy`]) — into a trace-driven simulator of the sixteen-node
-//! machine of Table I, and provides the experiment drivers that regenerate
-//! every figure of the paper's evaluation.
+//! machine of Table I, and runs the scenario grids behind every figure of
+//! the paper's evaluation.
 //!
 //! # Quick start
 //!
@@ -40,9 +40,12 @@
 //!   [`SimReport`] of every metric;
 //! * [`Scenario`] — the declarative, serializable form of one run;
 //! * [`ScenarioGrid`] + [`BatchRunner`] — sweep expansion and parallel
-//!   execution, feeding [`ResultSink`]s in scenario order;
-//! * [`compare_benchmark`] / [`pf_size_sweep`] / [`multiprocess_sweep`] —
-//!   pre-packaged drivers behind the paper's figures.
+//!   execution, feeding [`ResultSink`]s in scenario order.
+//!
+//! The paper's figures are [`ScenarioGrid`]s too, built at an
+//! [`ExperimentConfig`] scale and checked in under `scenarios/`:
+//! `scenario_run` writes their reports as JSONL and the `figures` binary
+//! renders every table from it with the [`report`] helpers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -58,7 +61,7 @@ pub mod scenario;
 mod sharded;
 pub mod simulator;
 pub mod snapshot;
-pub mod system;
+mod system;
 
 pub use batch::{
     verify_resume_rows, BatchEntry, BatchResults, BatchRunner, CsvFileSink, JsonlFileSink,
@@ -67,9 +70,7 @@ pub use batch::{
 pub use builder::SimulationBuilder;
 pub use doc::{load_scenario_doc, parse_scenario_doc, ScenarioDoc};
 pub use experiment::{
-    compare_benchmark, multiprocess_sweep, pf_size_sweep, run_benchmark, run_workload,
-    ExperimentConfig, SweepPoint, FIG3H_COVERAGES, FIG4_COVERAGES, SCALE256_COVERAGES,
-    SCALE64_COVERAGES,
+    ExperimentConfig, FIG3H_COVERAGES, FIG4_COVERAGES, SCALE256_COVERAGES, SCALE64_COVERAGES,
 };
 pub use jobs::{
     JobId, JobScheduler, JobState, JobStatus, RowsChunk, SchedulerConfig, SchedulerMetrics,

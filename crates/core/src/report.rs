@@ -1,7 +1,7 @@
-//! Plain-text table formatting for the figure-regeneration binaries.
+//! Plain-text table formatting for the paper's figures.
 //!
 //! The paper's figures are bar charts over the eight benchmarks (plus a
-//! geometric mean). The harness binaries print the same series as aligned
+//! geometric mean). The `figures` binary prints the same series as aligned
 //! text tables; this module holds the small formatting helpers they share so
 //! every figure is rendered consistently.
 

@@ -501,13 +501,18 @@ impl ScenarioGrid {
                  trace file fixes the reference stream",
             ));
         }
-        if !self.accesses.is_empty() && !self.base.workload.supports_length_override() {
-            return Err(ConfigError::new(
-                "accesses",
-                "cannot sweep the trace-length axis over a v1 trace-replay workload — \
-                 the file fixes the reference stream (record the trace as binary-v2, \
-                 whose frame directory supports prefix truncation)",
-            ));
+        if let WorkloadSpec::TraceFile { format, .. } = &self.base.workload {
+            if !self.accesses.is_empty() && !self.base.workload.supports_length_override() {
+                return Err(ConfigError::new(
+                    "accesses",
+                    format!(
+                        "cannot sweep the trace-length axis over a {} trace-replay \
+                         workload — the file fixes the reference stream (record the trace \
+                         as binary-v2, whose frame directory supports prefix truncation)",
+                        format.name()
+                    ),
+                ));
+            }
         }
         for scenario in self.expand() {
             scenario.validate()?;
@@ -767,7 +772,15 @@ mod tests {
         let grid = ScenarioGrid::new(base).accesses(vec![100, 200]);
         let err = grid.validate().unwrap_err();
         assert_eq!(err.field(), "accesses");
-        assert!(err.reason().contains("trace"), "{err}");
+        assert!(err.reason().contains("over a binary trace-replay"), "{err}");
+
+        // The error names the trace's actual format, not "v1 binary".
+        let mut text = grid.clone();
+        text.base.workload =
+            WorkloadSpec::trace_file("capture.txt", allarm_workloads::TraceFormat::Text);
+        let err = text.validate().unwrap_err();
+        assert_eq!(err.field(), "accesses");
+        assert!(err.reason().contains("over a text trace-replay"), "{err}");
     }
 
     #[test]

@@ -177,6 +177,51 @@ impl Slot<'_> {
         self.seq += 1;
         key
     }
+
+    /// Reports the lines a fill of `filled` displaced entirely out of this
+    /// core's hierarchy, stamped at `completed`. Dirty (exclusively-owned)
+    /// victims are written back, which also notifies the home directory
+    /// and frees its entry — the baseline's eviction-notification
+    /// optimisation. Clean victims are dropped silently, as in the
+    /// deployed Hammer protocol, so their directory entries go stale until
+    /// the probe filter's own replacement recycles them. That stale
+    /// occupancy is precisely the pressure ALLARM removes for thread-local
+    /// data.
+    ///
+    /// A victim that is itself part of this commit batch — the just-filled
+    /// line, or a line the rest of the window is about to reinstall — must
+    /// not be reported: its directory entry is live for the in-flight
+    /// transaction, and the notice would free it out from under the reply.
+    /// (Unreachable at window depth 1, where the remaining window is always
+    /// empty.)
+    fn notify_dirty_victims(
+        &mut self,
+        caches: &mut CoreCaches,
+        filled: LineAddr,
+        completed: Nanos,
+        allocator: &NumaAllocator,
+        shard_of_node: &[usize],
+        outboxes: &mut [Vec<CoherenceEvent>],
+    ) {
+        for victim in caches.take_capacity_victims() {
+            if victim.state.is_dirty()
+                && victim.addr != filled
+                && !self.window.iter().any(|p| p.line == victim.addr)
+            {
+                let home = allocator.home_of_line(victim.addr);
+                let event = CoherenceEvent {
+                    home,
+                    key: self.next_key(completed),
+                    op: CoherenceOp::EvictNotice {
+                        line: victim.addr,
+                        core: self.core,
+                        dirty: true,
+                    },
+                };
+                outboxes[shard_of_node[home.index()]].push(event);
+            }
+        }
+    }
 }
 
 /// One workload thread's execution state, as captured at a checkpoint and
@@ -1080,40 +1125,14 @@ impl<'a> ShardWorker<'a> {
                 // bookkeeping consistent.
                 caches.fill(pending.line, CoherenceState::Modified);
             }
-            // Lines displaced entirely out of this core's hierarchy:
-            // dirty (exclusively-owned) victims are written back, which
-            // also notifies the home directory and frees its entry — the
-            // baseline's eviction-notification optimisation. Clean
-            // victims are dropped silently, as in the deployed Hammer
-            // protocol, so their directory entries go stale until the
-            // probe filter's own replacement recycles them. That stale
-            // occupancy is precisely the pressure ALLARM removes for
-            // thread-local data.
-            //
-            // A victim that is itself part of this commit batch — the
-            // just-filled line, or a line the rest of the window is about
-            // to reinstall — must not be reported: its directory entry is
-            // live for the in-flight transaction, and the notice would
-            // free it out from under the reply. (Unreachable at window
-            // depth 1, where the remaining window is always empty.)
-            for victim in caches.take_capacity_victims() {
-                if victim.state.is_dirty()
-                    && victim.addr != pending.line
-                    && !slot.window.iter().any(|p| p.line == victim.addr)
-                {
-                    let home = allocator.home_of_line(victim.addr);
-                    let event = CoherenceEvent {
-                        home,
-                        key: slot.next_key(completed),
-                        op: CoherenceOp::EvictNotice {
-                            line: victim.addr,
-                            core: slot.core,
-                            dirty: true,
-                        },
-                    };
-                    outboxes[self.shard_of_node[home.index()]].push(event);
-                }
-            }
+            slot.notify_dirty_victims(
+                &mut caches,
+                pending.line,
+                completed,
+                allocator,
+                &self.shard_of_node,
+                outboxes,
+            );
         }
         self.reply_scratch = replies;
     }
@@ -1237,25 +1256,14 @@ impl<'a> ShardWorker<'a> {
                     // node (slice-resident ⇒ probe-filter-tracked), so no
                     // sharer bookkeeping is lost.
                     caches.fill(line, CoherenceState::Shared);
-                    let completed = base + elapsed;
-                    for victim in caches.take_capacity_victims() {
-                        if victim.state.is_dirty()
-                            && victim.addr != line
-                            && !slot.window.iter().any(|p| p.line == victim.addr)
-                        {
-                            let home = allocator.home_of_line(victim.addr);
-                            let event = CoherenceEvent {
-                                home,
-                                key: slot.next_key(completed),
-                                op: CoherenceOp::EvictNotice {
-                                    line: victim.addr,
-                                    core: slot.core,
-                                    dirty: true,
-                                },
-                            };
-                            outboxes[self.shard_of_node[home.index()]].push(event);
-                        }
-                    }
+                    slot.notify_dirty_victims(
+                        &mut caches,
+                        line,
+                        base + elapsed,
+                        allocator,
+                        &self.shard_of_node,
+                        outboxes,
+                    );
                     continue;
                 }
                 // Slice miss: fall through to the directory, with the

@@ -1,16 +1,10 @@
 //! The assembled machine: caches, network, DRAM and the address map.
 //!
-//! Two assemblies live here:
-//!
-//! * [`Machine`] — the single-threaded wiring of every hardware component
-//!   except the directory controllers. It implements [`SystemAccess`] so a
-//!   controller under unit test can probe caches, send messages and touch
-//!   DRAM without borrow conflicts.
-//! * [`ShardSystem`] — one shard's view of the machine in the parallel
-//!   kernel: shared per-core caches behind locks, plus shard-private
-//!   network-traffic and DRAM accounting. Every counter a shard accumulates
-//!   is a commutative sum, so merging the shard views (in any fixed order)
-//!   reconstructs exactly what a single-shard run would have counted.
+//! [`ShardSystem`] is one shard's view of the machine in the parallel
+//! kernel: shared per-core caches behind locks, plus shard-private
+//! network-traffic and DRAM accounting. Every counter a shard accumulates
+//! is a commutative sum, so merging the shard views (in any fixed order)
+//! reconstructs exactly what a single-shard run would have counted.
 
 use std::sync::Mutex;
 
@@ -23,140 +17,6 @@ use allarm_types::config::MachineConfig;
 use allarm_types::ids::{CoreId, NodeId};
 use allarm_types::topology::Topology;
 use allarm_types::Nanos;
-
-/// Every per-core and per-node hardware component other than the directory
-/// controllers.
-#[derive(Debug)]
-pub struct Machine {
-    caches: Vec<CoreCaches>,
-    network: Network,
-    dram: DramModel,
-    topology: Topology,
-    cache_latency: Nanos,
-    l2_latency: Nanos,
-}
-
-impl Machine {
-    /// Builds the machine described by `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails validation; validate explicitly
-    /// with [`MachineConfig::validate`] to get an error instead.
-    pub fn new(config: &MachineConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid machine configuration: {e}"));
-        Machine {
-            caches: (0..config.num_cores)
-                .map(|_| CoreCaches::new(&config.l1d, &config.l2))
-                .collect(),
-            network: Network::new(config.noc),
-            dram: DramModel::new(config.num_nodes() as usize, config.dram),
-            topology: config.topology(),
-            cache_latency: config.l1d.access_latency,
-            l2_latency: config.l2.access_latency,
-        }
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// Immutable access to a core's private hierarchy.
-    pub fn caches(&self, core: CoreId) -> &CoreCaches {
-        &self.caches[core.index()]
-    }
-
-    /// Mutable access to a core's private hierarchy.
-    pub fn caches_mut(&mut self, core: CoreId) -> &mut CoreCaches {
-        &mut self.caches[core.index()]
-    }
-
-    /// The on-chip network.
-    pub fn network(&self) -> &Network {
-        &self.network
-    }
-
-    /// The DRAM model.
-    pub fn dram(&self) -> &DramModel {
-        &self.dram
-    }
-
-    /// L1 access latency.
-    pub fn l1_latency(&self) -> Nanos {
-        self.cache_latency
-    }
-
-    /// L2 access latency.
-    pub fn l2_latency(&self) -> Nanos {
-        self.l2_latency
-    }
-
-    /// The core ↔ node topology of this machine.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The affinity domain of a core. With one core per node (the paper's
-    /// configuration) this is the identity mapping; scaled machines map
-    /// contiguous blocks of cores onto each node.
-    pub fn node_of(&self, core: CoreId) -> NodeId {
-        self.topology.node_of_core(core)
-    }
-
-    /// A node's designated core — the one core per affinity domain the
-    /// ALLARM policy is enabled for. With one core per node it is simply
-    /// the inverse of [`Machine::node_of`].
-    pub fn core_of(&self, node: NodeId) -> CoreId {
-        self.topology.local_core_of(node)
-    }
-}
-
-impl SystemAccess for Machine {
-    fn probe_cache(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        downgrade: bool,
-        invalidate: bool,
-    ) -> ProbeOutcome {
-        self.caches[core.index()].probe(line, downgrade, invalidate)
-    }
-
-    fn send(&mut self, src: NodeId, dst: NodeId, class: MessageClass) -> Nanos {
-        self.network.send(src, dst, class)
-    }
-
-    fn message_latency(&self, src: NodeId, dst: NodeId, class: MessageClass) -> Nanos {
-        self.network.latency(src, dst, class)
-    }
-
-    fn dram_read(&mut self, node: NodeId) -> Nanos {
-        self.dram.read(node)
-    }
-
-    fn dram_write(&mut self, node: NodeId) -> Nanos {
-        self.dram.write(node)
-    }
-
-    fn node_of_core(&self, core: CoreId) -> NodeId {
-        self.node_of(core)
-    }
-
-    fn local_core_of(&self, node: NodeId) -> CoreId {
-        self.core_of(node)
-    }
-
-    fn num_cores(&self) -> usize {
-        self.caches.len()
-    }
-
-    fn cache_access_latency(&self) -> Nanos {
-        self.cache_latency
-    }
-}
 
 /// Builds the lock-guarded per-core cache hierarchies the shards of one
 /// simulation share.
@@ -308,75 +168,6 @@ impl SystemAccess for ShardSystem<'_> {
 mod tests {
     use super::*;
     use allarm_cache::CoherenceState;
-
-    #[test]
-    fn builds_the_table1_machine() {
-        let machine = Machine::new(&MachineConfig::date2014());
-        assert_eq!(machine.num_cores(), 16);
-        assert_eq!(machine.l1_latency(), Nanos::new(1));
-        assert_eq!(machine.network().topology().num_nodes(), 16);
-    }
-
-    #[test]
-    fn core_node_mapping_is_identity_on_flat_machines() {
-        let machine = Machine::new(&MachineConfig::small_test());
-        for i in 0..4u16 {
-            assert_eq!(machine.node_of(CoreId::new(i)), NodeId::new(i));
-            assert_eq!(machine.core_of(NodeId::new(i)), CoreId::new(i));
-            assert_eq!(machine.node_of_core(CoreId::new(i)), NodeId::new(i));
-            assert_eq!(machine.local_core_of(NodeId::new(i)), CoreId::new(i));
-        }
-    }
-
-    #[test]
-    fn multicore_nodes_fold_cores_onto_shared_resources() {
-        // The small_test machine with both cores on one node: a 1x2 mesh.
-        let mut cfg = MachineConfig::small_test();
-        cfg.cores_per_node = allarm_types::config::CoresPerNode(2);
-        cfg.noc = allarm_types::config::NocConfig::mesh(1, 2);
-        let machine = Machine::new(&cfg);
-        assert_eq!(machine.num_cores(), 4);
-        assert_eq!(machine.network().topology().num_nodes(), 2);
-        assert_eq!(machine.node_of(CoreId::new(0)), NodeId::new(0));
-        assert_eq!(machine.node_of(CoreId::new(1)), NodeId::new(0));
-        assert_eq!(machine.node_of(CoreId::new(3)), NodeId::new(1));
-        // The designated core of each node is its first.
-        assert_eq!(machine.core_of(NodeId::new(1)), CoreId::new(2));
-        assert_eq!(machine.topology().cores_per_node(), 2);
-    }
-
-    #[test]
-    fn system_access_reaches_caches_network_and_dram() {
-        let mut machine = Machine::new(&MachineConfig::small_test());
-        let line = LineAddr::new(99);
-        assert_eq!(
-            machine.probe_cache(CoreId::new(1), line, false, false),
-            ProbeOutcome::Miss
-        );
-        machine
-            .caches_mut(CoreId::new(1))
-            .fill(line, CoherenceState::Shared);
-        assert!(matches!(
-            machine.probe_cache(CoreId::new(1), line, false, false),
-            ProbeOutcome::Hit { .. }
-        ));
-        let lat = machine.send(NodeId::new(0), NodeId::new(3), MessageClass::Request);
-        assert!(lat > Nanos::ZERO);
-        assert_eq!(machine.dram_read(NodeId::new(0)), Nanos::new(60));
-        assert_eq!(machine.dram_write(NodeId::new(2)), Nanos::new(60));
-        assert_eq!(machine.dram().total_accesses(), 2);
-        assert_eq!(machine.network().stats().total_messages(), 1);
-        assert_eq!(machine.cache_access_latency(), Nanos::new(1));
-        assert_eq!(SystemAccess::num_cores(&machine), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid machine configuration")]
-    fn invalid_configuration_panics() {
-        let mut cfg = MachineConfig::date2014();
-        cfg.num_cores = 3;
-        Machine::new(&cfg);
-    }
 
     #[test]
     fn shard_system_reaches_shared_caches_and_private_accounting() {

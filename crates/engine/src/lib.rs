@@ -1,12 +1,9 @@
 //! Deterministic discrete-event simulation kernel.
 //!
 //! The ALLARM evaluation does not need a full parallel-discrete-event engine,
-//! but it does need two things the standard library does not provide
+//! but it does need three things the standard library does not provide
 //! directly:
 //!
-//! * a **deterministic event queue** ([`EventQueue`]) whose pop order is a
-//!   total order even when events carry equal timestamps (ties are broken by
-//!   insertion sequence, so two runs with the same seed replay identically);
 //! * a **multi-actor clock** ([`CoreScheduler`]) that repeatedly selects the
 //!   actor (core) with the smallest local time — backed by a lazy min-heap,
 //!   so selection is `O(log n)` on large machines — which is how the
@@ -22,26 +19,29 @@
 //! # Examples
 //!
 //! ```
-//! use allarm_engine::{EventQueue, ScheduledEvent};
+//! use allarm_engine::{merge_events, Keyed, MergeKey};
 //! use allarm_types::Nanos;
 //!
-//! let mut q = EventQueue::new();
-//! q.push(Nanos::new(5), "b");
-//! q.push(Nanos::new(5), "c");
-//! q.push(Nanos::new(1), "a");
-//! let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+//! // Two shards' events for one round: equal times break ties by actor.
+//! let shard0 = vec![Keyed::new(MergeKey::new(Nanos::new(5), 1, 0), "c")];
+//! let shard1 = vec![
+//!     Keyed::new(MergeKey::new(Nanos::new(1), 3, 0), "a"),
+//!     Keyed::new(MergeKey::new(Nanos::new(5), 0, 0), "b"),
+//! ];
+//! let order: Vec<&str> = merge_events([shard0, shard1])
+//!     .into_iter()
+//!     .map(|e| e.payload)
+//!     .collect();
 //! assert_eq!(order, ["a", "b", "c"]);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod queue;
 pub mod rng;
 pub mod scheduler;
 pub mod shard;
 
-pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::StreamRng;
 pub use scheduler::CoreScheduler;
 pub use shard::{merge_events, Keyed, MergeKey, PhaseBarrier, ShardPlan};

@@ -24,12 +24,15 @@
 //! parameters `?accesses=N` and `?sim_threads=N` mirror `scenario_run`'s
 //! `--accesses`/`--sim-threads` flags, applied identically — so a job's
 //! streamed results are byte-for-byte the file `scenario_run --output`
-//! writes for the same document and overrides.
+//! writes for the same document and overrides. Where `scenario_run` warns
+//! that `--accesses` cannot shorten a text or v1 binary trace replay, the
+//! server refuses the job with a `400` naming the scenario.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use allarm_core::doc::{parse_scenario_doc, sniff_is_json};
+use allarm_core::doc::{override_accesses, parse_scenario_doc, sniff_is_json};
 use allarm_core::{JobId, JobScheduler, JobStatus, SimThreads, SubmitError};
 use serde::Value;
 
@@ -116,7 +119,9 @@ impl Api {
 
         let mut scenarios = doc.expand();
         // The same overrides scenario_run applies for --sim-threads and
-        // --accesses, in the same order.
+        // --accesses, in the same order — except that a length override a
+        // trace replay cannot honour is refused here rather than warned
+        // about, since a warning would never reach the client.
         for (key, value) in request.query_pairs() {
             let parsed: Result<usize, _> = value.parse();
             match (key, parsed) {
@@ -126,8 +131,18 @@ impl Api {
                     }
                 }
                 ("accesses", Ok(n)) => {
-                    for scenario in &mut scenarios {
-                        scenario.workload = scenario.workload.with_accesses(n);
+                    // A zero limit would mean "unlimited" to a trace replay.
+                    let Some(n) = NonZeroUsize::new(n) else {
+                        return error(
+                            StatusCode(400),
+                            "query parameter accesses needs a positive number, got \"0\"",
+                        );
+                    };
+                    if let Some(fixed) = override_accesses(&mut scenarios, n).first() {
+                        return error(
+                            StatusCode(400),
+                            &format!("query parameter accesses={n} has no effect: {fixed}"),
+                        );
                     }
                 }
                 ("sim_threads" | "accesses", Err(_)) => {
@@ -248,6 +263,7 @@ mod tests {
     use super::*;
     use allarm_core::{
         AllocationPolicy, Benchmark, JobState, Scenario, ScenarioGrid, SchedulerConfig,
+        TraceFormat, WorkloadSpec,
     };
 
     fn api(config: SchedulerConfig) -> Api {
@@ -365,6 +381,48 @@ mod tests {
             let resp = full(&api, &request(Method::Post, target, grid_toml().as_bytes()));
             assert_eq!(resp.status, StatusCode(400), "{target}");
         }
+    }
+
+    /// A grid replaying one of the committed sample traces.
+    fn replay_toml(file: &str, format: TraceFormat) -> String {
+        let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+        let base = Scenario {
+            workload: WorkloadSpec::trace_file(path, format),
+            ..Scenario::quick_test(Benchmark::Blackscholes, AllocationPolicy::Baseline)
+        };
+        ScenarioGrid::new(base).to_toml().unwrap()
+    }
+
+    #[test]
+    fn accesses_overrides_that_cannot_take_effect_are_refused() {
+        let api = api(SchedulerConfig {
+            workers: 0,
+            ..SchedulerConfig::default()
+        });
+        let post = |target: &str, body: &str| {
+            let resp = full(&api, &request(Method::Post, target, body.as_bytes()));
+            (resp.status, String::from_utf8(resp.body).unwrap())
+        };
+
+        // A zero limit on a binary-v2 replay would mean "unlimited".
+        let v2 = replay_toml("tracefile_sample_v2.btrace", TraceFormat::BinaryV2);
+        let (status, body) = post("/v1/jobs?accesses=0", &v2);
+        assert_eq!(status, StatusCode(400), "{body}");
+        assert!(body.contains("accesses needs a positive number"), "{body}");
+        assert_eq!(post("/v1/jobs?accesses=500", &v2).0, StatusCode(201));
+
+        // A v1 binary replay keeps its recorded length, so the override is
+        // refused, naming the scenario and the trace's format.
+        let v1 = replay_toml("tracefile_sample.trace", TraceFormat::Binary);
+        let (status, body) = post("/v1/jobs?accesses=500", &v1);
+        assert_eq!(status, StatusCode(400), "{body}");
+        assert!(body.contains("accesses=500 has no effect"), "{body}");
+        // The grid names its point after the trace's recorded workload.
+        assert!(
+            body.contains("`blackscholes/baseline` replays a binary trace"),
+            "{body}"
+        );
+        assert_eq!(post("/v1/jobs", &v1).0, StatusCode(201));
     }
 
     #[test]

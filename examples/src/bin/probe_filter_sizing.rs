@@ -12,7 +12,7 @@
 //! cargo run --release -p allarm-examples --bin probe_filter_sizing
 //! ```
 
-use allarm_core::{multiprocess_sweep, ExperimentConfig, FIG4_COVERAGES};
+use allarm_core::{AllocationPolicy, BatchRunner, ExperimentConfig, ScenarioGrid, FIG4_COVERAGES};
 use allarm_energy::probe_filter_area_mm2;
 use allarm_workloads::Benchmark;
 
@@ -26,12 +26,20 @@ fn main() {
         "PF size", "area mm2", "baseline ns", "allarm ns", "base evict", "allarm evict"
     );
 
-    let points = multiprocess_sweep(bench, &cfg, &FIG4_COVERAGES);
+    // One baseline/ALLARM pair per coverage, all run in parallel.
+    let grid = ScenarioGrid::new(cfg.multiprocess_scenario(bench, AllocationPolicy::Baseline))
+        .pf_coverages(FIG4_COVERAGES.to_vec())
+        .policies(AllocationPolicy::ALL.to_vec());
+    let points = BatchRunner::new()
+        .run(&grid.expand())
+        .expect("the Fig. 4 sweep is valid")
+        .paired();
     for point in &points {
+        let coverage = point.baseline.pf_coverage_bytes;
         println!(
             "{:<8} {:>10.2} {:>14} {:>14} {:>12} {:>12}",
-            format!("{}kB", point.pf_coverage_bytes / 1024),
-            probe_filter_area_mm2(point.pf_coverage_bytes),
+            format!("{}kB", coverage / 1024),
+            probe_filter_area_mm2(coverage),
             point.baseline.runtime.as_u64(),
             point.allarm.runtime.as_u64(),
             point.baseline.pf_evictions,
@@ -47,14 +55,14 @@ fn main() {
     println!();
     println!(
         "shrinking {}kB -> {}kB costs the baseline {:.1}% runtime but ALLARM only {:.1}%,",
-        full.pf_coverage_bytes / 1024,
-        smallest.pf_coverage_bytes / 1024,
+        full.baseline.pf_coverage_bytes / 1024,
+        smallest.baseline.pf_coverage_bytes / 1024,
         baseline_slowdown * 100.0,
         allarm_slowdown * 100.0
     );
     println!(
         "while freeing {:.2} mm2 of directory SRAM for reuse as cache.",
-        probe_filter_area_mm2(full.pf_coverage_bytes)
-            - probe_filter_area_mm2(smallest.pf_coverage_bytes)
+        probe_filter_area_mm2(full.baseline.pf_coverage_bytes)
+            - probe_filter_area_mm2(smallest.baseline.pf_coverage_bytes)
     );
 }

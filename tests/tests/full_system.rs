@@ -1,9 +1,11 @@
 //! End-to-end integration tests of the full simulator: the substrates wired
-//! together exactly as the figure harness uses them.
+//! together exactly as the figure grids run them — a [`ScenarioGrid`]
+//! expanded over both allocation policies, executed by the [`BatchRunner`]
+//! and paired into baseline/ALLARM comparisons.
 
 use allarm_core::{
-    compare_benchmark, multiprocess_sweep, pf_size_sweep, run_benchmark, AllocationPolicy,
-    ExperimentConfig, MachineConfig, SimulationBuilder,
+    AllocationPolicy, BatchRunner, Comparison, ExperimentConfig, MachineConfig, ScenarioGrid,
+    SimReport, SimulationBuilder,
 };
 use allarm_types::Nanos;
 use allarm_workloads::{Benchmark, TraceGenerator};
@@ -12,29 +14,51 @@ fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig::quick_test().with_accesses_per_thread(1_200)
 }
 
+/// Runs `grid` under both policies and pairs each baseline run with its
+/// ALLARM run.
+fn paired(grid: ScenarioGrid) -> Vec<Comparison> {
+    let grid = grid.policies(AllocationPolicy::ALL.to_vec());
+    let comparisons = BatchRunner::new()
+        .run(&grid.expand())
+        .expect("valid grid")
+        .paired();
+    assert_eq!(comparisons.len(), grid.len() / 2, "every point pairs up");
+    comparisons
+}
+
+/// One benchmark under both policies.
+fn compare(benchmark: Benchmark, cfg: &ExperimentConfig) -> Comparison {
+    let base = cfg.scenario(benchmark, AllocationPolicy::Baseline);
+    paired(ScenarioGrid::new(base)).remove(0)
+}
+
 #[test]
 fn every_access_is_accounted_for() {
-    for bench in [Benchmark::Barnes, Benchmark::Blackscholes] {
-        for policy in AllocationPolicy::ALL {
-            let report = run_benchmark(bench, policy, &tiny_cfg());
-            assert_eq!(
-                report.l1_hits + report.l2_hits + report.l2_misses,
-                report.total_accesses,
-                "{bench}/{policy}: hierarchy outcomes must partition the accesses"
-            );
-            assert_eq!(
-                report.local_requests + report.remote_requests,
-                report.directory_requests
-            );
-            assert!(report.runtime > Nanos::ZERO);
-        }
+    let base = tiny_cfg().scenario(Benchmark::Barnes, AllocationPolicy::Baseline);
+    let grid = ScenarioGrid::new(base).benchmarks(vec![Benchmark::Barnes, Benchmark::Blackscholes]);
+    let comparisons = paired(grid);
+    assert_eq!(comparisons.len(), 2);
+    for report in comparisons.iter().flat_map(|c| [&c.baseline, &c.allarm]) {
+        let (bench, policy) = (&report.workload, &report.policy);
+        assert_eq!(
+            report.l1_hits + report.l2_hits + report.l2_misses,
+            report.total_accesses,
+            "{bench}/{policy}: hierarchy outcomes must partition the accesses"
+        );
+        assert_eq!(
+            report.local_requests + report.remote_requests,
+            report.directory_requests
+        );
+        assert!(report.runtime > Nanos::ZERO);
     }
 }
 
 #[test]
 fn allarm_never_increases_probe_filter_pressure() {
-    for bench in Benchmark::ALL {
-        let cmp = compare_benchmark(bench, &tiny_cfg());
+    let base = tiny_cfg().scenario(Benchmark::Barnes, AllocationPolicy::Baseline);
+    let comparisons = paired(ScenarioGrid::new(base).benchmarks(Benchmark::ALL.to_vec()));
+    for (bench, cmp) in Benchmark::ALL.iter().zip(comparisons) {
+        assert_eq!(cmp.baseline.workload, bench.name());
         assert!(
             cmp.allarm.pf_allocations <= cmp.baseline.pf_allocations,
             "{bench}: ALLARM allocated more probe-filter entries than the baseline"
@@ -53,7 +77,7 @@ fn allarm_never_increases_probe_filter_pressure() {
 
 #[test]
 fn baseline_performs_no_local_probes_and_allarm_hides_most_of_them() {
-    let cmp = compare_benchmark(Benchmark::OceanContiguous, &tiny_cfg());
+    let cmp = compare(Benchmark::OceanContiguous, &tiny_cfg());
     assert_eq!(cmp.baseline.local_probes, 0);
     assert!(cmp.allarm.local_probes > 0);
     assert!(cmp.hidden_probe_fraction() > 0.5);
@@ -65,23 +89,30 @@ fn local_fraction_tracks_the_benchmark_mix() {
     // Mostly-shared blackscholes must see a lower local fraction than the
     // NUMA-friendly ocean.
     let cfg = tiny_cfg();
-    let blackscholes = compare_benchmark(Benchmark::Blackscholes, &cfg);
-    let ocean = compare_benchmark(Benchmark::OceanContiguous, &cfg);
+    let blackscholes = compare(Benchmark::Blackscholes, &cfg);
+    let ocean = compare(Benchmark::OceanContiguous, &cfg);
     assert!(blackscholes.local_fraction() < ocean.local_fraction());
 }
 
 #[test]
 fn simulation_is_deterministic_end_to_end() {
-    let a = run_benchmark(Benchmark::Dedup, AllocationPolicy::Allarm, &tiny_cfg());
-    let b = run_benchmark(Benchmark::Dedup, AllocationPolicy::Allarm, &tiny_cfg());
-    assert_eq!(a, b);
+    // The same scenario twice, in one parallel batch.
+    let scenario = tiny_cfg().scenario(Benchmark::Dedup, AllocationPolicy::Allarm);
+    let results = BatchRunner::with_threads(2)
+        .run(&[scenario.clone(), scenario])
+        .unwrap();
+    let reports: Vec<&SimReport> = results.reports().collect();
+    assert_eq!(reports.len(), 2);
+    assert_eq!(reports[0], reports[1]);
 }
 
 #[test]
 fn shrinking_the_probe_filter_never_helps_the_baseline() {
-    let cfg = tiny_cfg();
-    let points = pf_size_sweep(Benchmark::Barnes, &cfg, &[512 * 1024, 64 * 1024]);
+    let base = tiny_cfg().scenario(Benchmark::Barnes, AllocationPolicy::Baseline);
+    let points = paired(ScenarioGrid::new(base).pf_coverages(vec![512 * 1024, 64 * 1024]));
     assert_eq!(points.len(), 2);
+    assert_eq!(points[0].baseline.pf_coverage_bytes, 512 * 1024);
+    assert_eq!(points[1].baseline.pf_coverage_bytes, 64 * 1024);
     assert!(
         points[1].baseline.pf_evictions >= points[0].baseline.pf_evictions,
         "a smaller probe filter cannot evict less"
@@ -92,8 +123,9 @@ fn shrinking_the_probe_filter_never_helps_the_baseline() {
 #[test]
 fn multiprocess_workload_is_local_and_allarm_keeps_it_out_of_the_directory() {
     let cfg = tiny_cfg().with_accesses_per_thread(4_000);
-    let points = multiprocess_sweep(Benchmark::Cholesky, &cfg, &[64 * 1024]);
-    let point = &points[0];
+    let base = cfg.multiprocess_scenario(Benchmark::Cholesky, AllocationPolicy::Baseline);
+    let point = &paired(ScenarioGrid::new(base).pf_coverages(vec![64 * 1024]))[0];
+    assert_eq!(point.baseline.workload, "cholesky-2p");
     assert!(point.baseline.local_fraction() > 0.95);
     // The baseline allocates for everything; ALLARM allocates (almost)
     // nothing because every request is local.
@@ -121,7 +153,7 @@ fn policies_agree_when_there_is_no_coherence_pressure() {
 
 #[test]
 fn energy_tracks_activity() {
-    let cmp = compare_benchmark(Benchmark::OceanNonContiguous, &tiny_cfg());
+    let cmp = compare(Benchmark::OceanNonContiguous, &tiny_cfg());
     assert!(cmp.baseline.energy.probe_filter_pj > 0.0);
     assert!(cmp.baseline.energy.noc_pj > 0.0);
     // Fewer evictions and allocations must not cost more probe-filter energy.

@@ -1,5 +1,5 @@
 //! Randomized property tests of the substrate data structures: caches, the
-//! probe filter, the mesh, the NUMA allocator and the event queue.
+//! probe filter, the mesh and the NUMA allocator.
 //!
 //! The workspace builds offline, so instead of proptest these use the
 //! engine's own [`StreamRng`] to generate many random operation sequences
@@ -8,13 +8,12 @@
 
 use allarm_cache::{CoherenceState, ReplacementPolicy, SetAssocCache};
 use allarm_coherence::ProbeFilter;
-use allarm_engine::{EventQueue, StreamRng};
+use allarm_engine::StreamRng;
 use allarm_mem::{NumaAllocator, NumaPolicy};
 use allarm_noc::Mesh;
 use allarm_types::addr::{LineAddr, VirtAddr, PAGE_BYTES};
 use allarm_types::config::{CacheConfig, DramConfig, ProbeFilterConfig};
 use allarm_types::ids::{CoreId, NodeId};
-use allarm_types::Nanos;
 
 /// Runs `body` for `cases` independent random cases. On a failure the
 /// case index (the stream label under root seed `0x5E5D_2014`) is printed
@@ -154,32 +153,6 @@ fn first_touch_is_sticky() {
                 }
             }
             assert_eq!(numa.home_of_page(frame.phys_page), frame.home);
-        }
-    });
-}
-
-/// The event queue pops in non-decreasing time order and preserves
-/// insertion order among equal timestamps.
-#[test]
-fn event_queue_is_a_stable_priority_queue() {
-    for_cases(64, |rng| {
-        let mut queue = EventQueue::new();
-        let count = 1 + rng.below(199);
-        for i in 0..count as usize {
-            queue.push(Nanos::new(rng.below(50)), i);
-        }
-        let mut last_time = Nanos::ZERO;
-        let mut last_seq_at_time: Option<usize> = None;
-        while let Some(event) = queue.pop() {
-            assert!(event.time >= last_time);
-            if event.time == last_time {
-                if let Some(prev) = last_seq_at_time {
-                    assert!(event.payload > prev, "ties must pop in insertion order");
-                }
-            } else {
-                last_time = event.time;
-            }
-            last_seq_at_time = Some(event.payload);
         }
     });
 }

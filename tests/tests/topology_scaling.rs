@@ -10,9 +10,11 @@
 use allarm_coherence::SharerSet;
 use allarm_core::{AllocationPolicy, BatchRunner, Scenario, ScenarioGrid, SimThreads};
 use allarm_engine::{ShardPlan, StreamRng};
+use allarm_noc::Network;
 use allarm_types::config::{CoresPerNode, MachineConfig, NocConfig};
 use allarm_types::ids::{CoreId, NodeId};
 use allarm_types::topology::Topology;
+use allarm_types::Nanos;
 use allarm_workloads::{Benchmark, WorkloadSpec};
 use std::collections::HashSet;
 
@@ -186,6 +188,36 @@ fn core_to_node_mapping_is_a_contiguous_partition() {
             }
         }
     }
+}
+
+/// A machine configuration's core → node fold agrees with the network it
+/// builds: the identity on the flat Table I machine, contiguous pairs on a
+/// machine with two cores per node.
+#[test]
+fn machine_configs_fold_cores_onto_their_network_nodes() {
+    let table1 = MachineConfig::date2014();
+    assert_eq!(table1.l1d.access_latency, Nanos::new(1));
+    assert_eq!(Network::new(table1.noc).topology().num_nodes(), 16);
+    let topo = table1.topology();
+    for i in 0..16u16 {
+        assert_eq!(topo.node_of_core(CoreId::new(i)), NodeId::new(i));
+        assert_eq!(topo.local_core_of(NodeId::new(i)), CoreId::new(i));
+    }
+
+    // The four-core test machine with both cores of a pair on one node: a
+    // 1x2 mesh.
+    let mut folded = MachineConfig::small_test();
+    folded.cores_per_node = CoresPerNode(2);
+    folded.noc = NocConfig::mesh(1, 2);
+    folded.validate().unwrap();
+    assert_eq!(Network::new(folded.noc).topology().num_nodes(), 2);
+    let topo = folded.topology();
+    assert_eq!((topo.num_cores(), topo.cores_per_node()), (4, 2));
+    assert_eq!(topo.node_of_core(CoreId::new(0)), NodeId::new(0));
+    assert_eq!(topo.node_of_core(CoreId::new(1)), NodeId::new(0));
+    assert_eq!(topo.node_of_core(CoreId::new(3)), NodeId::new(1));
+    // The designated core of each node is its first.
+    assert_eq!(topo.local_core_of(NodeId::new(1)), CoreId::new(2));
 }
 
 /// A machine configuration's topology and the shard plan compose: every
