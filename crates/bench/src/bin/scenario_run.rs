@@ -20,10 +20,11 @@
 //! continues a `--resume` sweep from *inside* the interrupted row instead
 //! of replaying it from scratch. Before anything is written, the
 //! snapshot's resume cursor is verified against the rows actually
-//! recorded in the output file — a stale or mismatched snapshot fails
-//! with the file untouched. `--verify-forks` makes fork-from-warm grids
-//! (a `[warmup]` stanza) re-run every forked point cold and assert the
-//! reports are identical.
+//! recorded in the output file, and the snapshot against its row's
+//! machine, policies and workload — a stale or mismatched snapshot fails
+//! (exit status 1) with the file untouched. `--verify-forks` makes
+//! fork-from-warm grids (a `[warmup]` stanza) re-run every forked point
+//! cold and assert the reports are identical.
 //!
 //! ```text
 //! cargo run --release -p allarm-bench --bin scenario_run -- scenarios/fig3_comparison.toml
@@ -44,7 +45,6 @@ use allarm_core::{
     verify_resume_rows, BatchRunner, CsvFileSink, JsonlFileSink, JsonlSink, ResultSink, ResumeScan,
     SimSnapshot,
 };
-use std::collections::HashSet;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -251,9 +251,10 @@ fn main() -> ExitCode {
 /// different settings (an `--accesses` override, an edited document, the
 /// wrong file) fails here with the output untouched — then the recorded
 /// indices are skipped and new rows append after them. With `restore`, the
-/// snapshot's resume cursor must additionally agree with the scan before
-/// the file is reopened: a snapshot taken after N rows only restores into
-/// a file holding exactly N rows.
+/// snapshot's resume cursor must additionally agree with the scan, and the
+/// snapshot must fit its row's machine, policies and workload, before the
+/// file is reopened: a snapshot taken after N rows only restores into a
+/// file holding exactly N rows.
 fn run_to_file(
     runner: &BatchRunner,
     scenarios: &[allarm_core::Scenario],
@@ -263,52 +264,42 @@ fn run_to_file(
     restore: Option<Arc<SimSnapshot>>,
 ) -> ExitCode {
     fn run_into<S: ResultSink>(
-        created: Result<(S, HashSet<usize>), String>,
+        created: Result<(S, BatchRunner), String>,
         finish: impl FnOnce(S) -> std::io::Result<()>,
-        runner: &BatchRunner,
         scenarios: &[allarm_core::Scenario],
         doc_path: &str,
         output: &str,
-        restore: Option<Arc<SimSnapshot>>,
     ) -> Result<(), String> {
-        let (mut sink, completed) = created?;
-        if !completed.is_empty() {
-            eprintln!(
-                "[scenario_run] resuming {output}: {} of {} row(s) already recorded",
-                completed.len(),
-                scenarios.len()
-            );
-        }
-        let restore = restore.map(|snap| (snap.header().row_index as usize, snap));
+        let (mut sink, runner) = created?;
         runner
-            .run_with_sink_restored(scenarios, &mut sink, &completed, restore)
+            .run_with_sink(scenarios, &mut sink)
             .map_err(|e| format!("{doc_path}: {e}"))?;
         finish(sink).map_err(|e| format!("writing {output}: {e}"))
     }
 
     /// Scan (read-only) → verify the recorded rows against the batch →
     /// verify the restore snapshot's cursor against the recorded rows →
-    /// reopen for append. A verification failure leaves the output file
+    /// validate the runner (the snapshot against its row's machine,
+    /// policies and workload included) → reopen for append. A verification failure leaves the output file
     /// byte-identical to how the interruption left it.
     fn resumed<S>(
         scanned: std::io::Result<ResumeScan>,
         reopen: impl FnOnce(&ResumeScan) -> std::io::Result<S>,
+        runner: &BatchRunner,
         scenarios: &[allarm_core::Scenario],
         output: &str,
-        restore: Option<&SimSnapshot>,
-    ) -> Result<(S, HashSet<usize>), String> {
+        restore: Option<Arc<SimSnapshot>>,
+    ) -> Result<(S, BatchRunner), String> {
         let scan = scanned.map_err(|e| format!("cannot read {output}: {e}"))?;
         verify_resume_rows(scenarios, scan.rows())
             .map_err(|e| format!("cannot resume {output}: {e}"))?;
+        let completed = scan.completed();
+        let recorded = completed.len();
+        let mut runner = runner.clone().with_completed(completed);
         if let Some(snap) = restore {
+            // A snapshot without a row cursor is refused by `validate`.
             let header = snap.header();
-            if !header.is_batch_checkpoint() {
-                return Err(format!(
-                    "cannot restore into {output}: the snapshot does not carry a resume \
-                     cursor (was it written by --checkpoint-every?); nothing was written"
-                ));
-            }
-            if header.row_index as usize != scan.rows().len() {
+            if header.is_batch_checkpoint() && header.row_index as usize != scan.rows().len() {
                 return Err(format!(
                     "cannot restore into {output}: the snapshot was taken after {} recorded \
                      row(s) but the file holds {} — a stale snapshot or the wrong output \
@@ -317,14 +308,28 @@ fn run_to_file(
                     scan.rows().len()
                 ));
             }
+            runner = runner.with_restore(snap);
+        }
+        runner
+            .validate(scenarios)
+            .map_err(|e| format!("cannot resume {output}: {e}; nothing was written"))?;
+        if recorded > 0 {
+            eprintln!(
+                "[scenario_run] resuming {output}: {recorded} of {} row(s) already recorded",
+                scenarios.len()
+            );
         }
         let sink = reopen(&scan).map_err(|e| format!("cannot open {output}: {e}"))?;
-        Ok((sink, scan.completed()))
+        Ok((sink, runner))
     }
 
-    fn fresh<S>(created: std::io::Result<S>, output: &str) -> Result<(S, HashSet<usize>), String> {
+    fn fresh<S>(
+        created: std::io::Result<S>,
+        runner: &BatchRunner,
+        output: &str,
+    ) -> Result<(S, BatchRunner), String> {
         created
-            .map(|s| (s, HashSet::new()))
+            .map(|s| (s, runner.clone()))
             .map_err(|e| format!("cannot open {output}: {e}"))
     }
 
@@ -334,19 +339,18 @@ fn run_to_file(
                 resumed(
                     CsvFileSink::scan(output),
                     |scan| CsvFileSink::resume_scanned(output, scan),
+                    runner,
                     scenarios,
                     output,
-                    restore.as_deref(),
+                    restore,
                 )
             } else {
-                fresh(CsvFileSink::create(output), output)
+                fresh(CsvFileSink::create(output), runner, output)
             },
             CsvFileSink::finish,
-            runner,
             scenarios,
             doc_path,
             output,
-            restore,
         )
     } else {
         run_into(
@@ -354,19 +358,18 @@ fn run_to_file(
                 resumed(
                     JsonlFileSink::scan(output),
                     |scan| JsonlFileSink::resume_scanned(output, scan),
+                    runner,
                     scenarios,
                     output,
-                    restore.as_deref(),
+                    restore,
                 )
             } else {
-                fresh(JsonlFileSink::create(output), output)
+                fresh(JsonlFileSink::create(output), runner, output)
             },
             JsonlFileSink::finish,
-            runner,
             scenarios,
             doc_path,
             output,
-            restore,
         )
     };
     match result {

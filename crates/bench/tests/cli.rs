@@ -1,6 +1,7 @@
 //! The command-line front ends, driven as a user drives them: a trace-length
 //! override that cannot take effect must say so (or fail), never silently
-//! replay a whole trace, and `figures` must refuse incomplete input.
+//! replay a whole trace, a snapshot that does not fit its row is refused
+//! with the output untouched, and `figures` must refuse incomplete input.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -79,6 +80,94 @@ fn scenario_run_names_the_format_of_a_trace_it_cannot_shorten() {
     assert_eq!(rows.lines().count(), 2);
     assert!(rows.contains(&format!("\"total_accesses\":{}", workload.total_accesses())));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checkpoints a one-row copy of `scenarios/streamcluster_comparison.toml`
+/// at 2,000 accesses/thread, then restores its snapshot into an output
+/// holding only the interrupted row's truncated first bytes, under
+/// `--accesses restore_accesses` and with `edit` (from, to) applied to the
+/// document. Returns the restore's stderr after checking it exited with
+/// status exactly 1 (a panic exits 101) and left the output byte-identical.
+fn refused_restore(tag: &str, restore_accesses: &str, edit: Option<(&str, &str)>) -> String {
+    let dir = temp_dir(tag);
+    let doc = std::fs::read_to_string(scenarios_dir().join("streamcluster_comparison.toml"))
+        .unwrap()
+        .replace(
+            r#"policies = ["Baseline", "Allarm"]"#,
+            r#"policies = ["Baseline"]"#,
+        );
+    assert!(doc.contains(r#"policies = ["Baseline"]"#));
+    let one_row = dir.join("one.toml");
+    std::fs::write(&one_row, &doc).unwrap();
+    let full = dir.join("full.jsonl");
+    let out = run(
+        env!("CARGO_BIN_EXE_scenario_run"),
+        &[
+            "--accesses",
+            "2000",
+            "--checkpoint-every",
+            "5000",
+            "--output",
+            full.to_str().unwrap(),
+            one_row.to_str().unwrap(),
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    let snap = dir.join("full.jsonl.snap");
+
+    let edited = dir.join("edited.toml");
+    let edited_doc = match edit {
+        Some((from, to)) => doc.replace(from, to),
+        None => doc.clone(),
+    };
+    assert_eq!(
+        edited_doc == doc,
+        edit.is_none(),
+        "the edit changed nothing"
+    );
+    std::fs::write(&edited, edited_doc).unwrap();
+    let output = dir.join("partial.jsonl");
+    let before = std::fs::read(&full).unwrap()[..30].to_vec();
+    std::fs::write(&output, &before).unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_scenario_run"),
+        &[
+            "--accesses",
+            restore_accesses,
+            "--resume",
+            "--restore",
+            snap.to_str().unwrap(),
+            "--output",
+            output.to_str().unwrap(),
+            edited.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_eq!(
+        std::fs::read(&output).unwrap(),
+        before,
+        "the output was touched"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    stderr(&out)
+}
+
+#[test]
+fn scenario_run_refuses_to_restore_into_another_workload() {
+    let err = refused_restore("restore-accesses", "1000", None);
+    assert!(err.contains("`snapshot.workload_checksum`"), "{err}");
+    assert!(err.contains("nothing was written"), "{err}");
+}
+
+#[test]
+fn scenario_run_refuses_to_restore_onto_an_edited_machine() {
+    let err = refused_restore(
+        "restore-machine",
+        "2000",
+        Some(("coverage_bytes = 524288", "coverage_bytes = 262144")),
+    );
+    assert!(err.contains("`snapshot.config_fingerprint`"), "{err}");
+    assert!(err.contains("nothing was written"), "{err}");
 }
 
 #[test]

@@ -3,15 +3,17 @@
 //! [`BatchRunner`] takes the scenarios a [`crate::ScenarioGrid`] expands to
 //! (or any hand-built list), validates them all up front, and executes them
 //! across OS threads. Each scenario is a pure function of its own fields —
-//! the workload is materialized from `(spec, seed)` and the simulator is
-//! single-threaded — so parallel and serial execution produce **identical**
+//! its report is byte-identical for every `sim_threads` value and every
+//! worker count — so parallel and serial execution produce **identical**
 //! results; the runner additionally delivers results to the [`ResultSink`]
 //! in scenario order regardless of completion order, so sinks observe the
 //! same sequence either way.
 //!
-//! Workloads are materialized once per distinct `(spec, seed)` pair and
-//! shared between scenarios via [`Arc`], so a policy-comparison grid does
-//! not pay trace generation twice per benchmark.
+//! Each distinct `(spec, seed)` workload is opened once and shared between
+//! scenarios via [`Arc`], so a policy-comparison grid does not pay trace
+//! generation twice per benchmark. Frame-chunked v2 trace replays stream
+//! off disk; generated workloads and text and v1 trace replays are
+//! materialized.
 //!
 //! Scenarios that declare a [`crate::Scenario::warmup_accesses`] prefix are
 //! additionally grouped by machine, policies, seed and workload shape:
@@ -27,6 +29,7 @@
 //! interruption.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -35,17 +38,17 @@ use allarm_types::error::ConfigError;
 use allarm_workloads::{AccessSource, TraceSource, Workload};
 
 use crate::metrics::{Comparison, SimReport};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, SimThreads};
+use crate::simulator::Start;
 use crate::snapshot::SimSnapshot;
 
-/// One scenario's ready-to-replay workload. Generated (and v1-replayed)
-/// workloads are materialized once per distinct `(spec, seed)` pair and
-/// shared across the batch; frame-chunked v2 trace replays hold only the
-/// trace's header and frame directory and stream the body straight off
-/// disk during the run — a batch over a multi-hundred-million-access
-/// trace never holds the decoded stream in memory.
+/// One scenario's ready-to-replay workload. Frame-chunked v2 trace replays
+/// hold only the trace's header and frame directory and stream the body
+/// straight off disk during the run — a batch over a
+/// multi-hundred-million-access trace never holds the decoded stream in
+/// memory; every other workload is materialized.
 #[derive(Debug, Clone)]
-enum WorkloadHandle {
+pub(crate) enum WorkloadHandle {
     /// Every access in memory, shared between scenarios via [`Arc`].
     Materialized(Arc<Workload>),
     /// A bounded-memory streaming v2 trace source.
@@ -53,6 +56,20 @@ enum WorkloadHandle {
 }
 
 impl WorkloadHandle {
+    /// Opens `scenario`'s workload: the one place that chooses between
+    /// streaming and materializing it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `workload` [`ConfigError`] when a streamable trace cannot
+    /// be opened or fails its directory validation.
+    pub(crate) fn open(scenario: &Scenario) -> Result<Self, ConfigError> {
+        Ok(match scenario.streaming_source()? {
+            Some(source) => WorkloadHandle::Streaming(Arc::new(source)),
+            None => WorkloadHandle::Materialized(Arc::new(scenario.workload())),
+        })
+    }
+
     /// The replay feed the simulator consumes — identical record streams
     /// for both kinds.
     fn source(&self) -> AccessSource<'_> {
@@ -94,7 +111,7 @@ impl BatchEntry {
     }
 }
 
-/// How a batch run under a cancel flag ended.
+/// How a batch run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Every pending scenario ran and was recorded.
@@ -211,8 +228,8 @@ impl ResumeScan {
         &self.rows
     }
 
-    /// The scenario indices already recorded (the `completed` set for
-    /// [`BatchRunner::run_with_sink_resuming`]).
+    /// The scenario indices already recorded (the set for
+    /// [`BatchRunner::with_completed`]).
     pub fn completed(&self) -> HashSet<usize> {
         self.rows.iter().map(|r| r.index).collect()
     }
@@ -752,6 +769,15 @@ fn same_but_policy(a: &Scenario, b: &Scenario) -> bool {
 
 /// Executes scenario sets, optionally in parallel.
 ///
+/// There is one way to run a batch: [`BatchRunner::run_with_sink`] streams
+/// ordered entries into a [`ResultSink`], and [`BatchRunner::run`]
+/// collects them. Everything else is a runner setting: the worker count,
+/// fork verification ([`BatchRunner::with_verify_forks`]), mid-run
+/// checkpoints ([`BatchRunner::with_checkpoint_every`]), the rows an
+/// interrupted sweep already recorded ([`BatchRunner::with_completed`]),
+/// a mid-run snapshot to continue ([`BatchRunner::with_restore`]) and a
+/// cancel flag ([`BatchRunner::with_cancel`]).
+///
 /// # Examples
 ///
 /// ```
@@ -773,6 +799,9 @@ pub struct BatchRunner {
     num_threads: usize,
     verify_forks: bool,
     checkpoint: Option<CheckpointCfg>,
+    completed: HashSet<usize>,
+    restore: Option<Arc<SimSnapshot>>,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 /// Mid-run checkpointing of a batch: the active run's full simulator state
@@ -786,11 +815,7 @@ struct CheckpointCfg {
 impl BatchRunner {
     /// Creates a runner using every available hardware thread.
     pub fn new() -> Self {
-        BatchRunner::with_threads(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        BatchRunner::with_threads(SimThreads::AUTO.resolve())
     }
 
     /// Creates a runner with an explicit worker count (clamped to ≥ 1).
@@ -800,6 +825,9 @@ impl BatchRunner {
             num_threads: num_threads.max(1),
             verify_forks: false,
             checkpoint: None,
+            completed: HashSet::new(),
+            restore: None,
+            cancel: None,
         }
     }
 
@@ -836,12 +864,57 @@ impl BatchRunner {
         self
     }
 
+    /// Returns a copy that skips the scenarios whose indices are in
+    /// `completed` — the resume path of an interrupted sweep. Skipped
+    /// indices are neither executed nor re-recorded; the remaining entries
+    /// still reach the sink in ascending index order. [`ResumeScan`]
+    /// recovers the set from a partially-written output file.
+    ///
+    /// Completion is matched **by index**: a resumed run must use the same
+    /// scenario set, in the same order, as the interrupted one (reordering
+    /// the grid between runs silently pairs old rows with new scenarios).
+    /// An index beyond the batch is rejected, which catches the common
+    /// mistake of resuming against the wrong output file.
+    pub fn with_completed(mut self, completed: HashSet<usize>) -> Self {
+        self.completed = completed;
+        self
+    }
+
+    /// Returns a copy that continues the row a batch checkpoint names
+    /// ([`crate::SnapHeader::row_index`], see
+    /// [`BatchRunner::with_checkpoint_every`]) from inside that row instead
+    /// of starting it over — the `--restore` path of an interrupted sweep.
+    /// Restoring forces serial execution, like checkpointing.
+    ///
+    /// [`BatchRunner::validate`] lists what the snapshot must match. A
+    /// caller that also passes the completed rows of a partially-written
+    /// output file should first cross-check the snapshot's cursor against
+    /// those rows (`row_index == rows recorded`), and validate, **before**
+    /// reopening the file.
+    pub fn with_restore(mut self, snapshot: Arc<SimSnapshot>) -> Self {
+        self.restore = Some(snapshot);
+        self
+    }
+
+    /// Returns a copy that polls `cancel` **between grid rows**: once the
+    /// flag reads true, no further scenario starts and the run ends
+    /// [`RunOutcome::Cancelled`]. Rows already recorded are final (the
+    /// sink saw the same ordered prefix a full run would have produced);
+    /// rows in flight when the flag flips still finish computing but are
+    /// only recorded if every earlier row is, so the sink never observes a
+    /// gap. A row that is mid-simulation is *not* interrupted —
+    /// cancellation granularity is the grid row, which keeps every
+    /// recorded row byte-identical to an uncancelled run's.
+    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
+        self.cancel = Some(cancel);
+        self
+    }
+
     /// Validates and runs every scenario, returning ordered results.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] across the batch; nothing runs
-    /// unless every scenario validates.
+    /// As [`BatchRunner::run_with_sink`].
     pub fn run(&self, scenarios: &[Scenario]) -> Result<BatchResults, ConfigError> {
         let mut sink = VecSink::new();
         self.run_with_sink(scenarios, &mut sink)?;
@@ -850,175 +923,30 @@ impl BatchRunner {
         })
     }
 
-    /// Validates and runs every scenario, streaming ordered entries into
-    /// `sink`.
+    /// Validates and runs every pending scenario, streaming ordered entries
+    /// into `sink`, and reports whether the cancel flag stopped the batch.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] across the batch; the sink is not
-    /// touched unless every scenario validates.
+    /// Returns the first error of [`BatchRunner::validate`] — the sink is
+    /// not touched unless validation passes — or a `checkpoint`
+    /// [`ConfigError`] when a snapshot write failed (the sweep stops at
+    /// that row, unrecorded).
     pub fn run_with_sink(
         &self,
         scenarios: &[Scenario],
         sink: &mut dyn ResultSink,
-    ) -> Result<(), ConfigError> {
-        self.run_with_sink_resuming(scenarios, sink, &HashSet::new())
-    }
-
-    /// Like [`BatchRunner::run_with_sink`], but skips the scenarios whose
-    /// indices are in `completed` — the resume path of an interrupted
-    /// sweep. Skipped indices are neither executed nor re-recorded; the
-    /// remaining entries still reach the sink in ascending index order.
-    /// Pair with [`JsonlFileSink::resume`] / [`CsvFileSink::resume`],
-    /// which recover the completed set from a partially-written output
-    /// file.
-    ///
-    /// Completion is matched **by index**: a resumed run must use the same
-    /// scenario set, in the same order, as the interrupted one (reordering
-    /// the grid between runs silently pairs old rows with new scenarios).
-    /// An index beyond the batch is rejected, which catches the common
-    /// mistake of resuming against the wrong output file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] across the batch (every scenario
-    /// is validated, including completed ones — a resumed sweep must be
-    /// the same sweep), or an error if `completed` names an index the
-    /// batch does not have; the sink is not touched unless validation
-    /// passes.
-    pub fn run_with_sink_resuming(
-        &self,
-        scenarios: &[Scenario],
-        sink: &mut dyn ResultSink,
-        completed: &HashSet<usize>,
-    ) -> Result<(), ConfigError> {
-        self.run_inner(scenarios, sink, completed, None, None)
-            .map(|_| ())
-    }
-
-    /// Like [`BatchRunner::run_with_sink_resuming`], but the scenario at
-    /// `restore.0` continues from a mid-run snapshot instead of starting
-    /// over — the `--restore` path of a sweep whose interrupted run had
-    /// written a checkpoint (see [`BatchRunner::with_checkpoint_every`]).
-    /// Restoring forces serial execution, like checkpointing.
-    ///
-    /// The snapshot must be a batch checkpoint
-    /// ([`crate::SnapHeader::row_index`]) naming a still-pending scenario
-    /// whose name matches; the simulator additionally asserts the machine
-    /// fingerprint and workload checksum when it resumes. Callers that
-    /// also pass `completed` rows from a partially-written output file
-    /// should first cross-check the snapshot's cursor against those rows
-    /// (`row_index == rows recorded`) **before** reopening the file.
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchRunner::run_with_sink_resuming`], plus a `restore`
-    /// [`ConfigError`] when the snapshot does not name a pending row of
-    /// this batch; the sink is untouched on any validation error.
-    pub fn run_with_sink_restored(
-        &self,
-        scenarios: &[Scenario],
-        sink: &mut dyn ResultSink,
-        completed: &HashSet<usize>,
-        restore: Option<(usize, Arc<SimSnapshot>)>,
-    ) -> Result<(), ConfigError> {
-        self.run_inner(scenarios, sink, completed, None, restore)
-            .map(|_| ())
-    }
-
-    /// Like [`BatchRunner::run_with_sink`], but polls `cancel` **between
-    /// grid rows**: once the flag reads true, no further scenario starts.
-    /// Rows already recorded are final (the sink saw the same ordered
-    /// prefix a full run would have produced); rows in flight when the
-    /// flag flips still finish computing but are only recorded if every
-    /// earlier row is, so the sink never observes a gap. A row that is
-    /// mid-simulation is *not* interrupted — cancellation granularity is
-    /// the grid row, which keeps every recorded row byte-identical to an
-    /// uncancelled run's.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] across the batch; the sink is not
-    /// touched unless every scenario validates.
-    pub fn run_with_sink_cancellable(
-        &self,
-        scenarios: &[Scenario],
-        sink: &mut dyn ResultSink,
-        cancel: &AtomicBool,
     ) -> Result<RunOutcome, ConfigError> {
-        self.run_inner(scenarios, sink, &HashSet::new(), Some(cancel), None)
-    }
+        self.validate(scenarios)?;
 
-    fn run_inner(
-        &self,
-        scenarios: &[Scenario],
-        sink: &mut dyn ResultSink,
-        completed: &HashSet<usize>,
-        cancel: Option<&AtomicBool>,
-        restore: Option<(usize, Arc<SimSnapshot>)>,
-    ) -> Result<RunOutcome, ConfigError> {
-        for scenario in scenarios {
-            scenario.validate()?;
-        }
-        if let Some(stray) = completed.iter().find(|&&i| i >= scenarios.len()) {
-            return Err(ConfigError::new(
-                "resume",
-                format!(
-                    "output file records scenario index {stray} but the batch has only {} \
-                     scenario(s) — resuming against the wrong file?",
-                    scenarios.len()
-                ),
-            ));
-        }
-        if let Some((index, snap)) = &restore {
-            if !snap.header().is_batch_checkpoint() {
-                return Err(ConfigError::new(
-                    "restore",
-                    "the snapshot does not identify a batch row — was it written by \
-                     --checkpoint-every?",
-                ));
-            }
-            let Some(scenario) = scenarios.get(*index) else {
-                return Err(ConfigError::new(
-                    "restore",
-                    format!(
-                        "the snapshot records scenario index {index} but the batch has only \
-                         {} scenario(s) — restoring against the wrong snapshot?",
-                        scenarios.len()
-                    ),
-                ));
-            };
-            if completed.contains(index) {
-                return Err(ConfigError::new(
-                    "restore",
-                    format!(
-                        "scenario index {index} is already recorded in the output — the \
-                         snapshot is stale"
-                    ),
-                ));
-            }
-            if snap.header().scenario != scenario.name {
-                return Err(ConfigError::new(
-                    "restore",
-                    format!(
-                        "the snapshot was taken from scenario `{}` but index {index} of this \
-                         batch is `{}` — was the scenario document edited?",
-                        snap.header().scenario,
-                        scenario.name
-                    ),
-                ));
-            }
-        }
-
-        // Build each distinct (spec, seed) workload handle exactly once, in
-        // scenario order, and share it across the batch. Frame-chunked v2
-        // trace replays open a streaming source (header + frame directory
-        // only); everything else materializes. Scenarios already completed
-        // by a resumed sweep never build (None) — unless a still-pending
-        // sibling shares the workload, in which case that sibling does.
+        // Open each distinct (spec, seed) workload exactly once, in
+        // scenario order, and share it across the batch. Scenarios already
+        // completed by a resumed sweep never open one (None) — unless a
+        // still-pending sibling shares the workload, in which case that
+        // sibling does.
         let mut workloads: Vec<Option<WorkloadHandle>> = Vec::with_capacity(scenarios.len());
         for (index, scenario) in scenarios.iter().enumerate() {
-            if completed.contains(&index) {
+            if self.completed.contains(&index) {
                 workloads.push(None);
                 continue;
             }
@@ -1027,14 +955,10 @@ impl BatchRunner {
                     && scenarios[i].workload == scenario.workload
                     && scenarios[i].seed == scenario.seed
             });
-            let handle = match existing {
+            workloads.push(match existing {
                 Some(i) => workloads[i].clone(),
-                None => Some(match scenario.streaming_source()? {
-                    Some(source) => WorkloadHandle::Streaming(Arc::new(source)),
-                    None => WorkloadHandle::Materialized(Arc::new(scenario.workload())),
-                }),
-            };
-            workloads.push(handle);
+                None => Some(WorkloadHandle::open(scenario)?),
+            });
         }
 
         // Execute each warm-up group's shared prefix once and keep the
@@ -1061,28 +985,22 @@ impl BatchRunner {
             .max()
             .unwrap_or(1)
             .max(1);
-        let workers = if self.checkpoint.is_some() || restore.is_some() {
+        let workers = if self.checkpoint.is_some() || self.restore.is_some() {
             1 // a single snapshot file identifies a single in-flight row
         } else {
             (self.num_threads / max_sim_threads).clamp(1, scenarios.len().max(1))
         };
-        let pending_total = scenarios.len() - completed.len();
-        let was_cancelled = |c: Option<&AtomicBool>| c.is_some_and(|c| c.load(Ordering::Relaxed));
+        let pending_total = scenarios.len() - self.completed.len();
         if workers <= 1 {
             let mut recorded = 0usize;
             for (index, scenario) in scenarios.iter().enumerate() {
                 let Some(workload) = &workloads[index] else {
                     continue; // already completed by the resumed sweep
                 };
-                if was_cancelled(cancel) {
+                if self.cancelled() {
                     return Ok(RunOutcome::Cancelled);
                 }
-                let restored = restore
-                    .as_ref()
-                    .filter(|(i, _)| *i == index)
-                    .map(|(_, snap)| snap);
-                let report =
-                    self.run_serial_one(index, scenario, workload, warm[index].as_ref(), restored)?;
+                let report = self.run_row(index, scenario, workload, warm[index].as_deref())?;
                 sink.record(&BatchEntry {
                     index,
                     scenario: scenario.clone(),
@@ -1090,11 +1008,11 @@ impl BatchRunner {
                 });
                 recorded += 1;
             }
-            return Ok(outcome(recorded, pending_total, was_cancelled(cancel)));
+            return Ok(self.outcome(recorded, pending_total));
         }
 
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, SimReport)>();
+        let (tx, rx) = mpsc::channel::<(usize, Result<SimReport, ConfigError>)>();
         let recorded = std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
@@ -1104,7 +1022,7 @@ impl BatchRunner {
                 scope.spawn(move || loop {
                     // Cancellation is checked before a worker claims its
                     // next row; rows already claimed run to completion.
-                    if was_cancelled(cancel) {
+                    if self.cancelled() {
                         return;
                     }
                     let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -1114,9 +1032,10 @@ impl BatchRunner {
                     let Some(workload) = &workloads[index] else {
                         continue; // already completed by the resumed sweep
                     };
-                    let report = self.run_one(&scenarios[index], workload, warm[index].as_ref());
-                    // The receiver outlives the scope; a send failure means
-                    // the main thread panicked, so just stop.
+                    let report =
+                        self.run_row(index, &scenarios[index], workload, warm[index].as_deref());
+                    // The receiver is gone only once the main thread
+                    // stopped on a failed row (or panicked): stop too.
                     if tx.send((index, report)).is_err() {
                         return;
                     }
@@ -1128,14 +1047,16 @@ impl BatchRunner {
             // sink sees the same sequence as a serial run; resumed indices
             // flush as no-ops. On cancellation an out-of-order straggler
             // whose predecessors never ran stays buffered and is dropped —
-            // the sink only ever sees the gap-free prefix.
-            let mut pending: Vec<Option<SimReport>> = vec![None; scenarios.len()];
+            // the sink only ever sees the gap-free prefix. A failed row
+            // ends the batch there, like the serial loop.
+            let mut pending: Vec<Option<Result<SimReport, ConfigError>>> =
+                vec![None; scenarios.len()];
             let mut next_to_flush = 0;
             let mut recorded = 0usize;
             for (index, report) in rx {
                 pending[index] = Some(report);
                 while next_to_flush < pending.len() {
-                    if completed.contains(&next_to_flush) {
+                    if self.completed.contains(&next_to_flush) {
                         next_to_flush += 1;
                         continue;
                     }
@@ -1145,15 +1066,93 @@ impl BatchRunner {
                     sink.record(&BatchEntry {
                         index: next_to_flush,
                         scenario: scenarios[next_to_flush].clone(),
-                        report,
+                        report: report?,
                     });
                     recorded += 1;
                     next_to_flush += 1;
                 }
             }
-            recorded
-        });
-        Ok(outcome(recorded, pending_total, was_cancelled(cancel)))
+            Ok(recorded)
+        })?;
+        Ok(self.outcome(recorded, pending_total))
+    }
+
+    /// Checks everything [`BatchRunner::run_with_sink`] checks before it
+    /// touches the sink: every scenario validates (completed ones too — a
+    /// resumed sweep must be the same sweep), every completed index exists
+    /// in the batch, and a restore snapshot is a batch checkpoint naming a
+    /// pending row whose scenario name matches and whose machine and
+    /// policies (`snapshot.config_fingerprint`) and workload
+    /// (`snapshot.workload_checksum`) it was taken from. A front end that
+    /// rewrites an output file before running calls this first, so a
+    /// refused run leaves the file untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing check: a scenario's own [`ConfigError`],
+    /// a `resume` error for a stray completed index, a `restore` error for
+    /// a snapshot that does not name a pending row of this batch, or the
+    /// [`crate::Simulator::replay`] restore check's error.
+    pub fn validate(&self, scenarios: &[Scenario]) -> Result<(), ConfigError> {
+        for scenario in scenarios {
+            scenario.validate()?;
+        }
+        if let Some(stray) = self.completed.iter().find(|&&i| i >= scenarios.len()) {
+            return Err(ConfigError::new(
+                "resume",
+                format!(
+                    "output file records scenario index {stray} but the batch has only {} \
+                     scenario(s) — resuming against the wrong file?",
+                    scenarios.len()
+                ),
+            ));
+        }
+        let Some(snap) = &self.restore else {
+            return Ok(());
+        };
+        let header = snap.header();
+        if !header.is_batch_checkpoint() {
+            return Err(ConfigError::new(
+                "restore",
+                "the snapshot does not identify a batch row — was it written by \
+                 --checkpoint-every?",
+            ));
+        }
+        let index = header.row_index as usize;
+        let Some(scenario) = scenarios.get(index) else {
+            return Err(ConfigError::new(
+                "restore",
+                format!(
+                    "the snapshot records scenario index {index} but the batch has only \
+                     {} scenario(s) — restoring against the wrong snapshot?",
+                    scenarios.len()
+                ),
+            ));
+        };
+        if self.completed.contains(&index) {
+            return Err(ConfigError::new(
+                "restore",
+                format!(
+                    "scenario index {index} is already recorded in the output — the \
+                     snapshot is stale"
+                ),
+            ));
+        }
+        if header.scenario != scenario.name {
+            return Err(ConfigError::new(
+                "restore",
+                format!(
+                    "the snapshot was taken from scenario `{}` but index {index} of this \
+                     batch is `{}` — was the scenario document edited?",
+                    header.scenario, scenario.name
+                ),
+            ));
+        }
+        let workload = WorkloadHandle::open(scenario)?;
+        scenario
+            .build()?
+            .check_start(workload.source(), Start::Restore(snap))
+            .map(drop)
     }
 
     /// Plans fork-from-warm for a batch: groups the still-pending
@@ -1198,11 +1197,20 @@ impl BatchRunner {
             if warmup >= host_workload.total_accesses() as u64 {
                 continue; // the warm-up would finish even the longest member: all run cold
             }
+            // The warm image is the cold run's first checkpoint at the
+            // warm-up length; if the workload finishes first (the
+            // final-round edge), no checkpoint is taken and all run cold.
             let simulator = scenarios[host].build().expect("validated above");
-            let Some(snap) = simulator.try_run_until(host_workload, warmup) else {
-                continue; // the workload finished first (final-round edge): all run cold
+            let mut image = None;
+            simulator
+                .replay((&**host_workload).into(), Start::Cold, warmup, |snap| {
+                    image = Some(snap);
+                    ControlFlow::Break(())
+                })
+                .expect("a cold start checks no snapshot");
+            let Some(snap) = image.map(Arc::new) else {
+                continue;
             };
-            let snap = Arc::new(snap);
             for &j in &members {
                 if forkable(
                     &snap,
@@ -1216,90 +1224,86 @@ impl BatchRunner {
         warm
     }
 
-    /// Runs one scenario: forked from its warm image when one applies,
-    /// cold otherwise. Under [`BatchRunner::with_verify_forks`] a forked
-    /// scenario additionally runs cold and the two reports are asserted
-    /// byte-identical.
+    /// Runs one pending row — the one per-row path, which
+    /// [`Scenario::run`] shares: restored from the runner's snapshot when
+    /// it names this row, forked from its warm image when one applies,
+    /// cold otherwise, and checkpointed when configured. Under
+    /// [`BatchRunner::with_verify_forks`] a forked row additionally runs
+    /// cold and the two reports are asserted byte-identical.
+    ///
+    /// # Errors
+    ///
+    /// Returns the restore check's [`ConfigError`], or a `checkpoint` one
+    /// if a snapshot write failed (the run stops there and its report is
+    /// discarded, so the sweep stops at a well-defined row).
     ///
     /// # Panics
     ///
     /// Panics when verify-forks finds a divergence (a kernel snapshot bug
     /// — the recorded result could not be trusted).
-    fn run_one(
-        &self,
-        scenario: &Scenario,
-        workload: &WorkloadHandle,
-        warm: Option<&Arc<SimSnapshot>>,
-    ) -> SimReport {
-        let simulator = scenario.build().expect("validated above");
-        match warm {
-            Some(snap) => {
-                let materialized = workload
-                    .materialized()
-                    .expect("warm images are only planned for materialized workloads");
-                let forked = simulator.resume_forked(snap, materialized);
-                if self.verify_forks {
-                    let cold = simulator.run(materialized);
-                    assert_eq!(
-                        forked, cold,
-                        "fork-from-warm diverged from the cold run for `{}`",
-                        scenario.name
-                    );
-                }
-                forked
-            }
-            None => simulator.run_source(workload.source()),
-        }
-    }
-
-    /// The serial path of one scenario, wiring in mid-run restore and
-    /// checkpoint emission when configured.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `checkpoint` [`ConfigError`] if a snapshot write failed
-    /// (the run itself completed; its report is discarded so the sweep
-    /// stops at a well-defined row).
-    fn run_serial_one(
+    pub(crate) fn run_row(
         &self,
         index: usize,
         scenario: &Scenario,
         workload: &WorkloadHandle,
-        warm: Option<&Arc<SimSnapshot>>,
-        restored: Option<&Arc<SimSnapshot>>,
+        warm: Option<&SimSnapshot>,
     ) -> Result<SimReport, ConfigError> {
-        let Some(cfg) = &self.checkpoint else {
-            return Ok(match restored {
-                Some(snap) => scenario
-                    .build()
-                    .expect("validated above")
-                    .resume_source(snap, workload.source()),
-                None => self.run_one(scenario, workload, warm),
-            });
+        let simulator = scenario.build()?;
+        let restore = self
+            .restore
+            .as_deref()
+            .filter(|snap| snap.header().row_index == index as u64);
+        let start = match (restore, warm) {
+            (Some(snap), _) => Start::Restore(snap),
+            (None, Some(snap)) => Start::Fork(snap),
+            (None, None) => Start::Cold,
         };
-        let simulator = scenario.build().expect("validated above");
-        let mut write_error: Option<crate::snapshot::SnapError> = None;
-        let emit = |snap: SimSnapshot| {
-            if write_error.is_some() {
-                return; // keep the last good snapshot on disk
+        let checkpoint = self.checkpoint.as_ref();
+        let mut write_error = None;
+        let every = checkpoint.map_or(0, |cfg| cfg.every);
+        let report = simulator.replay(workload.source(), start, every, |snap| {
+            let path = &checkpoint
+                .expect("only a configured interval checkpoints")
+                .path;
+            match snap.with_row(index as u64, &scenario.name).write_to(path) {
+                Ok(()) => ControlFlow::Continue(()),
+                Err(e) => {
+                    write_error = Some(ConfigError::new(
+                        "checkpoint",
+                        format!("failed to write snapshot `{}`: {e}", path.display()),
+                    ));
+                    ControlFlow::Break(())
+                }
             }
-            let snap = snap.with_row(index as u64, &scenario.name);
-            if let Err(e) = snap.write_to(&cfg.path) {
-                write_error = Some(e);
-            }
-        };
-        let report = match restored {
-            Some(snap) => {
-                simulator.resume_source_with_checkpoints(snap, workload.source(), cfg.every, emit)
-            }
-            None => simulator.run_source_with_checkpoints(workload.source(), cfg.every, emit),
-        };
-        match write_error {
-            Some(e) => Err(ConfigError::new(
-                "checkpoint",
-                format!("failed to write snapshot `{}`: {e}", cfg.path.display()),
-            )),
-            None => Ok(report),
+        })?;
+        if let Some(e) = write_error {
+            return Err(e);
+        }
+        if self.verify_forks && matches!(start, Start::Fork(_)) {
+            assert_eq!(
+                report,
+                simulator.run_source(workload.source()),
+                "fork-from-warm diverged from the cold run for `{}`",
+                scenario.name
+            );
+        }
+        Ok(report)
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// A run under a cancel flag completed only if every pending row was
+    /// recorded; the flag flipping *after* the last row is not a
+    /// cancellation.
+    fn outcome(&self, recorded: usize, pending_total: usize) -> RunOutcome {
+        if self.cancelled() && recorded < pending_total {
+            RunOutcome::Cancelled
+        } else {
+            RunOutcome::Completed
         }
     }
 }
@@ -1345,16 +1349,6 @@ fn forkable(snap: &SimSnapshot, host: &Workload, workload: &Workload) -> bool {
 impl Default for BatchRunner {
     fn default() -> Self {
         BatchRunner::new()
-    }
-}
-
-/// A run under a cancel flag completed only if every pending row was
-/// recorded; the flag flipping *after* the last row is not a cancellation.
-fn outcome(recorded: usize, pending_total: usize, cancelled: bool) -> RunOutcome {
-    if cancelled && recorded < pending_total {
-        RunOutcome::Cancelled
-    } else {
-        RunOutcome::Completed
     }
 }
 
@@ -1549,7 +1543,8 @@ mod tests {
         let (mut sink, completed) = JsonlFileSink::resume(&path).unwrap();
         assert_eq!(completed, HashSet::from([0, 1, 2]));
         BatchRunner::with_threads(2)
-            .run_with_sink_resuming(&scenarios, &mut sink, &completed)
+            .with_completed(completed)
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap();
         sink.finish().unwrap();
 
@@ -1582,7 +1577,8 @@ mod tests {
         let (mut sink, completed) = CsvFileSink::resume(&path).unwrap();
         assert_eq!(completed, HashSet::from([0, 1]));
         BatchRunner::with_threads(1)
-            .run_with_sink_resuming(&scenarios, &mut sink, &completed)
+            .with_completed(completed)
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap();
         sink.finish().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), reference);
@@ -1648,7 +1644,8 @@ mod tests {
         let (mut sink, completed) = CsvFileSink::resume(&path).unwrap();
         assert_eq!(completed, HashSet::from([0]));
         BatchRunner::with_threads(1)
-            .run_with_sink_resuming(&scenarios, &mut sink, &completed)
+            .with_completed(completed)
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap();
         sink.finish().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), reference);
@@ -1680,7 +1677,8 @@ mod tests {
         let (mut sink, completed) = CsvFileSink::resume(&path).unwrap();
         assert_eq!(completed, HashSet::from([0]));
         BatchRunner::with_threads(1)
-            .run_with_sink_resuming(&scenarios, &mut sink, &completed)
+            .with_completed(completed)
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap();
         sink.finish().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), reference);
@@ -1848,11 +1846,12 @@ mod tests {
     #[test]
     fn cancel_before_the_first_row_records_nothing() {
         let scenarios = tiny_grid();
-        let cancel = AtomicBool::new(true);
+        let cancel = Arc::new(AtomicBool::new(true));
         for threads in [1, 4] {
             let mut sink = VecSink::new();
             let outcome = BatchRunner::with_threads(threads)
-                .run_with_sink_cancellable(&scenarios, &mut sink, &cancel)
+                .with_cancel(cancel.clone())
+                .run_with_sink(&scenarios, &mut sink)
                 .unwrap();
             assert_eq!(outcome, RunOutcome::Cancelled);
             assert!(sink.into_entries().is_empty());
@@ -1863,10 +1862,11 @@ mod tests {
     fn unset_cancel_flag_completes_identically_to_a_plain_run() {
         let scenarios = tiny_grid();
         let reference = BatchRunner::with_threads(4).run(&scenarios).unwrap();
-        let cancel = AtomicBool::new(false);
+        let cancel = Arc::new(AtomicBool::new(false));
         let mut sink = VecSink::new();
         let outcome = BatchRunner::with_threads(4)
-            .run_with_sink_cancellable(&scenarios, &mut sink, &cancel)
+            .with_cancel(cancel)
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap();
         assert_eq!(outcome, RunOutcome::Completed);
         assert_eq!(sink.into_entries(), reference.entries);
@@ -1893,13 +1893,14 @@ mod tests {
 
         // Serial execution is fully deterministic: exactly the two rows
         // recorded before the flag flipped, then a clean stop.
-        let cancel = AtomicBool::new(false);
+        let cancel = Arc::new(AtomicBool::new(false));
         let mut sink = TrippingSink {
             entries: Vec::new(),
             cancel: &cancel,
         };
         let outcome = BatchRunner::with_threads(1)
-            .run_with_sink_cancellable(&scenarios, &mut sink, &cancel)
+            .with_cancel(cancel.clone())
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap();
         assert_eq!(outcome, RunOutcome::Cancelled);
         assert_eq!(sink.entries.as_slice(), &reference.entries[..2]);
@@ -1907,13 +1908,14 @@ mod tests {
         // Parallel execution may let in-flight rows finish (cancellation is
         // checked before each claim), but whatever is recorded must be a
         // gap-free byte-identical prefix, with the outcome matching.
-        let cancel = AtomicBool::new(false);
+        let cancel = Arc::new(AtomicBool::new(false));
         let mut sink = TrippingSink {
             entries: Vec::new(),
             cancel: &cancel,
         };
         let outcome = BatchRunner::with_threads(4)
-            .run_with_sink_cancellable(&scenarios, &mut sink, &cancel)
+            .with_cancel(cancel.clone())
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap();
         assert!(sink.entries.len() >= 2);
         assert_eq!(
@@ -2055,23 +2057,16 @@ mod tests {
             format!("{}\n", reference.lines().next().unwrap()),
         )
         .unwrap();
-        let mut mid: Option<SimSnapshot> = None;
-        scenarios[1]
-            .build()
-            .unwrap()
-            .run_with_checkpoints(&scenarios[1].workload(), 900, |s| {
-                if mid.is_none() {
-                    mid = Some(s);
-                }
-            });
-        let snap = Arc::new(mid.unwrap().with_row(1, &scenarios[1].name));
+        let snap = Arc::new(first_checkpoint(&scenarios[1], 900).with_row(1, &scenarios[1].name));
         let scan = JsonlFileSink::scan(&jsonl_path).unwrap();
         verify_resume_rows(&scenarios, scan.rows()).unwrap();
         assert_eq!(snap.header().row_index as usize, scan.rows().len());
+        let runner = BatchRunner::with_threads(1)
+            .with_completed(scan.completed())
+            .with_restore(snap);
+        runner.validate(&scenarios).unwrap();
         let mut sink = JsonlFileSink::resume_scanned(&jsonl_path, &scan).unwrap();
-        BatchRunner::with_threads(1)
-            .run_with_sink_restored(&scenarios, &mut sink, &scan.completed(), Some((1, snap)))
-            .unwrap();
+        runner.run_with_sink(&scenarios, &mut sink).unwrap();
         sink.finish().unwrap();
         assert_eq!(std::fs::read_to_string(&jsonl_path).unwrap(), reference);
         std::fs::remove_dir_all(&dir).ok();
@@ -2080,60 +2075,81 @@ mod tests {
     #[test]
     fn restore_rejects_snapshots_that_do_not_name_a_pending_row() {
         let scenarios: Vec<Scenario> = tiny_grid().into_iter().take(2).collect();
-        let mut mid: Option<SimSnapshot> = None;
-        scenarios[0]
-            .build()
-            .unwrap()
-            .run_with_checkpoints(&scenarios[0].workload(), 900, |s| {
-                if mid.is_none() {
-                    mid = Some(s);
-                }
-            });
-        let plain = Arc::new(mid.unwrap());
+        let plain = first_checkpoint(&scenarios[0], 900);
         let runner = BatchRunner::with_threads(1);
+        let mut sink = VecSink::new();
+        let mut refuse = |runner: BatchRunner| {
+            let err = runner.validate(&scenarios).unwrap_err();
+            assert_eq!(
+                runner.run_with_sink(&scenarios, &mut sink),
+                Err(err.clone())
+            );
+            err
+        };
 
         // Not a batch checkpoint at all.
-        let mut sink = VecSink::new();
-        let err = runner
-            .run_with_sink_restored(
-                &scenarios,
-                &mut sink,
-                &HashSet::new(),
-                Some((0, plain.clone())),
-            )
-            .unwrap_err();
+        let err = refuse(runner.clone().with_restore(Arc::new(plain.clone())));
         assert_eq!(err.field(), "restore");
         assert!(err.reason().contains("checkpoint-every"), "{err}");
 
         // Stale: the named row is already recorded.
-        let tagged = Arc::new((*plain).clone().with_row(0, &scenarios[0].name));
-        let err = runner
-            .run_with_sink_restored(
-                &scenarios,
-                &mut sink,
-                &HashSet::from([0]),
-                Some((0, tagged.clone())),
-            )
-            .unwrap_err();
+        let tagged = Arc::new(plain.clone().with_row(0, &scenarios[0].name));
+        let err = refuse(
+            runner
+                .clone()
+                .with_completed(HashSet::from([0]))
+                .with_restore(tagged),
+        );
         assert!(err.reason().contains("stale"), "{err}");
 
         // Renamed: the snapshot's scenario is not the batch's at that
         // index.
-        let renamed = Arc::new((*plain).clone().with_row(0, "someone-else/baseline"));
-        let err = runner
-            .run_with_sink_restored(&scenarios, &mut sink, &HashSet::new(), Some((0, renamed)))
-            .unwrap_err();
+        let renamed = Arc::new(plain.clone().with_row(0, "someone-else/baseline"));
+        let err = refuse(runner.clone().with_restore(renamed));
         assert!(err.reason().contains("edited"), "{err}");
 
         // Out of range.
-        let err = runner
-            .run_with_sink_restored(&scenarios, &mut sink, &HashSet::new(), Some((9, tagged)))
-            .unwrap_err();
+        let beyond = Arc::new(plain.clone().with_row(9, &scenarios[0].name));
+        let err = refuse(runner.clone().with_restore(beyond));
         assert!(err.reason().contains("wrong snapshot"), "{err}");
+
+        // The right row, but taken under another policy (scenario 1 is
+        // scenario 0 under ALLARM): the fingerprint differs.
+        let policy = Arc::new(plain.clone().with_row(1, &scenarios[1].name));
+        let err = refuse(runner.clone().with_restore(policy));
+        assert_eq!(err.field(), "snapshot.config_fingerprint", "{err}");
+
+        // The right row and configuration, but another workload length:
+        // the checksum differs.
+        let shorter: Vec<Scenario> = scenarios
+            .iter()
+            .map(|s| s.clone().with_accesses(300))
+            .collect();
+        let tagged = Arc::new(plain.clone().with_row(0, &scenarios[0].name));
+        let err = runner
+            .clone()
+            .with_restore(tagged)
+            .validate(&shorter)
+            .unwrap_err();
+        assert_eq!(err.field(), "snapshot.workload_checksum", "{err}");
         assert!(
             sink.into_entries().is_empty(),
             "the sink must stay untouched"
         );
+    }
+
+    /// The first checkpoint of `scenario`'s cold run at interval `every`.
+    fn first_checkpoint(scenario: &Scenario, every: u64) -> SimSnapshot {
+        let mut first = None;
+        scenario
+            .build()
+            .unwrap()
+            .replay((&scenario.workload()).into(), Start::Cold, every, |snap| {
+                first = Some(snap);
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        first.expect("the workload outlasts one interval")
     }
 
     #[test]
@@ -2142,7 +2158,8 @@ mod tests {
         let completed = HashSet::from([0usize, 7]);
         let mut sink = VecSink::new();
         let err = BatchRunner::with_threads(1)
-            .run_with_sink_resuming(&scenarios, &mut sink, &completed)
+            .with_completed(completed)
+            .run_with_sink(&scenarios, &mut sink)
             .unwrap_err();
         assert_eq!(err.field(), "resume");
         assert!(sink.into_entries().is_empty());

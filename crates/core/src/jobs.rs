@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use allarm_types::error::ConfigError;
 
 use crate::batch::{BatchEntry, BatchRunner, ResultSink, RunOutcome};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, SimThreads};
 
 /// Identifies one submitted job. Ids are small integers assigned in
 /// submission order and never reused within a scheduler's lifetime.
@@ -465,9 +465,10 @@ fn worker_loop(shared: &Shared, runner_threads: usize) {
             }
         };
 
-        let runner = BatchRunner::with_threads(resolve_threads(runner_threads));
+        let runner =
+            BatchRunner::with_threads(SimThreads(runner_threads).resolve()).with_cancel(cancel);
         let mut sink = JobSink { shared, index };
-        let result = runner.run_with_sink_cancellable(&scenarios, &mut sink, &cancel);
+        let result = runner.run_with_sink(&scenarios, &mut sink);
 
         let mut inner = shared.inner.lock().unwrap();
         let job = &mut inner.jobs[index];
@@ -482,16 +483,6 @@ fn worker_loop(shared: &Shared, runner_threads: usize) {
             }
         }
         shared.progress.notify_all();
-    }
-}
-
-/// `0` means "all available hardware threads", mirroring `SimThreads`.
-fn resolve_threads(configured: usize) -> usize {
-    match configured {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
     }
 }
 

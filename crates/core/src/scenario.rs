@@ -19,6 +19,7 @@ use allarm_types::error::ConfigError;
 use allarm_workloads::{Benchmark, Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::batch::{BatchRunner, WorkloadHandle};
 use crate::builder::SimulationBuilder;
 use crate::metrics::SimReport;
 use crate::simulator::Simulator;
@@ -248,20 +249,18 @@ impl Scenario {
         SimulationBuilder::from_scenario(self)?.build()
     }
 
-    /// Validates, builds and runs the scenario. Frame-chunked `binary-v2`
-    /// trace replays stream straight off disk (one decoded frame per
-    /// thread in memory); every other workload is materialized first. The
-    /// report is byte-identical either way.
+    /// Validates, builds and runs the scenario — a one-row batch through
+    /// the [`BatchRunner`]'s per-row path, cold, without the warm-up fork.
+    /// Frame-chunked `binary-v2` trace replays stream straight off disk
+    /// (one decoded frame per thread in memory); every other workload is
+    /// materialized first. The report is byte-identical either way.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if validation fails.
     pub fn run(&self) -> Result<SimReport, ConfigError> {
-        let simulator = self.build()?;
-        if let Some(source) = self.streaming_source()? {
-            return Ok(simulator.run_source((&source).into()));
-        }
-        Ok(simulator.run(&self.workload()))
+        self.validate()?;
+        BatchRunner::with_threads(1).run_row(0, self, &WorkloadHandle::open(self)?, None)
     }
 
     /// Serializes the scenario as a TOML document.

@@ -62,6 +62,7 @@
 //! [`MissWindowConfig::serial`]: allarm_types::MissWindowConfig::serial
 
 use std::mem;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
@@ -341,8 +342,6 @@ struct ShardPart {
 struct CheckpointCtl {
     /// Capture whenever total accesses cross a multiple of this (0 = off).
     every: u64,
-    /// Capture once total accesses reach this, then stop (`u64::MAX` = off).
-    stop_at: u64,
     /// The next access total that triggers a capture.
     next_target: AtomicU64,
     /// Accesses replayed so far across all shards (including the resume
@@ -350,37 +349,39 @@ struct CheckpointCtl {
     /// the value is stable from the mid-round barrier to the next core
     /// phase — which covers the frozen point.
     total: AtomicU64,
-    /// Set by shard 0 when `stop_at` was reached; every shard exits.
+    /// Set by shard 0 when the checkpoint callback broke; every shard
+    /// exits.
     stop: AtomicBool,
     /// Per-shard capture slots for the round being checkpointed.
     parts: Vec<Mutex<Option<ShardPart>>>,
-    /// Where a `stop_at` capture lands for the caller.
-    stashed: Mutex<Option<KernelState>>,
     /// Counters the run started from (non-zero after a restore).
     base: ResumeBase,
 }
 
 impl CheckpointCtl {
-    fn new(every: u64, stop_at: u64, num_shards: usize, base: ResumeBase) -> Self {
-        let first_every = match base.accesses.checked_div(every) {
-            Some(done) => (done + 1) * every,
-            None => u64::MAX,
-        };
+    fn new(every: u64, num_shards: usize, base: ResumeBase) -> Self {
         CheckpointCtl {
             every,
-            stop_at,
-            next_target: AtomicU64::new(first_every.min(stop_at)),
+            next_target: AtomicU64::new(next_multiple(base.accesses, every)),
             total: AtomicU64::new(base.accesses),
             stop: AtomicBool::new(false),
             parts: (0..num_shards).map(|_| Mutex::new(None)).collect(),
-            stashed: Mutex::new(None),
             base,
         }
     }
 
     /// True if this run can ever checkpoint (gates the per-round atomics).
     fn active(&self) -> bool {
-        self.every > 0 || self.stop_at != u64::MAX
+        self.every > 0
+    }
+}
+
+/// The first multiple of `every` above `total` (`u64::MAX` when `every`
+/// is 0): the access total that triggers the next capture.
+fn next_multiple(total: u64, every: u64) -> u64 {
+    match total.checked_div(every) {
+        Some(done) => (done + 1) * every,
+        None => u64::MAX,
     }
 }
 
@@ -396,6 +397,9 @@ struct ShardOutput {
     events_merged: u64,
     max_window: u32,
 }
+
+/// The checkpoint callback: receives each capture; breaking stops the run.
+pub(crate) type Emit<'a> = dyn FnMut(KernelState) -> ControlFlow<()> + 'a;
 
 /// The merged outcome of a run, consumed by the report builder.
 pub(crate) struct KernelOutput {
@@ -418,25 +422,16 @@ pub(crate) struct KernelOutput {
     pub(crate) max_window_depth: u32,
 }
 
-/// The result of a kernel run: the merged output (partial if the run was
-/// stopped by a `stop_at` checkpoint) plus the stopping checkpoint, if one
-/// was taken.
-pub(crate) struct KernelRun {
-    pub(crate) output: KernelOutput,
-    pub(crate) stopped: Option<KernelState>,
-}
-
 /// Replays `source` on the machine with `num_shards` worker threads and
 /// returns the merged state. The output is byte-identical for every
 /// `num_shards` value — and, because both [`AccessSource`] kinds deliver
 /// identical per-thread record streams, identical whether the source is a
 /// materialized workload or a streaming v2 trace.
 ///
-/// This is the general kernel entry: it optionally restores a mid-run state, emits a
-/// checkpoint through `emit` whenever the access total crosses a multiple
-/// of `every` (0 = never), and stops — stashing a final checkpoint in the
-/// returned [`KernelRun`] — once the total reaches `stop_at`
-/// (`u64::MAX` = run to completion).
+/// It optionally restores a mid-run state, and hands a checkpoint to
+/// `emit` whenever the access total crosses a multiple of `every`
+/// (0 = never). When `emit` breaks, every shard stops at that round
+/// boundary and the output covers the run so far.
 ///
 /// # Panics
 ///
@@ -452,9 +447,8 @@ pub(crate) fn run_kernel(
     num_shards: usize,
     restore: Option<&KernelState>,
     every: u64,
-    stop_at: u64,
-    emit: &mut dyn FnMut(KernelState),
-) -> KernelRun {
+    emit: &mut Emit<'_>,
+) -> KernelOutput {
     let num_nodes = config.num_nodes() as usize;
     let topology = config.topology();
     let plan = ShardPlan::new(num_nodes, num_shards);
@@ -519,14 +513,14 @@ pub(crate) fn run_kernel(
     }
     let barrier = PhaseBarrier::new(num_shards);
     let live_slots = AtomicUsize::new(live);
-    let ctl = CheckpointCtl::new(every, stop_at, num_shards, base);
+    let ctl = CheckpointCtl::new(every, num_shards, base);
 
     let mut outputs: Vec<Option<ShardOutput>> = Vec::new();
     outputs.resize_with(num_shards, || None);
     let outputs = Mutex::new(outputs);
 
     std::thread::scope(|scope| {
-        let run_shard = |shard_id: usize, emit: Option<&mut dyn FnMut(KernelState)>| {
+        let run_shard = |shard_id: usize, emit: Option<&mut Emit<'_>>| {
             let mut worker = ShardWorker::new(
                 shard_id,
                 &plan,
@@ -558,16 +552,12 @@ pub(crate) fn run_kernel(
         }
     });
 
-    let output = merge(
+    merge(
         caches,
         llc,
         outputs.into_inner().expect("outputs poisoned"),
         &ctl.base,
-    );
-    KernelRun {
-        output,
-        stopped: ctl.stashed.into_inner().expect("checkpoint stash poisoned"),
-    }
+    )
 }
 
 /// Folds the per-shard outputs (in shard order, which is node order) into
@@ -822,7 +812,7 @@ impl<'a> ShardWorker<'a> {
     /// The round loop. Both phases of a round end on the shared barrier;
     /// the termination condition is read between rounds, when it is stable
     /// and identical for every shard.
-    fn run(&mut self, mut emit: Option<&mut dyn FnMut(KernelState)>) {
+    fn run(&mut self, mut emit: Option<&mut Emit<'_>>) {
         loop {
             self.rounds += 1;
             self.core_phase();
@@ -858,9 +848,9 @@ impl<'a> ShardWorker<'a> {
     /// shard deposits its slice; shard 0 — while every other shard idles
     /// at the middle barrier, so the shared caches, allocator and reply
     /// mailboxes are safe to walk — assembles the canonical
-    /// [`KernelState`], emits or stashes it, and advances the trigger.
-    /// Returns true if the run should stop (a `stop_at` capture).
-    fn checkpoint_round(&mut self, emit: &mut Option<&mut dyn FnMut(KernelState)>) -> bool {
+    /// [`KernelState`], emits it, and advances the trigger. Returns true
+    /// if the run should stop (the callback broke).
+    fn checkpoint_round(&mut self, emit: &mut Option<&mut Emit<'_>>) -> bool {
         let part = self.capture_part();
         *self.ckpt.parts[self.shard_id]
             .lock()
@@ -869,19 +859,14 @@ impl<'a> ShardWorker<'a> {
         if self.shard_id == 0 {
             let state = self.assemble();
             let total = state.accesses;
-            if total >= self.ckpt.stop_at {
-                *self.ckpt.stashed.lock().expect("checkpoint stash poisoned") = Some(state);
-                self.ckpt.stop.store(true, Ordering::Release);
-            } else if let Some(emit) = emit {
-                (*emit)(state);
+            if let Some(emit) = emit {
+                if emit(state).is_break() {
+                    self.ckpt.stop.store(true, Ordering::Release);
+                }
             }
-            let next_every = match total.checked_div(self.ckpt.every) {
-                Some(done) => (done + 1) * self.ckpt.every,
-                None => u64::MAX,
-            };
             self.ckpt
                 .next_target
-                .store(next_every.min(self.ckpt.stop_at), Ordering::Release);
+                .store(next_multiple(total, self.ckpt.every), Ordering::Release);
         }
         self.barrier.wait();
         self.ckpt.stop.load(Ordering::Acquire)

@@ -1,14 +1,36 @@
 //! The trace-driven, cycle-approximate multicore simulator.
 
+use std::ops::ControlFlow;
+
 use crate::metrics::SimReport;
-use crate::sharded::{self, KernelOutput, KernelRun, KernelState};
+use crate::scenario::SimThreads;
+use crate::sharded::{self, KernelOutput, KernelState};
 use crate::snapshot::{config_fingerprint, SimSnapshot, SnapHeader};
 use allarm_coherence::{AllocationPolicy, DirectoryStats, PfStats};
 use allarm_energy::EnergyModel;
 use allarm_mem::NumaPolicy;
 use allarm_types::config::MachineConfig;
+use allarm_types::error::ConfigError;
 use allarm_types::Nanos;
 use allarm_workloads::{AccessSource, Workload};
+
+/// Where a [`Simulator::replay`] starts.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// From access zero.
+    Cold,
+    /// From a snapshot of this exact machine, policy and workload. The
+    /// report is byte-identical to an uninterrupted run's, for every
+    /// `sim_threads` value; on a streaming source each worker seeks its
+    /// threads' frames straight to the snapshot cursors.
+    Restore(&'a SimSnapshot),
+    /// From a snapshot of a *different* workload that shares the
+    /// snapshot's consumed prefix — fork-from-warm, where one warm image
+    /// seeds several measured-region lengths. Only the shape is checked
+    /// (thread count, core pinning, cursor bounds); the caller proves the
+    /// prefix matches (the batch runner compares the reference streams).
+    Fork(&'a SimSnapshot),
+}
 
 /// A configured simulator, ready to replay one workload.
 ///
@@ -29,6 +51,12 @@ use allarm_workloads::{AccessSource, Workload};
 /// cross-shard coherence traffic is merged in a deterministic order — so
 /// the report is **byte-identical for every thread count**. `sim_threads`
 /// is purely a host-performance knob.
+///
+/// There is one way to run: [`Simulator::replay`] takes the source, where
+/// to [`Start`] (cold, restored from a [`SimSnapshot`], or forked from a
+/// warm one), a checkpoint interval and a checkpoint callback that may
+/// stop the run. [`Simulator::run`] and [`Simulator::run_source`] are its
+/// cold, uncheckpointed shorthand.
 ///
 /// # Examples
 ///
@@ -127,219 +155,140 @@ impl Simulator {
     /// As [`Simulator::run`], plus if a streaming source's trace file
     /// cannot be re-read or fails frame verification mid-replay.
     pub fn run_source(&self, source: AccessSource<'_>) -> SimReport {
-        let run = self.run_inner(source, None, 0, u64::MAX, &mut |_| {});
-        self.build_report(source, run.output)
+        self.replay(source, Start::Cold, 0, |_| ControlFlow::Continue(()))
+            .expect("a cold start checks no snapshot")
     }
 
-    /// Replays `workload` like [`Simulator::run`], additionally emitting a
-    /// [`SimSnapshot`] through `emit` each time the access total crosses a
-    /// multiple of `every`. Snapshots land at the end-of-round boundary
-    /// *after* the crossing, so consecutive checkpoints of the same run are
-    /// monotone in `accesses_done`.
+    /// The general entry point: replays `source` from `start`, handing a
+    /// [`SimSnapshot`] to `on_checkpoint` each time the access total
+    /// crosses a multiple of `every` (`0`: never). A snapshot lands at the
+    /// end-of-round boundary *after* the crossing, so consecutive
+    /// checkpoints of a run are monotone in `accesses_done`, and it carries
+    /// whole-run totals, so checkpointing composes across restore
+    /// generations. When `on_checkpoint` returns [`ControlFlow::Break`],
+    /// the run stops at that boundary and the report covers the accesses
+    /// replayed so far.
+    ///
+    /// A warm-up is the first checkpoint of a cold run, kept and broken on
+    /// (if the workload finishes first, the callback never runs); the
+    /// [`crate::snapshot`] module example restores one.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`], before anything runs, when the snapshot
+    /// of a [`Start::Restore`] or [`Start::Fork`] does not fit: it was taken
+    /// under another machine/policy configuration
+    /// (`snapshot.config_fingerprint`), a restore's workload differs
+    /// (`snapshot.workload_checksum`), or a fork's workload has another
+    /// thread count, pins a thread to another core, or is shorter than a
+    /// snapshot cursor (`fork`).
     ///
     /// # Panics
     ///
-    /// As [`Simulator::run`], plus if `every` is zero.
-    pub fn run_with_checkpoints(
-        &self,
-        workload: &Workload,
-        every: u64,
-        emit: impl FnMut(SimSnapshot),
-    ) -> SimReport {
-        self.run_source_with_checkpoints(workload.into(), every, emit)
-    }
-
-    /// As [`Simulator::run_with_checkpoints`] for any [`AccessSource`].
-    /// A streaming replay checkpoints exactly like a materialized one —
-    /// the snapshot's per-thread cursors are plain record indices, which
-    /// the v2 frame directory can seek straight back to on resume.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run_source`], plus if `every` is zero.
-    pub fn run_source_with_checkpoints(
-        &self,
-        source: AccessSource<'_>,
-        every: u64,
-        mut emit: impl FnMut(SimSnapshot),
-    ) -> SimReport {
-        assert!(every > 0, "checkpoint interval must be positive");
-        let mut wrap = |state: KernelState| emit(self.wrap_snapshot(source, state));
-        let run = self.run_inner(source, None, every, u64::MAX, &mut wrap);
-        self.build_report(source, run.output)
-    }
-
-    /// Replays `workload` until the access total reaches `accesses`, then
-    /// stops at the next end-of-round boundary and returns the frozen
-    /// state as a [`SimSnapshot`]. The warm-up primitive behind
-    /// fork-from-warm grid sweeps.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run`], plus if the workload finishes before
-    /// `accesses` references were replayed (callers bound `accesses` by
-    /// the workload's length), or if `accesses` is zero.
-    pub fn run_until(&self, workload: &Workload, accesses: u64) -> SimSnapshot {
-        self.run_source_until(workload.into(), accesses)
-    }
-
-    /// As [`Simulator::run_until`] for any [`AccessSource`] — the warm-up
-    /// primitive, reachable without ever materializing a streamed trace.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run_until`].
-    pub fn run_source_until(&self, source: AccessSource<'_>, accesses: u64) -> SimSnapshot {
-        self.try_run_source_until(source, accesses)
-            .unwrap_or_else(|| {
-                panic!(
-                    "workload '{}' finished ({} accesses) before the run_until target of {}",
-                    source.name(),
-                    source.total_accesses(),
-                    accesses
-                )
-            })
-    }
-
-    /// Like [`Simulator::run_until`], but answers `None` instead of
-    /// panicking when the workload completes before the target is crossed
-    /// at a stoppable round boundary (including the edge where the
-    /// crossing round is also the finishing one). The batch runner's
-    /// fork-from-warm planner treats `None` as "run this group cold".
-    pub(crate) fn try_run_until(&self, workload: &Workload, accesses: u64) -> Option<SimSnapshot> {
-        self.try_run_source_until(workload.into(), accesses)
-    }
-
-    pub(crate) fn try_run_source_until(
+    /// As [`Simulator::run_source`].
+    pub fn replay(
         &self,
         source: AccessSource<'_>,
-        accesses: u64,
-    ) -> Option<SimSnapshot> {
-        assert!(accesses > 0, "run_until needs a positive access target");
-        let run = self.run_inner(source, None, 0, accesses, &mut |_| {});
-        run.stopped.map(|state| self.wrap_snapshot(source, state))
-    }
-
-    /// Resumes a snapshot of `workload` and runs it to completion,
-    /// returning the same report an uninterrupted [`Simulator::run`] would
-    /// have produced — byte-identical, for every `sim_threads` value.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run`], plus if the snapshot does not belong to this
-    /// exact machine/policy configuration or this exact workload (the
-    /// header's fingerprint and workload checksum are both verified).
-    pub fn resume(&self, snapshot: &SimSnapshot, workload: &Workload) -> SimReport {
-        self.resume_source(snapshot, workload.into())
-    }
-
-    /// As [`Simulator::resume`] for any [`AccessSource`]. On a streaming
-    /// source each worker seeks its threads' frames straight to the
-    /// snapshot cursors — no prefix is decoded.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::resume`].
-    pub fn resume_source(&self, snapshot: &SimSnapshot, source: AccessSource<'_>) -> SimReport {
-        self.check_fingerprint(snapshot);
-        assert_eq!(
-            snapshot.header().workload_checksum,
-            source.checksum(),
-            "snapshot was taken from a different workload \
-             (checksum mismatch; use resume_forked for a prefix-compatible workload)"
-        );
-        let run = self.run_inner(source, Some(snapshot), 0, u64::MAX, &mut |_| {});
-        self.build_report(source, run.output)
-    }
-
-    /// As [`Simulator::resume`] with periodic checkpoint emission (see
-    /// [`Simulator::run_with_checkpoints`]). The emitted snapshots carry
-    /// whole-run access totals, so checkpointing composes across restore
-    /// generations.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::resume`], plus if `every` is zero.
-    pub fn resume_with_checkpoints(
-        &self,
-        snapshot: &SimSnapshot,
-        workload: &Workload,
+        start: Start<'_>,
         every: u64,
-        emit: impl FnMut(SimSnapshot),
-    ) -> SimReport {
-        self.resume_source_with_checkpoints(snapshot, workload.into(), every, emit)
+        mut on_checkpoint: impl FnMut(SimSnapshot) -> ControlFlow<()>,
+    ) -> Result<SimReport, ConfigError> {
+        let restore = self.check_start(source, start)?;
+        assert!(
+            source.cores_required() <= self.config.num_cores as usize,
+            "workload needs {} cores but the machine has {}",
+            source.cores_required(),
+            self.config.num_cores
+        );
+        self.config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid machine configuration: {e}"));
+
+        let output = sharded::run_kernel(
+            &self.config,
+            self.policy,
+            self.numa_policy,
+            source,
+            SimThreads(self.sim_threads).resolve(),
+            restore.map(SimSnapshot::state),
+            every,
+            &mut |state| on_checkpoint(self.wrap_snapshot(source, state)),
+        );
+        Ok(self.build_report(source, output))
     }
 
-    /// As [`Simulator::resume_with_checkpoints`] for any [`AccessSource`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::resume_with_checkpoints`].
-    pub fn resume_source_with_checkpoints(
+    /// The restore checks: answers the snapshot `start` resumes from, or
+    /// the [`ConfigError`] naming the snapshot field that does not fit
+    /// this simulator and `source` (see [`Simulator::replay`]).
+    pub(crate) fn check_start<'a>(
         &self,
-        snapshot: &SimSnapshot,
         source: AccessSource<'_>,
-        every: u64,
-        mut emit: impl FnMut(SimSnapshot),
-    ) -> SimReport {
-        assert!(every > 0, "checkpoint interval must be positive");
-        self.check_fingerprint(snapshot);
-        assert_eq!(
-            snapshot.header().workload_checksum,
-            source.checksum(),
-            "snapshot was taken from a different workload"
-        );
-        let mut wrap = |state: KernelState| emit(self.wrap_snapshot(source, state));
-        let run = self.run_inner(source, Some(snapshot), every, u64::MAX, &mut wrap);
-        self.build_report(source, run.output)
-    }
-
-    /// Resumes a snapshot onto a *different* workload that shares the
-    /// snapshot's consumed prefix — the fork-from-warm path, where one
-    /// warm image seeds several measured-region lengths. Only structural
-    /// compatibility is verified here (thread count, core pinning, cursor
-    /// bounds); the caller owns proving that the new workload's prefix
-    /// matches what the snapshot consumed (the batch runner compares the
-    /// reference streams directly).
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulator::run`], plus on a configuration-fingerprint
-    /// mismatch, a thread-shape mismatch, or a snapshot cursor past the
-    /// end of the new workload's trace.
-    pub fn resume_forked(&self, snapshot: &SimSnapshot, workload: &Workload) -> SimReport {
-        self.check_fingerprint(snapshot);
-        let state = snapshot.state();
-        assert_eq!(
-            state.threads.len(),
-            workload.threads.len(),
-            "snapshot thread count does not match the forked workload"
-        );
-        for thread in &state.threads {
-            let trace = &workload.threads[thread.thread];
-            assert_eq!(
-                trace.core, thread.core,
-                "forked workload pins thread {} to a different core",
-                thread.thread
-            );
-            assert!(
-                thread.cursor <= trace.accesses.len(),
-                "snapshot cursor {} of thread {} is past the forked trace ({} accesses)",
-                thread.cursor,
-                thread.thread,
-                trace.accesses.len()
-            );
+        start: Start<'a>,
+    ) -> Result<Option<&'a SimSnapshot>, ConfigError> {
+        let (Start::Restore(snap) | Start::Fork(snap)) = start else {
+            return Ok(None);
+        };
+        let header = snap.header();
+        let fingerprint = config_fingerprint(&self.config, self.policy, self.numa_policy);
+        if header.config_fingerprint != fingerprint {
+            return Err(ConfigError::new(
+                "snapshot.config_fingerprint",
+                format!(
+                    "the snapshot was taken under a different machine/policy configuration \
+                     (fingerprint {:#018x}, this scenario's is {fingerprint:#018x})",
+                    header.config_fingerprint
+                ),
+            ));
         }
-        let run = self.run_inner(workload.into(), Some(snapshot), 0, u64::MAX, &mut |_| {});
-        self.build_report(workload.into(), run.output)
-    }
-
-    fn check_fingerprint(&self, snapshot: &SimSnapshot) {
-        assert_eq!(
-            snapshot.header().config_fingerprint,
-            config_fingerprint(&self.config, self.policy, self.numa_policy),
-            "snapshot was taken under a different machine/policy configuration"
-        );
+        if let Start::Restore(_) = start {
+            if header.workload_checksum != source.checksum() {
+                return Err(ConfigError::new(
+                    "snapshot.workload_checksum",
+                    format!(
+                        "the snapshot was taken from a different workload (`{}`, checksum \
+                         {:#018x}; `{}` has {:#018x})",
+                        header.workload_name,
+                        header.workload_checksum,
+                        source.name(),
+                        source.checksum()
+                    ),
+                ));
+            }
+            return Ok(Some(snap));
+        }
+        let threads = source.threads();
+        let state = snap.state();
+        if state.threads.len() != threads.len() {
+            return Err(ConfigError::new(
+                "fork",
+                format!(
+                    "the snapshot has {} threads but the forked workload has {}",
+                    state.threads.len(),
+                    threads.len()
+                ),
+            ));
+        }
+        for (taken, trace) in state.threads.iter().zip(&threads) {
+            if taken.core != trace.core {
+                return Err(ConfigError::new(
+                    "fork",
+                    format!(
+                        "the forked workload pins thread {} to core {}, the snapshot to core {}",
+                        taken.thread, trace.core, taken.core
+                    ),
+                ));
+            }
+            if taken.cursor as u64 > trace.accesses {
+                return Err(ConfigError::new(
+                    "fork",
+                    format!(
+                        "snapshot cursor {} of thread {} is past the forked trace ({} accesses)",
+                        taken.cursor, taken.thread, trace.accesses
+                    ),
+                ));
+            }
+        }
+        Ok(Some(snap))
     }
 
     fn wrap_snapshot(&self, source: AccessSource<'_>, state: KernelState) -> SimSnapshot {
@@ -356,38 +305,6 @@ impl Simulator {
             scenario: String::new(),
         };
         SimSnapshot::from_kernel(header, state)
-    }
-
-    fn run_inner(
-        &self,
-        source: AccessSource<'_>,
-        restore: Option<&SimSnapshot>,
-        every: u64,
-        stop_at: u64,
-        emit: &mut dyn FnMut(KernelState),
-    ) -> KernelRun {
-        assert!(
-            source.cores_required() <= self.config.num_cores as usize,
-            "workload needs {} cores but the machine has {}",
-            source.cores_required(),
-            self.config.num_cores
-        );
-        self.config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid machine configuration: {e}"));
-
-        let shards = crate::scenario::SimThreads(self.sim_threads).resolve();
-        sharded::run_kernel(
-            &self.config,
-            self.policy,
-            self.numa_policy,
-            source,
-            shards,
-            restore.map(|s| s.state()),
-            every,
-            stop_at,
-            emit,
-        )
     }
 
     fn build_report(&self, source: AccessSource<'_>, output: KernelOutput) -> SimReport {
@@ -627,12 +544,132 @@ mod tests {
                 .expect("valid configuration")
         };
         let full = build(1).run(&workload);
-        let snap = build(1).run_until(&workload, 3_000);
+        let snap = warm_up(&build(1), &workload, 3_000);
         let snap = SimSnapshot::from_bytes(&snap.to_bytes()).expect("round-trips");
         assert!(!snap.state().llc.is_empty(), "snapshot carries the slices");
         for threads in [1, 2] {
-            assert_eq!(build(threads).resume(&snap, &workload), full);
+            assert_eq!(
+                finish(&build(threads), &workload, Start::Restore(&snap)),
+                Ok(full.clone())
+            );
         }
+    }
+
+    /// The first checkpoint at `accesses`, taken by stopping there.
+    fn warm_up(sim: &Simulator, workload: &Workload, accesses: u64) -> SimSnapshot {
+        let mut warm = None;
+        sim.replay(workload.into(), Start::Cold, accesses, |snap| {
+            warm = Some(snap);
+            ControlFlow::Break(())
+        })
+        .expect("a cold start checks no snapshot");
+        warm.expect("the workload outlasts the warm-up")
+    }
+
+    fn finish(
+        sim: &Simulator,
+        workload: &Workload,
+        start: Start<'_>,
+    ) -> Result<SimReport, ConfigError> {
+        sim.replay(workload.into(), start, 0, |_| ControlFlow::Continue(()))
+    }
+
+    #[test]
+    fn checkpoints_are_monotone_and_breaking_stops_the_run() {
+        let workload = small_workload();
+        let sim = simulator(AllocationPolicy::Allarm);
+        let mut taken = Vec::new();
+        let full = sim
+            .replay((&workload).into(), Start::Cold, 1_000, |snap| {
+                taken.push(snap.accesses_done());
+                ControlFlow::Continue(())
+            })
+            .unwrap();
+        assert_eq!(full, sim.run(&workload), "checkpointing is invisible");
+        assert!(taken.len() >= 4, "{taken:?}");
+        assert!(taken.windows(2).all(|w| w[0] < w[1]), "{taken:?}");
+        assert!(taken[0] >= 1_000);
+
+        // Breaking at the first checkpoint: the callback runs once and the
+        // report covers exactly the snapshot's prefix.
+        let mut calls = 0;
+        let partial = sim
+            .replay((&workload).into(), Start::Cold, 1_000, |_| {
+                calls += 1;
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        assert_eq!(calls, 1);
+        assert_eq!(partial.total_accesses, taken[0]);
+        // The first checkpoint of a run equals a warm-up stopped there.
+        assert_eq!(warm_up(&sim, &workload, 1_000).accesses_done(), taken[0]);
+    }
+
+    #[test]
+    fn mismatched_restores_are_refused_with_the_field_named() {
+        let workload = small_workload();
+        let sim = simulator(AllocationPolicy::Baseline);
+        let snap = warm_up(&sim, &workload, 2_000);
+
+        // Another machine/policy configuration: the fingerprint differs.
+        let err = finish(
+            &simulator(AllocationPolicy::Allarm),
+            &workload,
+            Start::Restore(&snap),
+        )
+        .unwrap_err();
+        assert_eq!(err.field(), "snapshot.config_fingerprint", "{err}");
+        let err = finish(
+            &simulator(AllocationPolicy::Allarm),
+            &workload,
+            Start::Fork(&snap),
+        )
+        .unwrap_err();
+        assert_eq!(err.field(), "snapshot.config_fingerprint", "{err}");
+
+        // Another workload under the same configuration: the checksum
+        // differs.
+        let other = TraceGenerator::new(4, 1_500, 8).generate(Benchmark::Barnes);
+        let err = finish(&sim, &other, Start::Restore(&snap)).unwrap_err();
+        assert_eq!(err.field(), "snapshot.workload_checksum", "{err}");
+        assert!(err.reason().contains("different workload"), "{err}");
+    }
+
+    #[test]
+    fn forks_onto_misshapen_workloads_are_refused() {
+        let host = TraceGenerator::new(4, 1_500, 7).generate(Benchmark::Barnes);
+        let sim = simulator(AllocationPolicy::Baseline);
+        let snap = warm_up(&sim, &host, 3_000);
+
+        // Another thread count.
+        let narrow = TraceGenerator::new(2, 1_500, 7).generate(Benchmark::Barnes);
+        let err = finish(&sim, &narrow, Start::Fork(&snap)).unwrap_err();
+        assert_eq!(err.field(), "fork");
+        assert!(err.reason().contains("threads"), "{err}");
+
+        // Other core pinning: swap two threads' cores.
+        let mut repinned = host.clone();
+        let (a, b) = (repinned.threads[0].core, repinned.threads[1].core);
+        repinned.threads[0].core = b;
+        repinned.threads[1].core = a;
+        let err = finish(&sim, &repinned, Start::Fork(&snap)).unwrap_err();
+        assert_eq!(err.field(), "fork");
+        assert!(err.reason().contains("pins thread 0"), "{err}");
+
+        // A trace shorter than the snapshot cursor.
+        let mut short = host.clone();
+        short.threads[2].accesses.truncate(10);
+        assert!(snap.state().threads[2].cursor > 10);
+        let err = finish(&sim, &short, Start::Fork(&snap)).unwrap_err();
+        assert_eq!(err.field(), "fork");
+        assert!(
+            err.reason()
+                .contains("of thread 2 is past the forked trace"),
+            "{err}"
+        );
+
+        // The host itself forks cleanly.
+        assert_eq!(finish(&sim, &host, Start::Fork(&snap)), Ok(sim.run(&host)));
     }
 
     #[test]

@@ -31,23 +31,37 @@
 //! typed [`SnapError`] naming the offending section; readers never panic
 //! on corrupt input and never allocate more than the file could justify.
 //!
+//! Snapshots come from and go back into [`crate::Simulator::replay`]: its
+//! checkpoint callback receives them, and [`crate::simulator::Start`]
+//! resumes from one — `Restore` onto the same workload, `Fork` onto a
+//! prefix-compatible one.
+//!
 //! # Examples
 //!
 //! ```
-//! use allarm_core::{AllocationPolicy, MachineConfig, SimulationBuilder};
+//! use std::ops::ControlFlow;
+//! use allarm_core::simulator::Start;
 //! use allarm_core::snapshot::SimSnapshot;
+//! use allarm_core::{MachineConfig, SimulationBuilder};
 //! use allarm_workloads::{Benchmark, TraceGenerator};
 //!
 //! let workload = TraceGenerator::new(4, 2_000, 7).generate(Benchmark::Barnes);
 //! let sim = SimulationBuilder::new(MachineConfig::small_test())
 //!     .build()
 //!     .unwrap();
-//! // Stop at ~half the run, round-trip the snapshot through bytes, and
-//! // finish from the restored state: the report is byte-identical to an
-//! // uninterrupted run.
-//! let snap = sim.run_until(&workload, 4_000);
-//! let snap = SimSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-//! let resumed = sim.resume(&snap, &workload);
+//! // Stop at the first checkpoint past 4,000 accesses, round-trip the
+//! // snapshot through bytes, and finish from the restored state: the
+//! // report is byte-identical to an uninterrupted run.
+//! let mut taken = None;
+//! sim.replay((&workload).into(), Start::Cold, 4_000, |snap| {
+//!     taken = Some(snap.to_bytes());
+//!     ControlFlow::Break(())
+//! })
+//! .unwrap();
+//! let snap = SimSnapshot::from_bytes(&taken.unwrap()).unwrap();
+//! let resumed = sim
+//!     .replay((&workload).into(), Start::Restore(&snap), 0, |_| ControlFlow::Continue(()))
+//!     .unwrap();
 //! assert_eq!(resumed, sim.run(&workload));
 //! ```
 
@@ -200,7 +214,8 @@ pub(crate) fn config_fingerprint(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapHeader {
     /// Fingerprint of the machine configuration + policies the snapshot
-    /// was taken under (see the restore checks in `Simulator::resume`).
+    /// was taken under (see the restore checks of
+    /// [`crate::Simulator::replay`]).
     pub config_fingerprint: u64,
     /// Core count of the machine.
     pub num_cores: u32,
@@ -239,8 +254,8 @@ impl SnapHeader {
 
 /// One simulation's complete frozen state plus its identifying header.
 ///
-/// Constructed by `Simulator::run_until` / `run_with_checkpoints`, consumed
-/// by `Simulator::resume` / `resume_forked`; serialized with
+/// Handed to the checkpoint callback of [`crate::Simulator::replay`] and
+/// consumed by its [`crate::simulator::Start`]; serialized with
 /// [`SimSnapshot::to_bytes`] / [`SimSnapshot::write_to`] and read back with
 /// [`SimSnapshot::from_bytes`] / [`SimSnapshot::read_from`].
 #[derive(Debug, Clone)]

@@ -9,6 +9,7 @@
 //! typed error naming the section, and fork-from-warm resumption equals a
 //! cold run.
 
+use allarm_core::simulator::Start;
 use allarm_core::snapshot::{read_header, read_section_table};
 use allarm_core::{
     AllocationPolicy, MachineConfig, SimReport, SimSnapshot, SimulationBuilder, Simulator,
@@ -16,6 +17,7 @@ use allarm_core::{
 use allarm_types::config::LlcConfig;
 use allarm_types::MissWindowConfig;
 use allarm_workloads::{Benchmark, TraceGenerator, Workload};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -47,6 +49,24 @@ fn jsonl(report: &SimReport) -> String {
     serde_json::to_string(report)
 }
 
+/// Replays `workload` until the access total reaches `accesses`: the
+/// first checkpoint at that interval, taken by stopping there.
+fn run_until(sim: &Simulator, workload: &Workload, accesses: u64) -> SimSnapshot {
+    let mut taken = None;
+    sim.replay(workload.into(), Start::Cold, accesses, |snap| {
+        taken = Some(snap);
+        ControlFlow::Break(())
+    })
+    .expect("a cold start checks no snapshot");
+    taken.expect("the workload outlasts the target")
+}
+
+/// Replays `workload` to completion from `start`.
+fn finish(sim: &Simulator, workload: &Workload, start: Start<'_>) -> SimReport {
+    sim.replay(workload.into(), start, 0, |_| ControlFlow::Continue(()))
+        .expect("the snapshot fits")
+}
+
 #[test]
 fn restore_mid_run_is_byte_identical_at_every_shard_count_and_window() {
     let workload = scale64_workload();
@@ -59,12 +79,12 @@ fn restore_mid_run_is_byte_identical_at_every_shard_count_and_window() {
             let sim = scale64_simulator(window, sim_threads);
             let uninterrupted = sim.run(&workload);
             for quarter in [1u64, 2, 3] {
-                let snap = sim.run_until(&workload, quarter * total / 4);
+                let snap = run_until(&sim, &workload, quarter * total / 4);
                 // Round-trip through the on-disk byte format before
                 // resuming: the restore path is the deserialized state.
                 let snap = SimSnapshot::from_bytes(&snap.to_bytes())
                     .expect("a just-written snapshot parses");
-                let resumed = sim.resume(&snap, &workload);
+                let resumed = finish(&sim, &workload, Start::Restore(&snap));
                 assert_eq!(
                     resumed, uninterrupted,
                     "depth {} x {sim_threads} shard(s), checkpoint at {quarter}/4",
@@ -81,9 +101,9 @@ fn snapshot_bytes_are_canonical_across_shard_counts() {
     let workload = scale64_workload();
     let target = workload.total_accesses() as u64 / 2;
     let window = MissWindowConfig::default_window();
-    let reference = scale64_simulator(window, 1).run_until(&workload, target);
+    let reference = run_until(&scale64_simulator(window, 1), &workload, target);
     for sim_threads in [2usize, 4] {
-        let snap = scale64_simulator(window, sim_threads).run_until(&workload, target);
+        let snap = run_until(&scale64_simulator(window, sim_threads), &workload, target);
         assert_eq!(
             snap.to_bytes(),
             reference.to_bytes(),
@@ -102,8 +122,8 @@ fn forked_runs_equal_cold_runs() {
     let sim = SimulationBuilder::new(MachineConfig::small_test())
         .build()
         .unwrap();
-    let snap = sim.run_until(&host, member.total_accesses() as u64 / 2);
-    let forked = sim.resume_forked(&snap, &member);
+    let snap = run_until(&sim, &host, member.total_accesses() as u64 / 2);
+    let forked = finish(&sim, &member, Start::Fork(&snap));
     let cold = sim.run(&member);
     assert_eq!(forked, cold);
     assert_eq!(jsonl(&forked), jsonl(&cold));
@@ -116,14 +136,17 @@ fn snapshot_files_round_trip_and_corruption_is_refused_with_the_section_named() 
     let sim = SimulationBuilder::new(MachineConfig::small_test())
         .build()
         .unwrap();
-    let snap = sim.run_until(&workload, workload.total_accesses() as u64 / 2);
+    let snap = run_until(&sim, &workload, workload.total_accesses() as u64 / 2);
     let path = dir.join("mid.snap");
     snap.write_to(&path).unwrap();
 
     // Round trip: the file restores to the uninterrupted report, and the
     // header-only read agrees with the full parse.
     let reread = SimSnapshot::read_from(&path).unwrap();
-    assert_eq!(sim.resume(&reread, &workload), sim.run(&workload));
+    assert_eq!(
+        finish(&sim, &workload, Start::Restore(&reread)),
+        sim.run(&workload)
+    );
     assert_eq!(read_header(&path).unwrap(), *reread.header());
 
     // A single flipped bit in a state section is refused by the full read
@@ -192,21 +215,23 @@ fn llc_section_is_present_only_when_enabled_and_skew_is_refused_by_name() {
 
     // LLC disabled: the snapshot has no "llc" section — the bytes are the
     // exact pre-LLC format.
-    let plain = SimulationBuilder::new(machine)
-        .build()
-        .unwrap()
-        .run_until(&workload, target)
-        .to_bytes();
+    let plain = run_until(
+        &SimulationBuilder::new(machine).build().unwrap(),
+        &workload,
+        target,
+    )
+    .to_bytes();
     const SEC_LLC: u16 = 7;
     assert!(section_version_offset(&plain, SEC_LLC).is_none());
 
     // LLC enabled: the section is written, listed by the section-table
     // reader as "llc" v1, and the file round-trips.
     machine.llc = LlcConfig::shared_slice(256 * 1024, 16);
-    let snap = SimulationBuilder::new(machine)
-        .build()
-        .unwrap()
-        .run_until(&workload, target);
+    let snap = run_until(
+        &SimulationBuilder::new(machine).build().unwrap(),
+        &workload,
+        target,
+    );
     let dir = temp_dir("llc-snap");
     let path = dir.join("llc.snap");
     snap.write_to(&path).unwrap();
