@@ -10,9 +10,7 @@
 //! rows — `--sim-threads` shards every run across worker threads
 //! (byte-identical results; see the README's parallelism section), and
 //! `--accesses` overrides the per-thread trace length (for smoke runs of
-//! checked-in grids; binary-v2 trace replays truncate to a prefix, while
-//! text and v1 binary replays keep their recorded length and a loud warning
-//! says so).
+//! checked-in grids; a trace replay of any format is cut to that prefix).
 //!
 //! Checkpointing composes with the resume machinery: `--checkpoint-every
 //! <accesses>` drops a versioned snapshot (`<output>.snap`) of the
@@ -161,14 +159,9 @@ fn main() -> ExitCode {
         }
     }
     if let Some(n) = accesses {
-        // The override truncates generated workloads and binary-v2 trace
-        // replays; text and v1 replays keep their recorded length. Say so
-        // out loud — a smoke run that silently replayed 50M accesses
-        // instead of the requested 10k used to be this flag's worst
-        // failure mode.
-        for fixed in override_accesses(&mut scenarios, n) {
-            eprintln!("[scenario_run] warning: --accesses {n} has no effect: {fixed}");
-        }
+        // Generated workloads get the new length; trace replays of every
+        // format are cut to an `n`-record prefix per thread.
+        override_accesses(&mut scenarios, n);
     }
     let mut runner = BatchRunner::new().with_verify_forks(verify_forks);
     if let Some(every) = checkpoint_every {

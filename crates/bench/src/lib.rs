@@ -314,8 +314,6 @@ mod tests {
             replay.base.workload,
             WorkloadSpec::trace_file(TRACE_SAMPLE_V2_FILE, TraceFormat::BinaryV2)
         );
-        // Unlike the v1 replay, the v2 file supports real prefix truncation.
-        assert!(replay.base.workload.supports_length_override());
 
         // Resolved against the committed sample, the grid validates and
         // opens as a streaming source carrying the exact reference stream

@@ -1,7 +1,7 @@
 //! The command-line front ends, driven as a user drives them: a trace-length
-//! override that cannot take effect must say so (or fail), never silently
-//! replay a whole trace, a snapshot that does not fit its row is refused
-//! with the output untouched, and `figures` must refuse incomplete input.
+//! override shortens a trace replay of any format (and one that cannot take
+//! effect fails), a snapshot that does not fit its row is refused with the
+//! output untouched, and `figures` must refuse incomplete input.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -56,7 +56,7 @@ fn scenario_run_rejects_a_zero_access_override() {
 }
 
 #[test]
-fn scenario_run_names_the_format_of_a_trace_it_cannot_shorten() {
+fn scenario_run_shortens_a_text_trace_replay() {
     // A text-trace replay of the committed sample workload.
     let dir = temp_dir("text");
     let mut grid = tracefile_source_grid();
@@ -65,20 +65,25 @@ fn scenario_run_names_the_format_of_a_trace_it_cannot_shorten() {
     grid.base.workload = WorkloadSpec::trace_file("sample.txt", TraceFormat::Text);
     let doc = dir.join("replay.toml");
     std::fs::write(&doc, grid.to_toml().unwrap()).unwrap();
+    let v2_doc = scenarios_dir().join("tracefile_v2_comparison.toml");
 
-    let out = run(
-        env!("CARGO_BIN_EXE_scenario_run"),
-        &["--accesses", "500", "--json", doc.to_str().unwrap()],
-    );
-    assert!(out.status.success(), "{}", stderr(&out));
-    let err = stderr(&out);
-    assert!(err.contains("--accesses 500 has no effect"), "{err}");
-    assert!(err.contains("replays a text trace"), "{err}");
-    assert!(!err.contains("v1 binary"), "{err}");
-    // Both rows still replay the full recorded length.
-    let rows = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(rows.lines().count(), 2);
-    assert!(rows.contains(&format!("\"total_accesses\":{}", workload.total_accesses())));
+    let mut outputs = Vec::new();
+    for doc in [&doc, &v2_doc] {
+        let out = run(
+            env!("CARGO_BIN_EXE_scenario_run"),
+            &["--accesses", "500", "--json", doc.to_str().unwrap()],
+        );
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(!stderr(&out).contains("warning"), "{}", stderr(&out));
+        outputs.push(String::from_utf8(out.stdout).unwrap());
+    }
+    // Both rows replay the 500-record prefix of each of the two threads,
+    // exactly as the streamed binary-v2 copy of the same trace does.
+    assert_eq!(outputs[0], outputs[1]);
+    assert_eq!(outputs[0].lines().count(), 2);
+    for row in outputs[0].lines() {
+        assert!(row.contains("\"total_accesses\":1000,"), "{row}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

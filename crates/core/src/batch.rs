@@ -415,23 +415,6 @@ impl JsonlFileSink {
         })
     }
 
-    /// Reopens a partially-written output file for a resumed sweep:
-    /// [`JsonlFileSink::scan`] followed by [`JsonlFileSink::resume_scanned`],
-    /// returning the recorded index set. Callers that may be resuming
-    /// under *changed settings* should scan, verify with
-    /// [`verify_resume_rows`], and only then reopen — this shortcut
-    /// rewrites the file before any cross-check can run.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of a failed read or reopen.
-    pub fn resume(path: impl AsRef<std::path::Path>) -> std::io::Result<(Self, HashSet<usize>)> {
-        let path = path.as_ref();
-        let scan = Self::scan(path)?;
-        let sink = Self::resume_scanned(path, &scan)?;
-        Ok((sink, scan.completed()))
-    }
-
     /// Flushes and closes the sink, surfacing the first I/O error hit
     /// while recording.
     ///
@@ -555,22 +538,6 @@ impl CsvFileSink {
         Ok(CsvFileSink {
             out: FileWriter::reopen(path, &scan.keep_lines())?,
         })
-    }
-
-    /// Reopens a partially-written CSV file for a resumed sweep:
-    /// [`CsvFileSink::scan`] followed by [`CsvFileSink::resume_scanned`],
-    /// returning the recorded index set. As with
-    /// [`JsonlFileSink::resume`], callers resuming under possibly-changed
-    /// settings should scan and [`verify_resume_rows`] first.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of a failed read or reopen.
-    pub fn resume(path: impl AsRef<std::path::Path>) -> std::io::Result<(Self, HashSet<usize>)> {
-        let path = path.as_ref();
-        let scan = Self::scan(path)?;
-        let sink = Self::resume_scanned(path, &scan)?;
-        Ok((sink, scan.completed()))
     }
 
     /// Flushes and closes the sink, surfacing the first I/O error hit
@@ -1540,7 +1507,9 @@ mod tests {
         let truncated = &reference.lines().nth(3).unwrap()[..20];
         std::fs::write(&path, format!("{prefix}{truncated}")).unwrap();
 
-        let (mut sink, completed) = JsonlFileSink::resume(&path).unwrap();
+        let scan = JsonlFileSink::scan(&path).unwrap();
+        let mut sink = JsonlFileSink::resume_scanned(&path, &scan).unwrap();
+        let completed = scan.completed();
         assert_eq!(completed, HashSet::from([0, 1, 2]));
         BatchRunner::with_threads(2)
             .with_completed(completed)
@@ -1574,7 +1543,9 @@ mod tests {
         let broken = &reference.lines().nth(3).unwrap()[..5];
         std::fs::write(&path, format!("{}\n{broken}", keep.join("\n"))).unwrap();
 
-        let (mut sink, completed) = CsvFileSink::resume(&path).unwrap();
+        let scan = CsvFileSink::scan(&path).unwrap();
+        let mut sink = CsvFileSink::resume_scanned(&path, &scan).unwrap();
+        let completed = scan.completed();
         assert_eq!(completed, HashSet::from([0, 1]));
         BatchRunner::with_threads(1)
             .with_completed(completed)
@@ -1589,11 +1560,13 @@ mod tests {
     fn resume_of_missing_or_fresh_files_starts_from_scratch() {
         let dir = std::env::temp_dir().join(format!("allarm-resume-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (jsonl, completed) = JsonlFileSink::resume(dir.join("missing.jsonl")).unwrap();
-        assert!(completed.is_empty());
+        let scan = JsonlFileSink::scan(dir.join("missing.jsonl")).unwrap();
+        assert!(scan.completed().is_empty());
+        let jsonl = JsonlFileSink::resume_scanned(dir.join("missing.jsonl"), &scan).unwrap();
         jsonl.finish().unwrap();
-        let (csv, completed) = CsvFileSink::resume(dir.join("missing.csv")).unwrap();
-        assert!(completed.is_empty());
+        let scan = CsvFileSink::scan(dir.join("missing.csv")).unwrap();
+        assert!(scan.completed().is_empty());
+        let csv = CsvFileSink::resume_scanned(dir.join("missing.csv"), &scan).unwrap();
         csv.finish().unwrap();
         // The fresh CSV still gets its header.
         let text = std::fs::read_to_string(dir.join("missing.csv")).unwrap();
@@ -1641,7 +1614,9 @@ mod tests {
         // Truncate the second row inside its quoted name field.
         let keep: Vec<&str> = reference.lines().take(2).collect();
         std::fs::write(&path, format!("{}\n1,\"swept", keep.join("\n"))).unwrap();
-        let (mut sink, completed) = CsvFileSink::resume(&path).unwrap();
+        let scan = CsvFileSink::scan(&path).unwrap();
+        let mut sink = CsvFileSink::resume_scanned(&path, &scan).unwrap();
+        let completed = scan.completed();
         assert_eq!(completed, HashSet::from([0]));
         BatchRunner::with_threads(1)
             .with_completed(completed)
@@ -1674,7 +1649,9 @@ mod tests {
         assert_eq!(chopped.lines().count(), reference.lines().count());
         std::fs::write(&path, chopped).unwrap();
 
-        let (mut sink, completed) = CsvFileSink::resume(&path).unwrap();
+        let scan = CsvFileSink::scan(&path).unwrap();
+        let mut sink = CsvFileSink::resume_scanned(&path, &scan).unwrap();
+        let completed = scan.completed();
         assert_eq!(completed, HashSet::from([0]));
         BatchRunner::with_threads(1)
             .with_completed(completed)
@@ -1692,8 +1669,9 @@ mod tests {
         full.finish().unwrap();
         let reference = std::fs::read_to_string(&jsonl_path).unwrap();
         std::fs::write(&jsonl_path, &reference[..reference.len() - 2]).unwrap();
-        let (sink, completed) = JsonlFileSink::resume(&jsonl_path).unwrap();
-        assert_eq!(completed, HashSet::from([0]));
+        let scan = JsonlFileSink::scan(&jsonl_path).unwrap();
+        let sink = JsonlFileSink::resume_scanned(&jsonl_path, &scan).unwrap();
+        assert_eq!(scan.completed(), HashSet::from([0]));
         sink.finish().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1989,6 +1967,55 @@ mod tests {
         for (f, c) in forked.entries.iter().zip(&cold.entries) {
             assert_eq!(f.report, c.report, "{} diverged", f.scenario.name);
         }
+    }
+
+    #[test]
+    fn text_trace_accesses_axis_forks_from_warm() {
+        use allarm_workloads::{tracefile, TraceFormat, WorkloadSpec};
+        // A text replay is materialized, so points that differ only in
+        // their `limit` share a warm group, as generated workloads do.
+        let dir = std::env::temp_dir().join(format!("allarm-warm-text-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("capture.txt");
+        let mut base =
+            Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Baseline).with_accesses(600);
+        let recorded = base.workload();
+        tracefile::write_trace_file(&path, &recorded, TraceFormat::Text).unwrap();
+        base.workload = WorkloadSpec::trace_file(path.to_string_lossy(), TraceFormat::Text);
+        let scenarios = ScenarioGrid::new(base)
+            .accesses(vec![300, 500])
+            .warmup(800)
+            .expand();
+        let runner = BatchRunner::with_threads(1);
+        let workloads: Vec<Option<WorkloadHandle>> = scenarios
+            .iter()
+            .map(|s| Some(WorkloadHandle::open(s).unwrap()))
+            .collect();
+        let warm = runner.plan_warm_images(&scenarios, &workloads);
+        assert!(warm.iter().all(Option::is_some), "a member fell back cold");
+        assert!(Arc::ptr_eq(
+            warm[0].as_ref().unwrap(),
+            warm[1].as_ref().unwrap()
+        ));
+
+        let forked = runner.with_verify_forks(true).run(&scenarios).unwrap();
+        let cold_scenarios: Vec<Scenario> = scenarios
+            .iter()
+            .map(|s| s.clone().with_warmup_accesses(0))
+            .collect();
+        let cold = BatchRunner::with_threads(1).run(&cold_scenarios).unwrap();
+        let lines = |results: &BatchResults| -> Vec<String> {
+            results.entries.iter().map(BatchEntry::jsonl_line).collect()
+        };
+        assert_eq!(lines(&forked), lines(&cold));
+        // Each point replayed its own prefix of the file.
+        for (entry, per_thread) in forked.entries.iter().zip([300, 500]) {
+            assert_eq!(
+                entry.report.total_accesses as usize,
+                per_thread * recorded.threads.len()
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -500,19 +500,6 @@ impl ScenarioGrid {
                  trace file fixes the reference stream",
             ));
         }
-        if let WorkloadSpec::TraceFile { format, .. } = &self.base.workload {
-            if !self.accesses.is_empty() && !self.base.workload.supports_length_override() {
-                return Err(ConfigError::new(
-                    "accesses",
-                    format!(
-                        "cannot sweep the trace-length axis over a {} trace-replay \
-                         workload — the file fixes the reference stream (record the trace \
-                         as binary-v2, whose frame directory supports prefix truncation)",
-                        format.name()
-                    ),
-                ));
-            }
-        }
         for scenario in self.expand() {
             scenario.validate()?;
         }
@@ -764,22 +751,30 @@ mod tests {
     }
 
     #[test]
-    fn accesses_axis_over_a_trace_replay_is_rejected() {
-        let mut base = Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Baseline);
-        base.workload =
-            WorkloadSpec::trace_file("capture.trace", allarm_workloads::TraceFormat::Binary);
-        let grid = ScenarioGrid::new(base).accesses(vec![100, 200]);
-        let err = grid.validate().unwrap_err();
-        assert_eq!(err.field(), "accesses");
-        assert!(err.reason().contains("over a binary trace-replay"), "{err}");
-
-        // The error names the trace's actual format, not "v1 binary".
-        let mut text = grid.clone();
-        text.base.workload =
-            WorkloadSpec::trace_file("capture.txt", allarm_workloads::TraceFormat::Text);
-        let err = text.validate().unwrap_err();
-        assert_eq!(err.field(), "accesses");
-        assert!(err.reason().contains("over a text trace-replay"), "{err}");
+    fn accesses_axis_over_a_text_or_v1_trace_replay_is_accepted() {
+        use allarm_workloads::{tracefile, TraceFormat, TraceGenerator};
+        let dir = std::env::temp_dir().join(format!("allarm-grid-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let recorded = TraceGenerator::new(2, 100, 3).generate(Benchmark::Barnes);
+        for format in [TraceFormat::Text, TraceFormat::Binary] {
+            let path = dir.join(format!("capture.{}", format.name()));
+            tracefile::write_trace_file(&path, &recorded, format).unwrap();
+            let mut base = Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Baseline);
+            base.workload = WorkloadSpec::trace_file(path.to_string_lossy(), format);
+            let grid = ScenarioGrid::new(base).accesses(vec![50, 100]);
+            // Every format honours a length, so the axis is allowed…
+            grid.validate().unwrap();
+            let points = grid.expand();
+            // …and each point replays a prefix of the file.
+            assert_eq!(points[0].workload.accesses().unwrap(), 50);
+            assert_eq!(points[1].workload.accesses().unwrap(), 100);
+            assert!(points[0]
+                .workload()
+                .threads
+                .iter()
+                .all(|t| t.accesses.len() == 50));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! parameters `?accesses=N` and `?sim_threads=N` mirror `scenario_run`'s
 //! `--accesses`/`--sim-threads` flags, applied identically — so a job's
 //! streamed results are byte-for-byte the file `scenario_run --output`
-//! writes for the same document and overrides. Where `scenario_run` warns
-//! that `--accesses` cannot shorten a text or v1 binary trace replay, the
-//! server refuses the job with a `400` naming the scenario.
+//! writes for the same document and overrides. `?accesses=0`, which a
+//! trace replay would read as "unlimited", is refused with a `400`.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,9 +118,7 @@ impl Api {
 
         let mut scenarios = doc.expand();
         // The same overrides scenario_run applies for --sim-threads and
-        // --accesses, in the same order — except that a length override a
-        // trace replay cannot honour is refused here rather than warned
-        // about, since a warning would never reach the client.
+        // --accesses, in the same order.
         for (key, value) in request.query_pairs() {
             let parsed: Result<usize, _> = value.parse();
             match (key, parsed) {
@@ -138,12 +135,7 @@ impl Api {
                             "query parameter accesses needs a positive number, got \"0\"",
                         );
                     };
-                    if let Some(fixed) = override_accesses(&mut scenarios, n).first() {
-                        return error(
-                            StatusCode(400),
-                            &format!("query parameter accesses={n} has no effect: {fixed}"),
-                        );
-                    }
+                    override_accesses(&mut scenarios, n);
                 }
                 ("sim_threads" | "accesses", Err(_)) => {
                     return error(
@@ -395,34 +387,38 @@ mod tests {
 
     #[test]
     fn accesses_overrides_that_cannot_take_effect_are_refused() {
-        let api = api(SchedulerConfig {
-            workers: 0,
-            ..SchedulerConfig::default()
-        });
+        let api = api(SchedulerConfig::default());
         let post = |target: &str, body: &str| {
             let resp = full(&api, &request(Method::Post, target, body.as_bytes()));
             (resp.status, String::from_utf8(resp.body).unwrap())
         };
-
-        // A zero limit on a binary-v2 replay would mean "unlimited".
-        let v2 = replay_toml("tracefile_sample_v2.btrace", TraceFormat::BinaryV2);
-        let (status, body) = post("/v1/jobs?accesses=0", &v2);
-        assert_eq!(status, StatusCode(400), "{body}");
-        assert!(body.contains("accesses needs a positive number"), "{body}");
-        assert_eq!(post("/v1/jobs?accesses=500", &v2).0, StatusCode(201));
-
-        // A v1 binary replay keeps its recorded length, so the override is
-        // refused, naming the scenario and the trace's format.
         let v1 = replay_toml("tracefile_sample.trace", TraceFormat::Binary);
-        let (status, body) = post("/v1/jobs?accesses=500", &v1);
-        assert_eq!(status, StatusCode(400), "{body}");
-        assert!(body.contains("accesses=500 has no effect"), "{body}");
-        // The grid names its point after the trace's recorded workload.
+        let v2 = replay_toml("tracefile_sample_v2.btrace", TraceFormat::BinaryV2);
+
+        // A zero limit on a trace replay would mean "unlimited".
+        for doc in [&v1, &v2] {
+            let (status, body) = post("/v1/jobs?accesses=0", doc);
+            assert_eq!(status, StatusCode(400), "{body}");
+            assert!(body.contains("accesses needs a positive number"), "{body}");
+        }
+
+        // Any other override takes effect whatever the trace's format: the
+        // v1 and v2 copies of the sample replay the same 500-record prefix
+        // per thread and stream identical rows.
+        let mut rows = Vec::new();
+        for (id, doc) in [&v1, &v2].into_iter().enumerate() {
+            assert_eq!(post("/v1/jobs?accesses=500", doc).0, StatusCode(201));
+            let id = JobId(id as u64);
+            api.scheduler().wait_terminal(id).unwrap();
+            rows.push(api.scheduler().wait_rows(id, 0).unwrap().rows);
+        }
+        assert_eq!(rows[0], rows[1]);
+        assert_eq!(rows[0].len(), 1);
         assert!(
-            body.contains("`blackscholes/baseline` replays a binary trace"),
-            "{body}"
+            rows[0][0].contains("\"total_accesses\":1000,"),
+            "{}",
+            rows[0][0]
         );
-        assert_eq!(post("/v1/jobs", &v1).0, StatusCode(201));
     }
 
     #[test]

@@ -83,10 +83,10 @@ pub enum WorkloadSpec {
         /// the file's magic disagrees.
         format: TraceFormat,
         /// Per-thread replay limit in records; `0` (the default) replays
-        /// the full trace. Only frame-chunked `binary-v2` traces support
-        /// truncation (their frame directory makes the prefix seekable and
-        /// its checksum recomputable); validation rejects a non-zero limit
-        /// on any other format.
+        /// the full trace. Every format honours it: a `binary-v2` trace
+        /// streams the prefix frame by frame, text and v1 traces are
+        /// truncated in memory. Either way the replay's checksum is the
+        /// truncated stream's.
         #[serde(default)]
         limit: u64,
     },
@@ -191,12 +191,8 @@ impl WorkloadSpec {
     }
 
     /// Returns a copy with a different per-thread / per-process trace
-    /// length. For frame-chunked `binary-v2` replays this sets a real
-    /// per-thread truncation limit (the frame directory makes the prefix
-    /// seekable and its checksum recomputable); for v1 replays the length
-    /// is fixed by the file and the spec is returned **unchanged** — check
-    /// [`WorkloadSpec::supports_length_override`] first and warn the user,
-    /// or a requested smoke run silently becomes a full replay.
+    /// length. For trace replays, of any format, this sets the per-thread
+    /// truncation `limit` (`0` clears it: the full trace).
     pub fn with_accesses(&self, accesses: usize) -> Self {
         let mut spec = self.clone();
         match &mut spec {
@@ -212,26 +208,9 @@ impl WorkloadSpec {
                 accesses_per_tenant,
                 ..
             } => *accesses_per_tenant = accesses,
-            WorkloadSpec::TraceFile { format, limit, .. } => {
-                if *format == TraceFormat::BinaryV2 {
-                    *limit = accesses as u64;
-                }
-            }
+            WorkloadSpec::TraceFile { limit, .. } => *limit = accesses as u64,
         }
         spec
-    }
-
-    /// True if [`WorkloadSpec::with_accesses`] actually changes what this
-    /// spec replays. False only for v1 trace replays, whose length is
-    /// fixed by the file; callers owe the user a loud warning (or a
-    /// refusal) before dropping a length override on one.
-    pub fn supports_length_override(&self) -> bool {
-        match self {
-            WorkloadSpec::Threads { .. }
-            | WorkloadSpec::Multiprocess { .. }
-            | WorkloadSpec::Consolidation { .. } => true,
-            WorkloadSpec::TraceFile { format, .. } => *format == TraceFormat::BinaryV2,
-        }
     }
 
     /// Returns a copy with a relative trace path joined onto `base` (specs
@@ -344,8 +323,9 @@ impl WorkloadSpec {
 
     /// Opens this spec's trace file as a bounded-memory streaming
     /// [`TraceSource`], honoring any truncation limit — `Ok(None)` when
-    /// the spec is not a streamable (`binary-v2`) replay and must be
-    /// materialized instead.
+    /// the spec is not a `binary-v2` replay and must be materialized
+    /// instead (text and v1 replays are materialized like generated
+    /// workloads, and [`WorkloadSpec::materialize`] applies their limit).
     ///
     /// # Errors
     ///
@@ -405,18 +385,7 @@ impl WorkloadSpec {
                     return Err("workload.tenants: must be non-zero".to_string());
                 }
             }
-            WorkloadSpec::TraceFile {
-                path,
-                format,
-                limit,
-            } => {
-                if *limit > 0 && *format != TraceFormat::BinaryV2 {
-                    return Err(format!(
-                        "workload.limit: truncation needs a frame-chunked binary-v2 \
-                         trace, but the spec declares {}",
-                        format.name()
-                    ));
-                }
+            WorkloadSpec::TraceFile { path, format, .. } => {
                 let header = tracefile::read_header_cached(path)
                     .map_err(|e| format!("workload.path: {path}: {e}"))?;
                 if header.format != *format {
@@ -432,8 +401,8 @@ impl WorkloadSpec {
     }
 
     /// Generates the concrete workload: a pure function of `(self, seed)`
-    /// — for trace replays, of the file contents (the seed is unused and
-    /// the decoded stream is checksum-verified).
+    /// — for trace replays, of the file contents (the seed is unused, the
+    /// decoded stream is checksum-verified, then cut to any `limit`).
     ///
     /// # Panics
     ///
@@ -507,7 +476,6 @@ mod tests {
         assert_eq!(spec.label(), "consolidation-6t");
         assert_eq!(spec.cores_required().unwrap(), 6);
         assert_eq!(spec.accesses().unwrap(), 400);
-        assert!(spec.supports_length_override());
         assert_eq!(spec.with_accesses(100).accesses().unwrap(), 100);
         let w = spec.materialize(3);
         assert_eq!(w.threads.len(), 6);
@@ -599,9 +567,17 @@ mod tests {
         // The seed is irrelevant: replay is a pure function of the file.
         assert_eq!(spec.materialize(1), recorded);
         assert_eq!(spec.materialize(99), recorded);
-        // Sweep helpers leave replays untouched.
-        assert_eq!(spec.with_accesses(7), spec);
+        // A replay has no benchmark to swap, and its length override is a
+        // per-thread limit.
         assert_eq!(spec.with_benchmark(Benchmark::Barnes), spec);
+        assert_eq!(
+            spec.with_accesses(7),
+            WorkloadSpec::TraceFile {
+                path: path.to_string_lossy().into_owned(),
+                format: TraceFormat::Text,
+                limit: 7,
+            }
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -636,7 +612,6 @@ mod tests {
 
         let spec = WorkloadSpec::trace_file(path.to_string_lossy(), TraceFormat::BinaryV2);
         spec.validate().unwrap();
-        assert!(spec.supports_length_override());
         // with_accesses is a *real* truncation on v2, not a silent no-op.
         let short = spec.with_accesses(40);
         assert_ne!(short, spec);
@@ -649,22 +624,38 @@ mod tests {
         let source = short.streaming_source().unwrap().unwrap();
         assert_eq!(source.checksum(), materialized.checksum());
         assert_eq!(source.total_accesses(), 80);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // v1 replays cannot stream, do not support overrides, and reject
-        // a hand-written limit outright.
-        let v1_path = dir.join("sample.trace");
-        tracefile::write_trace_file(&v1_path, &recorded, TraceFormat::Text).unwrap();
-        let v1 = WorkloadSpec::trace_file(v1_path.to_string_lossy(), TraceFormat::Text);
-        assert!(!v1.supports_length_override());
-        assert_eq!(v1.with_accesses(40), v1);
-        assert!(v1.streaming_source().unwrap().is_none());
-        let bad = WorkloadSpec::TraceFile {
-            path: v1_path.to_string_lossy().into_owned(),
-            format: TraceFormat::Text,
-            limit: 5,
-        };
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("binary-v2"), "{err}");
+    #[test]
+    fn text_and_v1_replays_are_truncated_in_memory() {
+        let dir = std::env::temp_dir().join(format!("allarm-spec-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let recorded = WorkloadSpec::threads(Benchmark::Dedup, 2, 200).materialize(5);
+        let v2_path = dir.join("sample.btrace");
+        tracefile::write_trace_file_framed(&v2_path, &recorded, TraceFormat::BinaryV2, 64).unwrap();
+        let v2_prefix = WorkloadSpec::trace_file(v2_path.to_string_lossy(), TraceFormat::BinaryV2)
+            .with_accesses(40)
+            .streaming_source()
+            .unwrap()
+            .unwrap();
+
+        for format in [TraceFormat::Text, TraceFormat::Binary] {
+            let path = dir.join(format!("sample.{}", format.name()));
+            tracefile::write_trace_file(&path, &recorded, format).unwrap();
+            let short = WorkloadSpec::trace_file(path.to_string_lossy(), format).with_accesses(40);
+            short.validate().unwrap();
+            assert_eq!(short.accesses().unwrap(), 40);
+            assert_eq!(short.total_accesses(0).unwrap(), 80);
+            // Not streamable, so materialized: cut to the prefix a v2
+            // replay streams, with the v2 prefix's checksum.
+            assert!(short.streaming_source().unwrap().is_none());
+            let materialized = short.materialize(0);
+            for (cut, full) in materialized.threads.iter().zip(&recorded.threads) {
+                assert_eq!(cut.accesses[..], full.accesses[..40], "{}", format.name());
+            }
+            assert_eq!(materialized.checksum(), v2_prefix.checksum());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,23 +6,22 @@
 //! so real captured traces (or adversarial hand-written ones) can drive the
 //! coherence substrate through [`crate::WorkloadSpec::TraceFile`].
 //!
-//! Two interchangeable encodings share one logical model (a [`TraceHeader`]
-//! plus per-thread access streams):
+//! Three codecs share one logical model (a [`TraceHeader`] plus per-thread
+//! access streams):
 //!
 //! * **Text** (`allarm-trace v1 text`) — human-writable. A header of
 //!   directive lines, then one `core r|w hexaddr` record per line. Blank
 //!   lines and `#` comments are ignored after the magic line. The
 //!   `checksum` directive is optional, so a hand-written trace does not
 //!   need to pre-compute it (a present checksum is always verified).
-//! * **Binary** (magic `ALLARMTR`) — compact. After the header, each
-//!   thread's addresses are delta-encoded against the previous address and
-//!   written as LEB128 varints with the read/write flag folded into the low
-//!   bit, so sequential scans cost ~2 bytes per reference. The checksum is
-//!   mandatory.
-//!
-//! A third encoding, **binary v2** (same magic, version 2), keeps the v1
-//! record encoding but chunks each thread's stream into fixed-count
-//! **frames** and appends a seekable frame directory:
+//! * **Binary** (magic `ALLARMTR`, version 1) — compact. After the header,
+//!   each thread's addresses are delta-encoded against the previous
+//!   address and written as LEB128 varints with the read/write flag folded
+//!   into the low bit, so sequential scans cost ~2 bytes per reference.
+//!   The checksum is mandatory.
+//! * **Binary v2** (same magic, version 2) — keeps the v1 record encoding
+//!   but chunks each thread's stream into fixed-count **frames** and
+//!   appends a seekable frame directory:
 //!
 //! ```text
 //! front header (v1 fields + frame_len varint)
@@ -37,6 +36,12 @@
 //! frame of memory per thread, `trace_tool seek` jump mid-trace, and
 //! snapshot restore reopen a trace at an arbitrary cursor.
 //!
+//! Text and v1 bodies decode in one sequential pass over any reader
+//! ([`parse_trace`]). A v2 body has exactly one decoder, [`FrameFeed`]:
+//! streaming replay pulls frames through it, and [`read_workload`]
+//! materializes a v2 file by walking every thread through it, so each
+//! frame is checked against its directory entry on either path.
+//!
 //! All headers carry the thread count, per-thread core pinning and access
 //! counts, and (binary always, text optionally) a checksum of the decoded
 //! stream — so [`read_header`] answers "how many cores does this trace
@@ -44,7 +49,7 @@
 //! without even touching the frame directory).
 //!
 //! The checksum is [`Workload::checksum`]: identical whether the workload
-//! was generated in-process or round-tripped through either file format,
+//! was generated in-process or round-tripped through any file format,
 //! which is what lets a replayed trace's simulation report be byte-identical
 //! to the direct run's.
 //!
@@ -133,7 +138,8 @@ impl TraceFormat {
     }
 
     /// True for the frame-chunked container, the one format that supports
-    /// streaming replay, mid-trace seeks and prefix truncation.
+    /// bounded-memory streaming replay and mid-trace seeks. (Every format
+    /// supports prefix truncation; the others are truncated in memory.)
     pub fn is_streamable(self) -> bool {
         self == TraceFormat::BinaryV2
     }
@@ -281,29 +287,51 @@ pub fn read_header(path: impl AsRef<Path>) -> Result<TraceHeader, TraceError> {
 }
 
 /// Reads, decodes and verifies a whole trace file, sniffing the format.
-/// The decoded stream's [`Workload::checksum`] is verified against the
-/// header's (when the header carries one) and the per-thread counts are
-/// verified against the body.
+/// Text and v1 bodies go through [`parse_trace`]; a v2 body is decoded
+/// thread by thread through [`TraceSource`] and [`FrameFeed::try_get`],
+/// the decoder streaming replay uses. The decoded stream's
+/// [`Workload::checksum`] is verified against the header's (when the
+/// header carries one) and the per-thread counts are verified against the
+/// body.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceError`] for anything [`read_header`] rejects, plus
 /// truncated or overlong bodies, malformed records, and checksum
-/// mismatches.
+/// mismatches (for v2, anything [`TraceSource::open`] or a frame load
+/// rejects).
 pub fn read_workload(path: impl AsRef<Path>) -> Result<(TraceHeader, Workload), TraceError> {
-    let file = std::fs::File::open(path)?;
-    parse_trace(file)
+    let path = path.as_ref();
+    if read_header(path)?.format != TraceFormat::BinaryV2 {
+        return parse_trace(std::fs::File::open(path)?);
+    }
+    let source = TraceSource::open(path)?;
+    let workload = source.decode()?;
+    verified(source.header, workload)
 }
 
-/// [`read_workload`] over any reader (used by tests and in-memory
-/// round-trips).
+/// [`read_workload`] over any reader, for the formats that decode in one
+/// sequential pass: text and v1 binary (used by tests and in-memory
+/// round-trips). A v2 body is only decoded through its frame directory,
+/// which needs a file: given v2 bytes this returns an error naming
+/// [`read_workload`].
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_workload`].
+/// Same conditions as [`read_workload`], plus any v2 input.
 pub fn parse_trace(reader: impl Read) -> Result<(TraceHeader, Workload), TraceError> {
     let (header, workload) = parse_inner(reader, true)?;
-    let workload = workload.expect("decode_body = true always yields a workload");
+    verified(
+        header,
+        workload.expect("decode_body = true always yields a workload"),
+    )
+}
+
+/// Checks a decoded workload against its header's checksum, if any.
+fn verified(
+    header: TraceHeader,
+    workload: Workload,
+) -> Result<(TraceHeader, Workload), TraceError> {
     if let Some(expected) = header.checksum {
         let actual = workload.checksum();
         if actual != expected {
@@ -335,18 +363,17 @@ fn parse_inner(
         got += n;
     }
     if got == prefix.len() && &prefix == BINARY_MAGIC {
-        // Absolute offsets (for verifying the v2 frame directory) count
-        // from the start of the file, magic included.
-        let mut reader = CountingReader::with_offset(BufReader::new(reader), prefix.len() as u64);
+        let mut reader = BufReader::new(reader);
         let header = read_binary_header(&mut reader)?;
-        let workload = if decode_body {
-            Some(if header.format == TraceFormat::BinaryV2 {
-                read_binary_body_v2(&mut reader, &header)?
-            } else {
-                read_binary_body(&mut reader, &header)?
-            })
-        } else {
-            None
+        let workload = match (decode_body, header.format) {
+            (false, _) => None,
+            (true, TraceFormat::BinaryV2) => {
+                return Err(TraceError::new(
+                    "a binary-v2 body decodes through its frame directory, which needs \
+                     a file — read it with `read_workload`",
+                ))
+            }
+            (true, _) => Some(read_binary_body(&mut reader, &header)?),
         };
         return Ok((header, workload));
     }
@@ -667,112 +694,6 @@ fn read_binary_body(reader: &mut impl Read, header: &TraceHeader) -> Result<Work
     })
 }
 
-/// Decodes a whole v2 body sequentially, then cross-checks every frame
-/// against the directory and the trailer. This is the materialized
-/// *reference* path; [`TraceSource`] is the bounded-memory one.
-fn read_binary_body_v2<R: Read>(
-    reader: &mut CountingReader<R>,
-    header: &TraceHeader,
-) -> Result<Workload, TraceError> {
-    let frame_len = header.frame_len;
-    let mut observed: Vec<Vec<FrameMeta>> = Vec::with_capacity(header.threads.len());
-    let mut traces = Vec::with_capacity(header.threads.len());
-    for declared in &header.threads {
-        let mut accesses =
-            Vec::with_capacity(usize::try_from(declared.accesses).unwrap_or(0).min(1 << 20));
-        let mut entries = Vec::new();
-        let mut remaining = declared.accesses;
-        while remaining > 0 {
-            let records = remaining.min(frame_len);
-            let offset = reader.count();
-            let mut hashing = HashingReader::new(reader);
-            let mut addr: u64 = 0;
-            let mut first_vaddr = 0u64;
-            for i in 0..records {
-                let a = decode_record(&mut hashing, &mut addr)?;
-                if i == 0 {
-                    first_vaddr = a.vaddr.raw();
-                }
-                accesses.push(a);
-            }
-            let (bytes, checksum) = hashing.finish();
-            entries.push(FrameMeta {
-                offset,
-                bytes,
-                records,
-                first_vaddr,
-                checksum,
-            });
-            remaining -= records;
-        }
-        observed.push(entries);
-        traces.push(ThreadTrace {
-            thread: declared.thread,
-            core: declared.core,
-            accesses,
-        });
-    }
-
-    let dir_offset = reader.count();
-    let mut hashing = HashingReader::new(reader);
-    for (declared, entries) in header.threads.iter().zip(&observed) {
-        let frames = read_varint(&mut hashing, "frame count")?;
-        if frames != entries.len() as u64 {
-            return Err(TraceError::new(format!(
-                "directory declares {frames} frame(s) for thread {} but the body holds {}",
-                declared.thread.raw(),
-                entries.len()
-            )));
-        }
-        for e in entries {
-            let bytes = read_varint(&mut hashing, "frame byte length")?;
-            let records = read_varint(&mut hashing, "frame record count")?;
-            let first_vaddr = read_varint(&mut hashing, "frame first address")?;
-            let checksum = u64::from_le_bytes(read_array(&mut hashing, "frame checksum")?);
-            if bytes != e.bytes
-                || records != e.records
-                || first_vaddr != e.first_vaddr
-                || checksum != e.checksum
-            {
-                return Err(TraceError::new(format!(
-                    "frame directory disagrees with the body for thread {} — corrupt trace",
-                    declared.thread.raw()
-                )));
-            }
-        }
-    }
-    let (_, dir_checksum) = hashing.finish();
-    let declared_offset = u64::from_le_bytes(read_array(reader, "directory offset")?);
-    let declared_checksum = u64::from_le_bytes(read_array(reader, "directory checksum")?);
-    let tail: [u8; 8] = read_array(reader, "tail magic")?;
-    if &tail != V2_TAIL_MAGIC {
-        return Err(TraceError::new(
-            "missing the v2 tail magic — truncated or corrupt trace",
-        ));
-    }
-    if declared_offset != dir_offset {
-        return Err(TraceError::new(format!(
-            "trailer points the directory at byte {declared_offset} but it starts at \
-             {dir_offset} — corrupt trace"
-        )));
-    }
-    if declared_checksum != dir_checksum {
-        return Err(TraceError::new(
-            "frame directory checksum mismatch — corrupt trace",
-        ));
-    }
-    let mut trailing = [0u8; 1];
-    if reader.read(&mut trailing)? != 0 {
-        return Err(TraceError::new(
-            "trailing bytes after the v2 trailer — header/body mismatch",
-        ));
-    }
-    Ok(Workload {
-        name: header.name.clone(),
-        threads: traces,
-    })
-}
-
 /// 64-bit FNV-1a over a byte slice (frame and directory checksums).
 fn fnv1a(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -783,68 +704,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
-}
-
-/// A reader tracking its absolute position, so sequential v2 parsing can
-/// verify the directory's byte offsets without seeking.
-struct CountingReader<R> {
-    inner: R,
-    count: u64,
-}
-
-impl<R: Read> CountingReader<R> {
-    fn with_offset(inner: R, offset: u64) -> Self {
-        CountingReader {
-            inner,
-            count: offset,
-        }
-    }
-
-    fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.count += n as u64;
-        Ok(n)
-    }
-}
-
-/// A reader that FNV-1a-hashes and counts everything read through it —
-/// one frame's (or the directory's) bytes at a time.
-struct HashingReader<'a, R> {
-    inner: &'a mut R,
-    bytes: u64,
-    hash: u64,
-}
-
-impl<'a, R: Read> HashingReader<'a, R> {
-    fn new(inner: &'a mut R) -> Self {
-        HashingReader {
-            inner,
-            bytes: 0,
-            hash: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn finish(self) -> (u64, u64) {
-        (self.bytes, self.hash)
-    }
-}
-
-impl<R: Read> Read for HashingReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        for &b in &buf[..n] {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.bytes += n as u64;
-        Ok(n)
-    }
 }
 
 fn read_array<const N: usize>(reader: &mut impl Read, what: &str) -> Result<[u8; N], TraceError> {
@@ -956,8 +815,7 @@ impl TraceSource {
                 path.display()
             )));
         }
-        let mut counting = CountingReader::with_offset(&mut file, magic.len() as u64);
-        let header = read_binary_header(&mut counting)?;
+        let header = read_binary_header(&mut file)?;
         if header.format != TraceFormat::BinaryV2 {
             return Err(TraceError::new(format!(
                 "`{}` is a v1 binary trace; streaming replay needs the frame-chunked v2 \
@@ -965,7 +823,7 @@ impl TraceSource {
                 path.display()
             )));
         }
-        let body_start = counting.count();
+        let body_start = file.stream_position()?;
 
         let file_len = file.get_ref().metadata()?.len();
         if file_len < body_start + V2_TRAILER_BYTES {
@@ -1015,7 +873,9 @@ impl TraceSource {
                     declared.accesses
                 )));
             }
-            let mut entries = Vec::with_capacity(count as usize);
+            // Every entry takes directory bytes, so a corrupt count cannot
+            // size the allocation beyond the directory itself.
+            let mut entries = Vec::with_capacity(count.min(cursor.len() as u64) as usize);
             let mut remaining = declared.accesses;
             for index in 0..count {
                 let bytes = read_varint(&mut cursor, "frame byte length")?;
@@ -1030,9 +890,11 @@ impl TraceSource {
                         declared.thread.raw()
                     )));
                 }
-                // A record encodes to at most 10 varint bytes, so this cap
-                // rejects absurd lengths before any frame is loaded.
-                if bytes == 0 || bytes > records.saturating_mul(10) {
+                // A record encodes to 1 to 10 varint bytes, so this rejects
+                // absurd lengths before any frame is loaded — and, since the
+                // frames' bytes must fit the file, caps every frame's decode
+                // buffer at the file's size.
+                if records > bytes || bytes > records.saturating_mul(10) {
                     return Err(TraceError::new(format!(
                         "frame {index} of thread {} declares an impossible byte length \
                          {bytes} for {records} record(s)",
@@ -1204,17 +1066,49 @@ impl TraceSource {
     /// The truncated-prefix checksum, computed one frame at a time.
     fn prefix_checksum(&self) -> Result<u64, TraceError> {
         let mut stream = ChecksumStream::new();
-        for (index, declared) in self.header.threads.iter().enumerate() {
-            stream.begin_thread(declared.thread, declared.core, self.limits[index]);
-            let mut feed = self.open_thread(index, 0)?;
-            for record in 0..self.limits[index] {
-                let access = feed
-                    .try_get(record as usize)?
-                    .expect("record below the limit");
-                stream.access(access);
-            }
+        for (index, declared) in self.threads().into_iter().enumerate() {
+            stream.begin_thread(declared.thread, declared.core, declared.accesses);
+            self.walk_thread(index, |access| stream.access(access))?;
         }
         Ok(stream.finish())
+    }
+
+    /// Decodes every (limited) thread stream into memory — how
+    /// [`read_workload`] materializes a v2 file.
+    fn decode(&self) -> Result<Workload, TraceError> {
+        let mut threads = Vec::with_capacity(self.limits.len());
+        for (index, declared) in self.threads().into_iter().enumerate() {
+            // Bounded by the file's size: `open` proved every frame holds
+            // at least one byte per record.
+            let mut accesses = Vec::with_capacity(usize::try_from(declared.accesses).unwrap_or(0));
+            self.walk_thread(index, |access| accesses.push(access))?;
+            threads.push(ThreadTrace {
+                thread: declared.thread,
+                core: declared.core,
+                accesses,
+            });
+        }
+        Ok(Workload {
+            name: self.header.name.clone(),
+            threads,
+        })
+    }
+
+    /// Hands one thread's (limited) records to `visit` in order, through a
+    /// [`FrameFeed`] holding one verified frame at a time.
+    fn walk_thread(
+        &self,
+        index: usize,
+        mut visit: impl FnMut(MemAccess),
+    ) -> Result<(), TraceError> {
+        let mut feed = self.open_thread(index, 0)?;
+        for record in 0..self.limits[index] {
+            visit(
+                feed.try_get(record as usize)?
+                    .expect("record below the limit"),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -1622,6 +1516,20 @@ mod tests {
         buf
     }
 
+    /// Round-trips `workload` through `format`: in memory through
+    /// [`parse_trace`] for text and v1, through a file and
+    /// [`read_workload`] for v2 (tagged `tag`, so parallel tests never
+    /// share a file).
+    fn round_trip(workload: &Workload, format: TraceFormat, tag: &str) -> (TraceHeader, Workload) {
+        if format != TraceFormat::BinaryV2 {
+            return parse_trace(&encode(workload, format)[..]).unwrap();
+        }
+        let (dir, path) = v2_file(workload, DEFAULT_FRAME_LEN, tag);
+        let decoded = read_workload(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        decoded
+    }
+
     #[test]
     fn both_formats_round_trip_exactly() {
         let workload = sample();
@@ -1630,8 +1538,7 @@ mod tests {
             TraceFormat::Binary,
             TraceFormat::BinaryV2,
         ] {
-            let buf = encode(&workload, format);
-            let (header, decoded) = parse_trace(&buf[..]).unwrap();
+            let (header, decoded) = round_trip(&workload, format, "exact");
             assert_eq!(decoded, workload, "{}", format.name());
             assert_eq!(header.format, format);
             assert_eq!(header.name, workload.name);
@@ -1832,16 +1739,16 @@ thread 0 core 0 accesses 1
     #[test]
     fn short_reading_inputs_parse_identically() {
         let workload = sample();
-        for format in [
-            TraceFormat::Text,
-            TraceFormat::Binary,
-            TraceFormat::BinaryV2,
-        ] {
+        for format in [TraceFormat::Text, TraceFormat::Binary] {
             let buf = encode(&workload, format);
             let (header, decoded) = parse_trace(OneByte(&buf)).unwrap();
             assert_eq!(decoded, workload, "{}", format.name());
             assert_eq!(header.format, format);
         }
+        // A v2 header still parses from a short-reading input, but its body
+        // is only decoded from a file.
+        let err = parse_trace(OneByte(&encode(&workload, TraceFormat::BinaryV2))).unwrap_err();
+        assert!(err.to_string().contains("`read_workload`"), "{err}");
     }
 
     #[test]
@@ -1860,8 +1767,7 @@ thread 0 core 0 accesses 1
             }],
         };
         for format in [TraceFormat::Binary, TraceFormat::BinaryV2] {
-            let buf = encode(&workload, format);
-            let (_, decoded) = parse_trace(&buf[..]).unwrap();
+            let (_, decoded) = round_trip(&workload, format, "extremes");
             assert_eq!(decoded, workload, "{}", format.name());
         }
     }
@@ -1960,10 +1866,10 @@ thread 0 core 0 accesses 1
         bytes[(victim.offset + victim.bytes / 2) as usize] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        // The sequential reference decode notices the directory mismatch.
+        // The materializing read walks the same frames and stops at it.
         let err = read_workload(&path).unwrap_err();
         assert!(
-            err.to_string().contains("directory disagrees") || err.to_string().contains("record"),
+            err.to_string().contains("frame 1 failed its checksum"),
             "{err}"
         );
         // The streaming path opens fine (the directory is intact) but the
@@ -1982,9 +1888,99 @@ thread 0 core 0 accesses 1
         let (dir, path) = v2_file(&workload, 64, "trunc");
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(read_workload(&path).is_err());
+        for err in [
+            read_workload(&path).unwrap_err(),
+            TraceSource::open(&path).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("tail magic"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn v2_header_checksum_must_match_the_decoded_stream() {
+        let workload = sample();
+        let (dir, path) = v2_file(&workload, 64, "header-sum");
+        // Every frame and the directory stay intact; only the header's
+        // stream checksum lies.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let sum = workload.checksum().to_le_bytes();
+        let at = bytes.windows(8).position(|w| w == sum).unwrap();
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        TraceSource::open(&path).unwrap();
+        let err = read_workload(&path).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A hand-built v2 file: one thread declaring `accesses` records in
+    /// frames of `frame_len`, a directory declaring `frames` frames of which
+    /// only the first, `{body.len() bytes, records}`, is present, and every
+    /// checksum but the (zeroed) stream checksum consistent.
+    fn raw_v2(accesses: u64, frame_len: u64, frames: u64, records: u64, body: &[u8]) -> Vec<u8> {
+        let mut out = BINARY_MAGIC.to_vec();
+        out.extend_from_slice(&TRACE_VERSION_V2.to_le_bytes());
+        // Name "raw", one thread: id 0 on core 0.
+        for v in [
+            3,
+            u128::from(b'r'),
+            u128::from(b'a'),
+            u128::from(b'w'),
+            1,
+            0,
+            0,
+        ] {
+            write_varint(&mut out, v).unwrap();
+        }
+        write_varint(&mut out, u128::from(accesses)).unwrap();
+        out.extend_from_slice(&0u64.to_le_bytes());
+        write_varint(&mut out, u128::from(frame_len)).unwrap();
+        let dir_offset = (out.len() + body.len()) as u64;
+        out.extend_from_slice(body);
+        let mut dirbuf = Vec::new();
+        for v in [frames, body.len() as u64, records, 0] {
+            write_varint(&mut dirbuf, u128::from(v)).unwrap();
+        }
+        dirbuf.extend_from_slice(&fnv1a(body).to_le_bytes());
+        out.extend_from_slice(&dirbuf);
+        out.extend_from_slice(&dir_offset.to_le_bytes());
+        out.extend_from_slice(&fnv1a(&dirbuf).to_le_bytes());
+        out.extend_from_slice(V2_TAIL_MAGIC);
+        out
+    }
+
+    #[test]
+    fn v2_directory_counts_beyond_the_file_are_rejected_at_open() {
+        let dir = std::env::temp_dir().join(format!("allarm-tracefile-raw-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("raw.btrace");
+        // The builder makes loadable files: three one-byte records.
+        std::fs::write(&path, raw_v2(3, 3, 1, 3, &[0, 0, 0])).unwrap();
+        let source = TraceSource::open(&path).unwrap();
+        assert_eq!(
+            source.open_thread(0, 0).unwrap().try_get(2).unwrap(),
+            Some(MemAccess::load(0))
+        );
+
+        // 2^40 records in a 3-byte frame: every record takes at least one
+        // byte, so the directory lies. Header-level validation cannot see
+        // it; opening (and so every decode) must refuse before a decode
+        // buffer is sized from the record count.
+        std::fs::write(&path, raw_v2(1 << 40, 1 << 40, 1, 1 << 40, &[0, 0, 0])).unwrap();
+        read_header(&path).unwrap();
+        for err in [
+            TraceSource::open(&path).unwrap_err(),
+            read_workload(&path).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("frame 0 of thread 0"), "{err}");
+        }
+
+        // 2^40 one-record frames declared in a one-entry directory: the
+        // frame table is not sized from the count either.
+        std::fs::write(&path, raw_v2(1 << 40, 1, 1 << 40, 1, &[0])).unwrap();
         let err = TraceSource::open(&path).unwrap_err();
-        assert!(err.to_string().contains("tail magic"), "{err}");
+        assert!(err.to_string().contains("cut short"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -195,13 +195,11 @@ fn checked_in_grids_are_valid_and_sized_as_documented() {
     );
 
     // The v2 replay resolves the same way; unlike the v1 grid it opens as
-    // a true streaming source, and its frame directory supports prefix
-    // truncation (so an `accesses` axis over it is legal).
+    // a true streaming source.
     let mut replay_v2 = load("tracefile_v2_comparison.toml");
     replay_v2.base.workload = replay_v2.base.workload.resolved_against(&scenarios_dir());
     assert_eq!(replay_v2.len(), 2);
     replay_v2.validate().unwrap();
-    assert!(replay_v2.base.workload.supports_length_override());
     assert!(replay_v2
         .base
         .workload
