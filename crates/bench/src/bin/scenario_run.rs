@@ -37,11 +37,10 @@
 //!     --resume --restore results.jsonl.snap --output results.jsonl scenarios/scale64_pf_sweep.toml
 //! ```
 
-use allarm_bench::load_scenario_doc;
 use allarm_core::doc::override_accesses;
 use allarm_core::{
-    verify_resume_rows, BatchRunner, CsvFileSink, JsonlFileSink, JsonlSink, ResultSink, ResumeScan,
-    SimSnapshot,
+    load_scenario_doc, verify_resume_rows, BatchRunner, CsvFileSink, JsonlFileSink, JsonlSink,
+    ResultSink, ResumeScan, SimSnapshot,
 };
 use std::num::NonZeroUsize;
 use std::process::ExitCode;

@@ -35,7 +35,7 @@
 //! pinatrace prints) is skipped, and `#`-lines are comments. Threads are
 //! pinned to cores 1:1 in thread order.
 
-use allarm_bench::load_scenario_doc;
+use allarm_core::load_scenario_doc;
 use allarm_workloads::tracefile::{self, TraceFormat, TraceSource, DEFAULT_FRAME_LEN};
 use allarm_workloads::{MemAccess, ThreadTrace, Workload};
 use std::io::BufRead;

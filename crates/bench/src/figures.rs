@@ -13,14 +13,19 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 use allarm_core::report::{format_coverage, render_sweep_table, render_table, FigureSeries};
-use allarm_core::{
-    AllocationPolicy, Comparison, ExperimentConfig, MachineConfig, SimReport, FIG3H_COVERAGES,
-    FIG4_COVERAGES,
-};
+use allarm_core::{AllocationPolicy, Comparison, MachineConfig, SimReport};
 use allarm_energy::probe_filter_area_mm2;
 use allarm_types::stats::normalized;
 use allarm_workloads::Benchmark;
 use serde::Deserialize as _;
+
+/// The probe-filter coverages of Fig. 3h (512 kB, 256 kB, 128 kB), swept
+/// by `scenarios/fig3h_pf_sweep.toml`.
+const FIG3H_COVERAGES: [u64; 3] = [512 * 1024, 256 * 1024, 128 * 1024];
+
+/// The probe-filter coverages of Fig. 4 (512 kB down to 32 kB), swept by
+/// `scenarios/fig4_multiprocess.toml`.
+const FIG4_COVERAGES: [u64; 5] = [512 * 1024, 256 * 1024, 128 * 1024, 64 * 1024, 32 * 1024];
 
 /// Where one report sits in a figure grid: its workload label (`barnes`,
 /// or `barnes-2p` for the two-process runs of Fig. 4), probe-filter
@@ -236,10 +241,7 @@ fn benchmark_names(benchmarks: &[Benchmark], suffix: &str) -> Vec<String> {
 /// Fig. 2 and Figs. 3a–3g: every benchmark under both policies at the
 /// paper's probe-filter size.
 fn render_fig2_fig3(out: &mut String, grid: &GridReports) -> Result<(), String> {
-    let coverage = ExperimentConfig::paper()
-        .machine
-        .probe_filter
-        .coverage_bytes;
+    let coverage = MachineConfig::date2014().probe_filter.coverage_bytes;
     grid.check(&benchmark_names(&Benchmark::ALL, ""), &[coverage])?;
 
     let mut fig2_local = FigureSeries::without_geomean("local");
@@ -364,4 +366,16 @@ fn render_fig4(out: &mut String, grid: &GridReports) -> Result<(), String> {
         let _ = writeln!(out, "{}", render_sweep_table(&title, &labels, &series));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_coverage_constants_match_the_paper() {
+        assert_eq!(FIG3H_COVERAGES, [524288, 262144, 131072]);
+        assert_eq!(FIG4_COVERAGES.len(), 5);
+        assert_eq!(FIG4_COVERAGES[4], 32 * 1024);
+    }
 }

@@ -6,8 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use allarm_bench::tracefile_source_grid;
-use allarm_core::{TraceFormat, WorkloadSpec};
+use allarm_core::{ScenarioGrid, TraceFormat, WorkloadSpec};
 use allarm_workloads::tracefile::write_trace_file;
 
 fn scenarios_dir() -> PathBuf {
@@ -59,7 +58,8 @@ fn scenario_run_rejects_a_zero_access_override() {
 fn scenario_run_shortens_a_text_trace_replay() {
     // A text-trace replay of the committed sample workload.
     let dir = temp_dir("text");
-    let mut grid = tracefile_source_grid();
+    let source = std::fs::read_to_string(scenarios_dir().join("tracefile_source.toml")).unwrap();
+    let mut grid = ScenarioGrid::from_toml(&source).unwrap();
     let workload = grid.base.workload.materialize(grid.base.seed);
     write_trace_file(dir.join("sample.txt"), &workload, TraceFormat::Text).unwrap();
     grid.base.workload = WorkloadSpec::trace_file("sample.txt", TraceFormat::Text);

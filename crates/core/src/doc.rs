@@ -140,14 +140,12 @@ pub fn override_accesses(scenarios: &mut [Scenario], accesses: NonZeroUsize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentConfig;
     use allarm_coherence::AllocationPolicy;
     use allarm_workloads::{Benchmark, TraceFormat, WorkloadSpec};
 
     #[test]
     fn scenario_docs_parse_both_shapes() {
-        let cfg = ExperimentConfig::quick_test();
-        let single = cfg.scenario(Benchmark::Barnes, AllocationPolicy::Allarm);
+        let single = Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Allarm);
         let doc = parse_scenario_doc(&single.to_toml().unwrap(), true).unwrap();
         assert_eq!(doc, ScenarioDoc::Single(Box::new(single.clone())));
         assert_eq!(doc.expand().len(), 1);
@@ -165,8 +163,7 @@ mod tests {
 
     #[test]
     fn accesses_override_shortens_every_workload() {
-        let cfg = ExperimentConfig::quick_test();
-        let generated = cfg.scenario(Benchmark::Barnes, AllocationPolicy::Allarm);
+        let generated = Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Allarm);
         let mut scenarios = vec![generated.clone()];
         for (file, format) in [
             ("capture.txt", TraceFormat::Text),
@@ -198,8 +195,7 @@ mod tests {
 
     #[test]
     fn bare_text_sniff_distinguishes_the_two_formats() {
-        let cfg = ExperimentConfig::quick_test();
-        let single = cfg.scenario(Benchmark::Barnes, AllocationPolicy::Allarm);
+        let single = Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Allarm);
         assert!(sniff_is_json(&single.to_json()));
         assert!(sniff_is_json("\n\t  {\"name\": \"x\"}"));
         assert!(!sniff_is_json(&single.to_toml().unwrap()));
@@ -209,8 +205,7 @@ mod tests {
 
     #[test]
     fn json_extension_is_sniffed_case_insensitively() {
-        let cfg = ExperimentConfig::quick_test();
-        let single = cfg.scenario(Benchmark::Barnes, AllocationPolicy::Allarm);
+        let single = Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Allarm);
         let dir = std::env::temp_dir().join(format!("allarm-core-doc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("grid.JSON");

@@ -42,8 +42,9 @@
 //! * [`ScenarioGrid`] + [`BatchRunner`] — sweep expansion and parallel
 //!   execution, feeding [`ResultSink`]s in scenario order.
 //!
-//! The paper's figures are [`ScenarioGrid`]s too, built at an
-//! [`ExperimentConfig`] scale and checked in under `scenarios/`:
+//! The paper's figures are [`ScenarioGrid`]s too, defined only by the
+//! documents checked in under `scenarios/` (loaded with
+//! [`load_scenario_doc`], shortened with [`doc::override_accesses`]):
 //! `scenario_run` writes their reports as JSONL and the `figures` binary
 //! renders every table from it with the [`report`] helpers.
 
@@ -53,7 +54,6 @@
 pub mod batch;
 pub mod builder;
 pub mod doc;
-pub mod experiment;
 pub mod jobs;
 pub mod metrics;
 pub mod report;
@@ -69,9 +69,6 @@ pub use batch::{
 };
 pub use builder::SimulationBuilder;
 pub use doc::{load_scenario_doc, parse_scenario_doc, ScenarioDoc};
-pub use experiment::{
-    ExperimentConfig, FIG3H_COVERAGES, FIG4_COVERAGES, SCALE256_COVERAGES, SCALE64_COVERAGES,
-};
 pub use jobs::{
     JobId, JobScheduler, JobState, JobStatus, RowsChunk, SchedulerConfig, SchedulerMetrics,
     SubmitError,

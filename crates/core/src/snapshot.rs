@@ -82,6 +82,7 @@ use allarm_types::addr::{LineAddr, PageAddr};
 use allarm_types::ids::{CoreId, NodeId};
 use allarm_types::stats::Counter;
 use allarm_types::Nanos;
+use allarm_workloads::{fnv1a, FNV1A_OFFSET};
 
 /// The snapshot file-format version this build reads and writes.
 pub const SNAP_VERSION: u16 = 1;
@@ -179,19 +180,6 @@ impl From<std::io::Error> for SnapError {
     }
 }
 
-/// 64-bit FNV-1a, the same hash the trace format and workload checksums
-/// use; here it integrity-checks each section payload.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Fingerprint of a (machine, allocation policy, NUMA policy) triple, used
 /// to refuse restoring a snapshot onto a differently-configured simulator.
 /// FNV-1a over the `Debug` rendering: every field of the configuration
@@ -201,7 +189,10 @@ pub(crate) fn config_fingerprint(
     policy: allarm_coherence::AllocationPolicy,
     numa_policy: allarm_mem::NumaPolicy,
 ) -> u64 {
-    fnv1a(format!("{config:?}|{policy:?}|{numa_policy:?}").as_bytes())
+    fnv1a(
+        FNV1A_OFFSET,
+        format!("{config:?}|{policy:?}|{numa_policy:?}").as_bytes(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +312,7 @@ impl SimSnapshot {
             out.extend_from_slice(&version.to_le_bytes());
             out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             out.extend_from_slice(&payload);
-            out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            out.extend_from_slice(&fnv1a(FNV1A_OFFSET, &payload).to_le_bytes());
         }
         out
     }
@@ -520,7 +511,7 @@ fn split_sections(bytes: &[u8]) -> Result<Vec<(u16, u16, Vec<u8>)>, SnapError> {
         pos += len;
         let check = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
         pos += 8;
-        if fnv1a(payload) != check {
+        if fnv1a(FNV1A_OFFSET, payload) != check {
             return Err(SnapError::in_section(
                 name,
                 "checksum mismatch (corrupt payload)",

@@ -46,5 +46,7 @@ pub use multiprocess::{consolidation_workload, multiprocess_workload};
 pub use profile::{Benchmark, BenchmarkProfile};
 pub use source::{AccessSource, SourceThread, ThreadFeed};
 pub use spec::WorkloadSpec;
-pub use trace::{ChecksumStream, MemAccess, ThreadTrace, TraceGenerator, Workload};
+pub use trace::{
+    fnv1a, ChecksumStream, MemAccess, ThreadTrace, TraceGenerator, Workload, FNV1A_OFFSET,
+};
 pub use tracefile::{FrameFeed, FrameMeta, TraceFormat, TraceHeader, TraceSource};

@@ -116,6 +116,24 @@ impl Workload {
     }
 }
 
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, where every
+/// [`fnv1a`] checksum starts.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a: folds `bytes` into the running `hash` (start from
+/// [`FNV1A_OFFSET`]). The one byte loop behind workload checksums, the
+/// binary-v2 trace's frame and directory checks and the snapshot sections'
+/// integrity checks.
+#[inline]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 /// Incremental form of [`Workload::checksum`], for callers that stream a
 /// reference trace without ever materializing it (the frame-chunked trace
 /// container computes truncated-prefix checksums this way). Feeding a
@@ -127,21 +145,13 @@ pub struct ChecksumStream {
 }
 
 impl ChecksumStream {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// Starts a fresh checksum (no threads hashed yet).
     pub fn new() -> Self {
-        ChecksumStream {
-            hash: Self::FNV_OFFSET,
-        }
+        ChecksumStream { hash: FNV1A_OFFSET }
     }
 
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(Self::FNV_PRIME);
-        }
+        self.hash = fnv1a(self.hash, bytes);
     }
 
     /// Hashes the next thread's identity, pinning and access count; must be

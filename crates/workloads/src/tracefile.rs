@@ -67,7 +67,7 @@
 //! assert_eq!(header.checksum, Some(workload.checksum()));
 //! ```
 
-use crate::trace::{ChecksumStream, MemAccess, ThreadTrace, Workload};
+use crate::trace::{fnv1a, ChecksumStream, MemAccess, ThreadTrace, Workload, FNV1A_OFFSET};
 use allarm_types::ids::{CoreId, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -694,18 +694,6 @@ fn read_binary_body(reader: &mut impl Read, header: &TraceHeader) -> Result<Work
     })
 }
 
-/// 64-bit FNV-1a over a byte slice (frame and directory checksums).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 fn read_array<const N: usize>(reader: &mut impl Read, what: &str) -> Result<[u8; N], TraceError> {
     let mut buf = [0u8; N];
     reader
@@ -853,7 +841,7 @@ impl TraceSource {
         let mut dirbuf = vec![0u8; (file_len - V2_TRAILER_BYTES - dir_offset) as usize];
         file.read_exact(&mut dirbuf)
             .map_err(|_| TraceError::new("truncated trace: frame directory cut short"))?;
-        if fnv1a(&dirbuf) != dir_checksum {
+        if fnv1a(FNV1A_OFFSET, &dirbuf) != dir_checksum {
             return Err(TraceError::new(
                 "frame directory checksum mismatch — corrupt trace",
             ));
@@ -1172,7 +1160,7 @@ impl FrameFeed<'_> {
         self.file
             .read_exact(&mut bytes)
             .map_err(|_| TraceError::new(format!("frame {frame} cut short")))?;
-        if fnv1a(&bytes) != meta.checksum {
+        if fnv1a(FNV1A_OFFSET, &bytes) != meta.checksum {
             return Err(TraceError::new(format!(
                 "frame {frame} failed its checksum — corrupt trace body"
             )));
@@ -1464,7 +1452,7 @@ fn write_binary_v2(
                 bytes: frame.len() as u64,
                 records: chunk.len() as u64,
                 first_vaddr: chunk[0].vaddr.raw(),
-                checksum: fnv1a(&frame),
+                checksum: fnv1a(FNV1A_OFFSET, &frame),
             });
             out.write_all(&frame)?;
             offset += frame.len() as u64;
@@ -1484,7 +1472,7 @@ fn write_binary_v2(
     }
     out.write_all(&dirbuf)?;
     out.write_all(&offset.to_le_bytes())?;
-    out.write_all(&fnv1a(&dirbuf).to_le_bytes())?;
+    out.write_all(&fnv1a(FNV1A_OFFSET, &dirbuf).to_le_bytes())?;
     out.write_all(V2_TAIL_MAGIC)?;
     Ok(())
 }
@@ -1942,10 +1930,10 @@ thread 0 core 0 accesses 1
         for v in [frames, body.len() as u64, records, 0] {
             write_varint(&mut dirbuf, u128::from(v)).unwrap();
         }
-        dirbuf.extend_from_slice(&fnv1a(body).to_le_bytes());
+        dirbuf.extend_from_slice(&fnv1a(FNV1A_OFFSET, body).to_le_bytes());
         out.extend_from_slice(&dirbuf);
         out.extend_from_slice(&dir_offset.to_le_bytes());
-        out.extend_from_slice(&fnv1a(&dirbuf).to_le_bytes());
+        out.extend_from_slice(&fnv1a(FNV1A_OFFSET, &dirbuf).to_le_bytes());
         out.extend_from_slice(V2_TAIL_MAGIC);
         out
     }

@@ -12,12 +12,14 @@
 //! cargo run --release -p allarm-examples --bin probe_filter_sizing
 //! ```
 
-use allarm_core::{AllocationPolicy, BatchRunner, ExperimentConfig, ScenarioGrid, FIG4_COVERAGES};
+use std::num::NonZeroUsize;
+
+use allarm_core::doc::override_accesses;
+use allarm_core::{BatchRunner, ScenarioGrid};
 use allarm_energy::probe_filter_area_mm2;
 use allarm_workloads::Benchmark;
 
 fn main() {
-    let cfg = ExperimentConfig::paper().with_accesses_per_thread(60_000);
     let bench = Benchmark::Cholesky;
     println!("probe-filter sizing for two single-threaded copies of {bench}");
     println!();
@@ -26,12 +28,16 @@ fn main() {
         "PF size", "area mm2", "baseline ns", "allarm ns", "base evict", "allarm evict"
     );
 
-    // One baseline/ALLARM pair per coverage, all run in parallel.
-    let grid = ScenarioGrid::new(cfg.multiprocess_scenario(bench, AllocationPolicy::Baseline))
-        .pf_coverages(FIG4_COVERAGES.to_vec())
-        .policies(AllocationPolicy::ALL.to_vec());
+    // The paper's Fig. 4 sweep narrowed to one benchmark and 60k accesses
+    // per process: one baseline/ALLARM pair per coverage, all run in
+    // parallel.
+    let grid = ScenarioGrid::from_toml(include_str!("../../../scenarios/fig4_multiprocess.toml"))
+        .expect("the checked-in Fig. 4 grid parses")
+        .benchmarks(vec![bench]);
+    let mut scenarios = grid.expand();
+    override_accesses(&mut scenarios, NonZeroUsize::new(60_000).expect("non-zero"));
     let points = BatchRunner::new()
-        .run(&grid.expand())
+        .run(&scenarios)
         .expect("the Fig. 4 sweep is valid")
         .paired();
     for point in &points {

@@ -7,8 +7,8 @@
 use std::sync::OnceLock;
 
 use allarm_bench::figures::{render_figures, GridReports};
-use allarm_bench::{fig3_grid, fig3h_grid, fig4_grid};
-use allarm_core::{BatchResults, BatchRunner, ExperimentConfig, ScenarioGrid};
+use allarm_core::{BatchResults, BatchRunner, Scenario};
+use allarm_tests::shortened;
 use allarm_workloads::Benchmark;
 
 /// One figure grid's results and the JSONL `scenario_run --output` writes
@@ -25,9 +25,9 @@ struct GridOutputs {
     fig4: GridOutput,
 }
 
-fn run(grid: ScenarioGrid) -> GridOutput {
+fn run(scenarios: Vec<Scenario>) -> GridOutput {
     let results = BatchRunner::new()
-        .run(&grid.expand())
+        .run(&scenarios)
         .expect("the figure grids are valid");
     let jsonl = results
         .entries
@@ -43,13 +43,10 @@ fn run(grid: ScenarioGrid) -> GridOutput {
 /// filter.
 fn outputs() -> &'static GridOutputs {
     static OUTPUTS: OnceLock<GridOutputs> = OnceLock::new();
-    OUTPUTS.get_or_init(|| {
-        let cfg = ExperimentConfig::quick_test().with_accesses_per_thread(1_000);
-        GridOutputs {
-            fig3: run(fig3_grid(&cfg)),
-            fig3h: run(fig3h_grid(&cfg)),
-            fig4: run(fig4_grid(&cfg.with_accesses_per_thread(4_000))),
-        }
+    OUTPUTS.get_or_init(|| GridOutputs {
+        fig3: run(shortened("fig3_comparison.toml", 1_000)),
+        fig3h: run(shortened("fig3h_pf_sweep.toml", 1_000)),
+        fig4: run(shortened("fig4_multiprocess.toml", 4_000)),
     })
 }
 

@@ -4,14 +4,16 @@
 //! and paired into baseline/ALLARM comparisons.
 
 use allarm_core::{
-    AllocationPolicy, BatchRunner, Comparison, ExperimentConfig, MachineConfig, ScenarioGrid,
-    SimReport, SimulationBuilder,
+    AllocationPolicy, BatchRunner, Comparison, MachineConfig, Scenario, ScenarioGrid, SimReport,
+    SimulationBuilder,
 };
+use allarm_tests::load_grid;
 use allarm_types::Nanos;
 use allarm_workloads::{Benchmark, TraceGenerator};
 
-fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig::quick_test().with_accesses_per_thread(1_200)
+/// One benchmark on the Table I machine with 16 short threads.
+fn tiny(benchmark: Benchmark, policy: AllocationPolicy) -> Scenario {
+    Scenario::quick_test(benchmark, policy).with_accesses(1_200)
 }
 
 /// Runs `grid` under both policies and pairs each baseline run with its
@@ -27,14 +29,14 @@ fn paired(grid: ScenarioGrid) -> Vec<Comparison> {
 }
 
 /// One benchmark under both policies.
-fn compare(benchmark: Benchmark, cfg: &ExperimentConfig) -> Comparison {
-    let base = cfg.scenario(benchmark, AllocationPolicy::Baseline);
+fn compare(benchmark: Benchmark) -> Comparison {
+    let base = tiny(benchmark, AllocationPolicy::Baseline);
     paired(ScenarioGrid::new(base)).remove(0)
 }
 
 #[test]
 fn every_access_is_accounted_for() {
-    let base = tiny_cfg().scenario(Benchmark::Barnes, AllocationPolicy::Baseline);
+    let base = tiny(Benchmark::Barnes, AllocationPolicy::Baseline);
     let grid = ScenarioGrid::new(base).benchmarks(vec![Benchmark::Barnes, Benchmark::Blackscholes]);
     let comparisons = paired(grid);
     assert_eq!(comparisons.len(), 2);
@@ -55,7 +57,7 @@ fn every_access_is_accounted_for() {
 
 #[test]
 fn allarm_never_increases_probe_filter_pressure() {
-    let base = tiny_cfg().scenario(Benchmark::Barnes, AllocationPolicy::Baseline);
+    let base = tiny(Benchmark::Barnes, AllocationPolicy::Baseline);
     let comparisons = paired(ScenarioGrid::new(base).benchmarks(Benchmark::ALL.to_vec()));
     for (bench, cmp) in Benchmark::ALL.iter().zip(comparisons) {
         assert_eq!(cmp.baseline.workload, bench.name());
@@ -77,7 +79,7 @@ fn allarm_never_increases_probe_filter_pressure() {
 
 #[test]
 fn baseline_performs_no_local_probes_and_allarm_hides_most_of_them() {
-    let cmp = compare(Benchmark::OceanContiguous, &tiny_cfg());
+    let cmp = compare(Benchmark::OceanContiguous);
     assert_eq!(cmp.baseline.local_probes, 0);
     assert!(cmp.allarm.local_probes > 0);
     assert!(cmp.hidden_probe_fraction() > 0.5);
@@ -88,16 +90,15 @@ fn baseline_performs_no_local_probes_and_allarm_hides_most_of_them() {
 fn local_fraction_tracks_the_benchmark_mix() {
     // Mostly-shared blackscholes must see a lower local fraction than the
     // NUMA-friendly ocean.
-    let cfg = tiny_cfg();
-    let blackscholes = compare(Benchmark::Blackscholes, &cfg);
-    let ocean = compare(Benchmark::OceanContiguous, &cfg);
+    let blackscholes = compare(Benchmark::Blackscholes);
+    let ocean = compare(Benchmark::OceanContiguous);
     assert!(blackscholes.local_fraction() < ocean.local_fraction());
 }
 
 #[test]
 fn simulation_is_deterministic_end_to_end() {
     // The same scenario twice, in one parallel batch.
-    let scenario = tiny_cfg().scenario(Benchmark::Dedup, AllocationPolicy::Allarm);
+    let scenario = tiny(Benchmark::Dedup, AllocationPolicy::Allarm);
     let results = BatchRunner::with_threads(2)
         .run(&[scenario.clone(), scenario])
         .unwrap();
@@ -108,7 +109,7 @@ fn simulation_is_deterministic_end_to_end() {
 
 #[test]
 fn shrinking_the_probe_filter_never_helps_the_baseline() {
-    let base = tiny_cfg().scenario(Benchmark::Barnes, AllocationPolicy::Baseline);
+    let base = tiny(Benchmark::Barnes, AllocationPolicy::Baseline);
     let points = paired(ScenarioGrid::new(base).pf_coverages(vec![512 * 1024, 64 * 1024]));
     assert_eq!(points.len(), 2);
     assert_eq!(points[0].baseline.pf_coverage_bytes, 512 * 1024);
@@ -122,9 +123,14 @@ fn shrinking_the_probe_filter_never_helps_the_baseline() {
 
 #[test]
 fn multiprocess_workload_is_local_and_allarm_keeps_it_out_of_the_directory() {
-    let cfg = tiny_cfg().with_accesses_per_thread(4_000);
-    let base = cfg.multiprocess_scenario(Benchmark::Cholesky, AllocationPolicy::Baseline);
-    let point = &paired(ScenarioGrid::new(base).pf_coverages(vec![64 * 1024]))[0];
+    // One point of the Fig. 4 grid: two copies of cholesky, on cores 0 and 8.
+    let base = load_grid("fig4_multiprocess.toml")
+        .base
+        .with_accesses(4_000);
+    let grid = ScenarioGrid::new(base)
+        .benchmarks(vec![Benchmark::Cholesky])
+        .pf_coverages(vec![64 * 1024]);
+    let point = &paired(grid)[0];
     assert_eq!(point.baseline.workload, "cholesky-2p");
     assert!(point.baseline.local_fraction() > 0.95);
     // The baseline allocates for everything; ALLARM allocates (almost)
@@ -153,7 +159,7 @@ fn policies_agree_when_there_is_no_coherence_pressure() {
 
 #[test]
 fn energy_tracks_activity() {
-    let cmp = compare(Benchmark::OceanNonContiguous, &tiny_cfg());
+    let cmp = compare(Benchmark::OceanNonContiguous);
     assert!(cmp.baseline.energy.probe_filter_pj > 0.0);
     assert!(cmp.baseline.energy.noc_pj > 0.0);
     // Fewer evictions and allocations must not cost more probe-filter energy.

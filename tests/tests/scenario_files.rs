@@ -1,74 +1,19 @@
-//! The checked-in scenario grids under `scenarios/` must stay in sync with
-//! the constructors in `allarm_bench` (regenerate with
-//! `cargo run -p allarm-bench --bin export_scenarios`).
+//! The documents under `scenarios/` are the only definition of every grid:
+//! each must load as a grid that validates, and keep the shape the paper's
+//! figures, the examples and the CI gates rely on.
 
-use allarm_bench::{
-    consolidation_grid, fig3_grid, fig3h_grid, fig4_grid, kv_store_grid, scale256_grid,
-    scale256_pf_sweep_grid, scale64_grid, scale64_pf_sweep_grid, streamcluster_grid,
-    tracefile_comparison_grid, tracefile_source_grid, tracefile_v2_comparison_grid,
-    CONSOLIDATION_TENANTS, TRACE_SAMPLE_THREADS,
-};
-use allarm_core::{ExperimentConfig, ScenarioGrid};
-use std::path::{Path, PathBuf};
-
-fn scenarios_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
-}
-
-fn load(name: &str) -> ScenarioGrid {
-    let path = scenarios_dir().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    ScenarioGrid::from_toml(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
-}
-
-#[test]
-fn checked_in_grids_match_the_constructors() {
-    let cfg = ExperimentConfig::paper();
-    assert_eq!(load("fig3_comparison.toml"), fig3_grid(&cfg));
-    assert_eq!(load("fig3h_pf_sweep.toml"), fig3h_grid(&cfg));
-    assert_eq!(load("fig4_multiprocess.toml"), fig4_grid(&cfg));
-    assert_eq!(
-        load("streamcluster_comparison.toml"),
-        streamcluster_grid(&cfg)
-    );
-    let scale64 = ExperimentConfig::scale64();
-    assert_eq!(load("scale64_comparison.toml"), scale64_grid(&scale64));
-    assert_eq!(
-        load("scale64_pf_sweep.toml"),
-        scale64_pf_sweep_grid(&scale64)
-    );
-    let scale256 = ExperimentConfig::scale256();
-    assert_eq!(load("scale256_comparison.toml"), scale256_grid(&scale256));
-    assert_eq!(
-        load("scale256_pf_sweep.toml"),
-        scale256_pf_sweep_grid(&scale256)
-    );
-    assert_eq!(load("tracefile_source.toml"), tracefile_source_grid());
-    assert_eq!(
-        load("tracefile_comparison.toml"),
-        tracefile_comparison_grid()
-    );
-    assert_eq!(
-        load("tracefile_v2_comparison.toml"),
-        tracefile_v2_comparison_grid()
-    );
-    assert_eq!(load("kv_store_comparison.toml"), kv_store_grid(&cfg));
-    assert_eq!(
-        load("consolidation_comparison.toml"),
-        consolidation_grid(&cfg)
-    );
-}
+use allarm_core::ScenarioGrid;
+use allarm_tests::{load_grid, scenarios_dir};
+use allarm_types::config::FabricKind;
+use allarm_types::ids::CoreId;
+use allarm_workloads::WorkloadSpec;
 
 /// Scenario documents from before the multi-core-node refactor carry no
 /// `cores_per_node` field; they must keep parsing as one-core-per-node
 /// machines so every historical grid is still byte-compatible.
 #[test]
 fn pre_topology_documents_default_to_one_core_per_node() {
-    let text = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios/fig3_comparison.toml"),
-    )
-    .unwrap();
+    let text = std::fs::read_to_string(scenarios_dir().join("fig3_comparison.toml")).unwrap();
     let stripped: String = text
         .lines()
         .filter(|l| !l.starts_with("cores_per_node"))
@@ -76,7 +21,7 @@ fn pre_topology_documents_default_to_one_core_per_node() {
         .collect();
     let grid = ScenarioGrid::from_toml(&stripped).unwrap();
     assert_eq!(grid.base.machine.cores_per_node.get(), 1);
-    assert_eq!(grid, fig3_grid(&ExperimentConfig::paper()));
+    assert_eq!(grid, load_grid("fig3_comparison.toml"));
 }
 
 /// Scenario documents from before the NUCA/fabric work carry neither an
@@ -111,118 +56,118 @@ fn pre_nuca_documents_default_to_no_llc_and_a_mesh_fabric() {
     assert!(!stripped.contains("llc") && !stripped.contains("fabric"));
     let grid = ScenarioGrid::from_toml(&stripped).unwrap();
     assert!(!grid.base.machine.llc.enabled);
-    assert_eq!(
-        grid.base.machine.noc.fabric,
-        allarm_types::config::FabricKind::Mesh
-    );
+    assert_eq!(grid.base.machine.noc.fabric, FabricKind::Mesh);
     assert_eq!(grid.base.machine.noc.concentration.get(), 1);
-    assert_eq!(grid, fig3_grid(&ExperimentConfig::paper()));
+    assert_eq!(grid, load_grid("fig3_comparison.toml"));
 }
 
 #[test]
 fn checked_in_grids_are_valid_and_sized_as_documented() {
-    let fig3 = load("fig3_comparison.toml");
-    assert_eq!(fig3.len(), 16); // 8 benchmarks x 2 policies
-    fig3.validate().unwrap();
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(scenarios_dir()).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if !name.ends_with(".toml") {
+            continue;
+        }
+        // Trace paths are resolved against scenarios/ (what scenario_run
+        // does), so this also proves every committed sample trace exists
+        // and its header is well-formed and machine-compatible.
+        let grid = load_grid(&name);
+        grid.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(!grid.is_empty(), "{name} expands to no scenario");
+        names.push(name);
+    }
+    assert!(
+        names.iter().any(|n| n == "scale64_fork_sweep.toml"),
+        "every document is listed: {names:?}"
+    );
 
-    let fig3h = load("fig3h_pf_sweep.toml");
+    let fig3 = load_grid("fig3_comparison.toml");
+    assert_eq!(fig3.len(), 16); // 8 benchmarks x 2 policies
+
+    let fig3h = load_grid("fig3h_pf_sweep.toml");
     assert_eq!(fig3h.len(), 48); // x 3 coverages
     assert_eq!(fig3h.pf_coverages, vec![512 * 1024, 256 * 1024, 128 * 1024]);
-    fig3h.validate().unwrap();
 
-    let fig4 = load("fig4_multiprocess.toml");
+    // Fig. 4: two single-threaded processes on opposite quadrants of the
+    // 4x4 mesh, across five coverages from 512 kB down to 32 kB.
+    let fig4 = load_grid("fig4_multiprocess.toml");
     assert_eq!(fig4.len(), 40); // 4 benchmarks x 5 coverages x 2 policies
     assert_eq!(fig4.base.workload.cores_required().unwrap(), 9);
-    fig4.validate().unwrap();
+    let WorkloadSpec::Multiprocess { cores, .. } = &fig4.base.workload else {
+        panic!("fig4 runs a multi-process workload");
+    };
+    assert_eq!(cores, &[CoreId::new(0), CoreId::new(8)]);
+    assert_eq!(
+        fig4.pf_coverages,
+        vec![512 * 1024, 256 * 1024, 128 * 1024, 64 * 1024, 32 * 1024]
+    );
 
-    let streamcluster = load("streamcluster_comparison.toml");
+    let streamcluster = load_grid("streamcluster_comparison.toml");
     assert_eq!(streamcluster.len(), 2); // 1 benchmark x 2 policies
     assert_eq!(streamcluster.base.workload.label(), "streamcluster");
-    streamcluster.validate().unwrap();
 
-    let scale64 = load("scale64_comparison.toml");
+    let scale64 = load_grid("scale64_comparison.toml");
     assert_eq!(scale64.len(), 6); // 3 benchmarks x 2 policies
     assert_eq!(scale64.base.machine.num_cores, 64);
     assert_eq!(scale64.base.machine.cores_per_node.get(), 4);
     assert_eq!(scale64.base.machine.num_nodes(), 16);
-    scale64.validate().unwrap();
 
-    let sweep = load("scale64_pf_sweep.toml");
+    // The directory-pressure sweep starts at the node's full probe-filter
+    // coverage and only shrinks it.
+    let sweep = load_grid("scale64_pf_sweep.toml");
     assert_eq!(sweep.len(), 8); // 4 coverages x 2 policies
-    assert_eq!(sweep.pf_coverages, allarm_core::SCALE64_COVERAGES.to_vec());
-    sweep.validate().unwrap();
+    assert_eq!(
+        sweep.pf_coverages,
+        vec![2 * 1024 * 1024, 1024 * 1024, 512 * 1024, 256 * 1024]
+    );
+    assert_eq!(
+        sweep.pf_coverages[0],
+        sweep.base.machine.probe_filter.coverage_bytes
+    );
+    assert!(sweep.pf_coverages.windows(2).all(|w| w[0] > w[1]));
 
-    let scale256 = load("scale256_comparison.toml");
+    let scale256 = load_grid("scale256_comparison.toml");
     assert_eq!(scale256.len(), 6); // 3 benchmarks x 2 policies
     assert_eq!(scale256.base.machine.num_cores, 256);
     assert_eq!(scale256.base.machine.num_nodes(), 64);
-    assert_eq!(
-        scale256.base.machine.noc.fabric,
-        allarm_types::config::FabricKind::Torus
-    );
+    assert_eq!(scale256.base.machine.noc.fabric, FabricKind::Torus);
     assert!(scale256.base.machine.llc.enabled);
-    scale256.validate().unwrap();
 
-    let sweep256 = load("scale256_pf_sweep.toml");
+    // Same per-node shape as scale64, so the same coverage range.
+    let sweep256 = load_grid("scale256_pf_sweep.toml");
     assert_eq!(sweep256.len(), 8); // 4 coverages x 2 policies
-    assert_eq!(
-        sweep256.base.machine.noc.fabric,
-        allarm_types::config::FabricKind::CMesh
-    );
+    assert_eq!(sweep256.base.machine.noc.fabric, FabricKind::CMesh);
     assert_eq!(sweep256.base.machine.noc.concentration.get(), 4);
-    assert_eq!(
-        sweep256.pf_coverages,
-        allarm_core::SCALE256_COVERAGES.to_vec()
-    );
-    sweep256.validate().unwrap();
+    assert_eq!(sweep256.pf_coverages, sweep.pf_coverages);
 
-    let source = load("tracefile_source.toml");
+    let source = load_grid("tracefile_source.toml");
     assert_eq!(source.len(), 2); // 1 workload x 2 policies
-    source.validate().unwrap();
+    assert_eq!(source.base.workload.cores_required().unwrap(), 2);
 
-    // The replay grid names its trace relative to the document, so resolve
-    // against scenarios/ (what scenario_run does) before validating — this
-    // also proves the committed sample trace exists and its header is
-    // well-formed and machine-compatible.
-    let mut replay = load("tracefile_comparison.toml");
-    replay.base.workload = replay.base.workload.resolved_against(&scenarios_dir());
+    let replay = load_grid("tracefile_comparison.toml");
     assert_eq!(replay.len(), 2);
-    replay.validate().unwrap();
     assert_eq!(replay.base.workload.label(), "blackscholes");
-    assert_eq!(
-        replay.base.workload.cores_required().unwrap(),
-        TRACE_SAMPLE_THREADS
-    );
+    assert_eq!(replay.base.workload.cores_required().unwrap(), 2);
 
-    // The v2 replay resolves the same way; unlike the v1 grid it opens as
-    // a true streaming source.
-    let mut replay_v2 = load("tracefile_v2_comparison.toml");
-    replay_v2.base.workload = replay_v2.base.workload.resolved_against(&scenarios_dir());
+    // Unlike the v1 grid, the v2 replay opens as a true streaming source.
+    let replay_v2 = load_grid("tracefile_v2_comparison.toml");
     assert_eq!(replay_v2.len(), 2);
-    replay_v2.validate().unwrap();
     assert!(replay_v2
         .base
         .workload
         .streaming_source()
         .unwrap()
         .is_some());
-    assert_eq!(
-        replay_v2.base.workload.cores_required().unwrap(),
-        TRACE_SAMPLE_THREADS
-    );
+    assert_eq!(replay_v2.base.workload.cores_required().unwrap(), 2);
 
-    let kv = load("kv_store_comparison.toml");
+    let kv = load_grid("kv_store_comparison.toml");
     assert_eq!(kv.len(), 2); // 1 benchmark x 2 policies
     assert_eq!(kv.base.workload.label(), "kv-store");
-    kv.validate().unwrap();
 
-    let consolidation = load("consolidation_comparison.toml");
+    let consolidation = load_grid("consolidation_comparison.toml");
     assert_eq!(consolidation.len(), 2); // 1 workload x 2 policies
-    assert_eq!(
-        consolidation.base.workload.cores_required().unwrap(),
-        CONSOLIDATION_TENANTS
-    );
-    consolidation.validate().unwrap();
+    assert_eq!(consolidation.base.workload.cores_required().unwrap(), 12);
 }
 
 /// The committed sample trace must be exactly what `trace_tool record`
@@ -231,11 +176,10 @@ fn checked_in_grids_are_valid_and_sized_as_documented() {
 /// catches drift too.
 #[test]
 fn committed_sample_trace_matches_the_source_grid() {
-    let source = load("tracefile_source.toml");
+    let source = load_grid("tracefile_source.toml");
     let recorded = source.base.workload.materialize(source.base.seed);
 
-    let mut replay = load("tracefile_comparison.toml");
-    replay.base.workload = replay.base.workload.resolved_against(&scenarios_dir());
+    let replay = load_grid("tracefile_comparison.toml");
     let replayed = replay.base.workload.materialize(replay.base.seed);
     assert_eq!(
         replayed, recorded,
@@ -247,8 +191,7 @@ fn committed_sample_trace_matches_the_source_grid() {
 
     // The frame-chunked v2 sample carries the same reference stream — both
     // via full materialization and via the header-level stream checksum.
-    let mut v2 = load("tracefile_v2_comparison.toml");
-    v2.base.workload = v2.base.workload.resolved_against(&scenarios_dir());
+    let v2 = load_grid("tracefile_v2_comparison.toml");
     let streamed = v2.base.workload.streaming_source().unwrap().unwrap();
     assert_eq!(
         streamed.checksum(),

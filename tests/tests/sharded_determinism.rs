@@ -4,97 +4,82 @@
 //! serial run — the same guarantee the batch runner gives across
 //! scenario-level workers, extended down into a single simulation.
 //!
-//! The grids are scaled down (shorter traces), and the two large sweep
-//! grids are subsampled (every 4th point — all benchmarks and both
-//! policies still appear), so the sweep stays fast; determinism is a
-//! structural property of the kernel, not of the trace length. The CI
-//! determinism gate complements this by diffing `scenario_run
-//! --sim-threads 4` output on the *full* fig3 grid.
+//! The grids are scaled down (shorter traces), and the large sweep grids
+//! are subsampled (every benchmark still appears), so the sweep stays
+//! fast; determinism is a structural property of the kernel,
+//! not of the trace length. The CI determinism gate complements this by
+//! diffing `scenario_run --sim-threads 4` output on the *full* fig3 grid.
 
-use allarm_bench::{
-    fig3_grid, fig3h_grid, fig4_grid, scale256_grid, scale256_pf_sweep_grid, scale64_grid,
-    scale64_pf_sweep_grid, streamcluster_grid, tracefile_comparison_grid,
-};
-use allarm_core::{BatchRunner, ExperimentConfig, JsonlSink, Scenario};
-use std::path::Path;
+use allarm_core::{BatchRunner, JsonlSink, Scenario};
+use allarm_tests::{load_grid, scenarios_dir, shortened};
 
-/// The checked-in grids, scaled down to test length (large grids
-/// subsampled with stride 4). The scale64 grids put the multi-core-node
-/// topology — where a shard owns whole nodes, i.e. blocks of four cores —
-/// under the same byte-identity requirement as the paper machines.
-fn scaled_grids() -> Vec<(&'static str, Vec<Scenario>)> {
-    let cfg = ExperimentConfig::paper().with_accesses_per_thread(700);
-    let scale64 = ExperimentConfig::scale64().with_accesses_per_thread(400);
-    let stride4 = |v: Vec<Scenario>| -> Vec<Scenario> { v.into_iter().step_by(4).collect() };
-    vec![
-        ("fig3_comparison", fig3_grid(&cfg).expand()),
-        ("fig3h_pf_sweep", stride4(fig3h_grid(&cfg).expand())),
-        ("fig4_multiprocess", stride4(fig4_grid(&cfg).expand())),
-        (
-            "streamcluster_comparison",
-            streamcluster_grid(&cfg).expand(),
-        ),
-        ("scale64_comparison", scale64_grid(&scale64).expand()),
-        (
-            // Stride 3 keeps both policies represented (policy is the
-            // fastest-varying axis, so stride 4 would sample only
-            // baselines).
-            "scale64_pf_sweep",
-            scale64_pf_sweep_grid(&scale64)
-                .expand()
-                .into_iter()
-                .step_by(3)
-                .collect(),
-        ),
-        (
-            // The 256-core NUCA machine (torus fabric, LLC slices on):
-            // stride 3 over the 3-benchmark × 2-policy grid keeps both
-            // policies while the short trace keeps the sweep fast.
-            "scale256_comparison",
-            {
-                let scale256 = ExperimentConfig::scale256().with_accesses_per_thread(150);
-                scale256_grid(&scale256)
-                    .expand()
-                    .into_iter()
-                    .step_by(3)
-                    .collect()
-            },
-        ),
-        (
-            // The concentrated-mesh sweep, subsampled the same way (stride
-            // 5 over 4 coverages × 2 policies covers both policies and two
-            // coverages).
-            "scale256_pf_sweep",
-            {
-                let scale256 = ExperimentConfig::scale256().with_accesses_per_thread(150);
-                scale256_pf_sweep_grid(&scale256)
-                    .expand()
-                    .into_iter()
-                    .step_by(5)
-                    .collect()
-            },
-        ),
-        (
-            // The trace-replay grid: an externally-sourced reference
-            // stream must be just as shard-count-independent as a
-            // generated one. The committed sample is already short, so it
-            // runs at full length (trace replays ignore access overrides).
-            "tracefile_comparison",
-            {
-                let mut grid = tracefile_comparison_grid();
-                grid.base.workload = grid
-                    .base
-                    .workload
-                    .resolved_against(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios"));
-                grid.expand()
-            },
-        ),
-    ]
+/// How each checked-in document is scaled down: its per-thread trace
+/// length (`None`: the full length) and the stride its expansion is
+/// subsampled with. Policy is the fastest-varying axis, so the odd strides
+/// keep both policies, while stride 4 keeps every benchmark of the fig3h
+/// and fig4 sweeps but only their baseline points. The scale64 and
+/// scale256 grids put the multi-core-node topology — where a shard owns
+/// whole nodes, i.e. blocks of four cores — and the NUCA machine (LLC
+/// slices on, torus and concentrated-mesh fabrics) under the same
+/// byte-identity requirement as the paper machine. The three trace grids
+/// cover an externally sourced reference stream: the v1 replay at full
+/// length (the committed sample is already short) and the streaming
+/// binary-v2 path.
+const SHRINK: [(&str, Option<usize>, usize); 13] = [
+    ("consolidation_comparison.toml", Some(700), 1),
+    ("fig3_comparison.toml", Some(700), 1),
+    ("fig3h_pf_sweep.toml", Some(700), 4),
+    ("fig4_multiprocess.toml", Some(700), 4),
+    ("kv_store_comparison.toml", Some(700), 1),
+    ("scale256_comparison.toml", Some(150), 3),
+    ("scale256_pf_sweep.toml", Some(150), 5),
+    ("scale64_comparison.toml", Some(400), 1),
+    ("scale64_pf_sweep.toml", Some(400), 3),
+    ("streamcluster_comparison.toml", Some(700), 1),
+    ("tracefile_comparison.toml", None, 1),
+    ("tracefile_source.toml", Some(700), 1),
+    ("tracefile_v2_comparison.toml", Some(700), 1),
+];
+
+/// Documents this test leaves out. The fork-from-warm sweep's point is its
+/// trace-length axis, which shortening would flatten; CI's "snapshot
+/// checkpoint/restore gate" runs it whole, restores it at `sim_threads`
+/// 1, 2 and 4 and diffs every row against the uninterrupted run.
+const LEFT_OUT: [&str; 1] = ["scale64_fork_sweep.toml"];
+
+/// Every `*.toml` under `scenarios/`, by file name.
+fn checked_in_documents() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(scenarios_dir())
+        .expect("scenarios/ is readable")
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".toml"))
+        .collect();
+    names.sort();
+    names
 }
 
 #[test]
 fn sharded_runs_are_byte_identical_across_every_checked_in_grid() {
-    for (name, scenarios) in scaled_grids() {
+    let mut covered: Vec<String> = SHRINK
+        .iter()
+        .map(|(name, ..)| name.to_string())
+        .chain(LEFT_OUT.iter().map(|name| name.to_string()))
+        .collect();
+    covered.sort();
+    assert_eq!(
+        covered,
+        checked_in_documents(),
+        "every document under scenarios/ needs a row in SHRINK (or LEFT_OUT)"
+    );
+
+    for (name, accesses, stride) in SHRINK {
+        let scenarios: Vec<Scenario> = match accesses {
+            Some(accesses) => shortened(name, accesses),
+            None => load_grid(name).expand(),
+        }
+        .into_iter()
+        .step_by(stride)
+        .collect();
         let serial: Vec<Scenario> = scenarios
             .iter()
             .map(|s| s.clone().with_sim_threads(1))
@@ -129,13 +114,10 @@ fn sharded_runs_are_byte_identical_across_every_checked_in_grid() {
 /// most work.
 #[test]
 fn deep_miss_windows_stay_byte_identical_across_shard_counts() {
-    use allarm_core::AllocationPolicy;
     use allarm_types::{MissWindowConfig, Nanos};
-    use allarm_workloads::Benchmark;
 
-    let mut base = ExperimentConfig::scale64()
-        .with_accesses_per_thread(500)
-        .scenario(Benchmark::Raytrace, AllocationPolicy::Baseline);
+    let mut base = load_grid("scale64_comparison.toml").base.with_accesses(500);
+    assert_eq!(base.name, "raytrace/baseline");
     base.machine.miss_window = MissWindowConfig {
         depth: 16,
         horizon: Nanos::new(2_000),
@@ -166,8 +148,7 @@ fn deep_miss_windows_stay_byte_identical_across_shard_counts() {
 /// `scenario_run --sim-threads 4`.
 #[test]
 fn rendered_jsonl_is_identical_across_shard_counts() {
-    let cfg = ExperimentConfig::paper().with_accesses_per_thread(500);
-    let scenarios = streamcluster_grid(&cfg).expand();
+    let scenarios = shortened("streamcluster_comparison.toml", 500);
 
     let mut renderings = Vec::new();
     for sim_threads in [1usize, 4] {
