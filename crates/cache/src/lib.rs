@@ -6,8 +6,8 @@
 //!
 //! * [`CoherenceState`] — MOESI line states shared with the directory model;
 //! * [`SetAssocCache`] — a generic set-associative array with pluggable
-//!   replacement ([`ReplacementPolicy`]), used both for the data caches here
-//!   and for the probe-filter array in `allarm-coherence`;
+//!   replacement ([`ReplacementPolicy`]), backing the private data caches
+//!   and the shared LLC slices ([`LlcSlice`]);
 //! * [`CoreCaches`] — the per-core L1D + exclusive L2 hierarchy with the
 //!   fill/eviction/invalidation operations the directory controller needs.
 //!

@@ -32,8 +32,9 @@ struct Way {
 
 /// A set-associative array of cache lines with MOESI state per line.
 ///
-/// This structure is used both for the data caches (`L1D`, `L2`) and, in
-/// `allarm-coherence`, as the tag array backing the probe filter.
+/// This structure backs the private data caches (`L1D`, `L2`) and the
+/// shared per-node LLC slices. (The probe filter keeps its own slab, in
+/// `allarm-coherence`.)
 ///
 /// Storage is a single flat slab of `num_sets * ways` entries indexed by
 /// `set * ways + way` — one allocation, cache-friendly walks — with a
@@ -97,8 +98,8 @@ impl SetAssocCache {
         Self::from_geometry(num_sets, ways, policy)
     }
 
-    /// Creates a cache from an explicit (sets, ways) geometry; used by the
-    /// probe filter whose "line size" is a directory entry, not 64 bytes.
+    /// Creates a cache from an explicit (sets, ways) geometry, without a
+    /// [`CacheConfig`]'s byte sizes.
     ///
     /// # Panics
     ///

@@ -667,7 +667,7 @@ pub fn verify_resume_rows(scenarios: &[Scenario], rows: &[RecordedRow]) -> Resul
 }
 
 /// Quotes a CSV field if it contains a comma, quote or newline.
-fn csv_escape(field: &str) -> String {
+pub(crate) fn csv_escape(field: &str) -> String {
     if field.contains([',', '"', '\n']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -1624,6 +1624,28 @@ mod tests {
             .unwrap();
         sink.finish().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), reference);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn csv_rows_quote_comma_bearing_workload_names() {
+        // A trace replay's workload name comes from its header, and a text
+        // trace's `name` directive may hold commas.
+        let scenarios: Vec<Scenario> = tiny_grid().into_iter().take(1).collect();
+        let mut results = BatchRunner::with_threads(1).run(&scenarios).unwrap();
+        let mut entry = results.entries.remove(0);
+        entry.report.workload = "black,scholes".to_string();
+        let dir = std::env::temp_dir().join(format!("allarm-csv-name-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("named.csv");
+
+        let mut sink = CsvFileSink::create(&path).unwrap();
+        sink.record(&entry);
+        sink.finish().unwrap();
+        let scan = CsvFileSink::scan(&path).unwrap();
+        assert_eq!(scan.completed(), HashSet::from([0]));
+        assert_eq!(scan.rows()[0].scenario, entry.scenario.name);
+        assert_eq!(scan.rows()[0].total_accesses, entry.report.total_accesses);
         std::fs::remove_dir_all(&dir).ok();
     }
 

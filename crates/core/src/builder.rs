@@ -1,14 +1,13 @@
 //! Validating builder for configured simulators.
 //!
 //! [`SimulationBuilder`] is the only way to construct a [`Simulator`]: it
-//! collects the machine, policies and energy model (from a [`Scenario`] or
+//! collects the machine and policies (from a [`Scenario`] or
 //! programmatically), validates the combination once, and hands out a
 //! ready-to-run simulator. Replaces the old positional
 //! `Simulator::new(MachineConfig, AllocationPolicy)` constructor, which
 //! could build unvalidated simulators that only failed deep inside `run`.
 
 use allarm_coherence::AllocationPolicy;
-use allarm_energy::EnergyModel;
 use allarm_mem::NumaPolicy;
 use allarm_types::config::MachineConfig;
 use allarm_types::error::ConfigError;
@@ -40,20 +39,17 @@ pub struct SimulationBuilder {
     machine: MachineConfig,
     policy: AllocationPolicy,
     numa_policy: NumaPolicy,
-    energy_model: EnergyModel,
     sim_threads: usize,
 }
 
 impl SimulationBuilder {
     /// Starts a builder for `machine` with the defaults the paper uses:
-    /// baseline allocation, first-touch NUMA placement, the 32 nm energy
-    /// model.
+    /// baseline allocation and first-touch NUMA placement.
     pub fn new(machine: MachineConfig) -> Self {
         SimulationBuilder {
             machine,
             policy: AllocationPolicy::default(),
             numa_policy: NumaPolicy::default(),
-            energy_model: EnergyModel::default(),
             sim_threads: 1,
         }
     }
@@ -70,7 +66,6 @@ impl SimulationBuilder {
             machine: scenario.machine,
             policy: scenario.policy,
             numa_policy: scenario.numa_policy,
-            energy_model: EnergyModel::default(),
             sim_threads: scenario.sim_threads.get(),
         })
     }
@@ -84,12 +79,6 @@ impl SimulationBuilder {
     /// Sets the NUMA page-placement policy.
     pub fn numa_policy(mut self, numa_policy: NumaPolicy) -> Self {
         self.numa_policy = numa_policy;
-        self
-    }
-
-    /// Sets the per-event energy model.
-    pub fn energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy_model = model;
         self
     }
 
@@ -114,7 +103,6 @@ impl SimulationBuilder {
             self.machine,
             self.policy,
             self.numa_policy,
-            self.energy_model,
             self.sim_threads,
         ))
     }
@@ -139,7 +127,6 @@ mod tests {
         let sim = SimulationBuilder::new(MachineConfig::small_test())
             .policy(AllocationPolicy::Allarm)
             .numa_policy(NumaPolicy::Interleaved)
-            .energy_model(EnergyModel::mcpat_32nm())
             .sim_threads(4)
             .build()
             .unwrap();

@@ -1,5 +1,6 @@
 //! Simulation reports and baseline-vs-ALLARM comparisons.
 
+use crate::batch::csv_escape;
 use allarm_energy::DynamicEnergy;
 use allarm_types::stats::{normalized, ratio};
 use allarm_types::Nanos;
@@ -107,14 +108,14 @@ impl SimReport {
          workload_checksum";
 
     /// Renders the report as one flat CSV row matching
-    /// [`SimReport::CSV_HEADER`]. Workload and policy names never contain
-    /// commas (they are benchmark/policy identifiers), so no quoting is
-    /// applied here.
+    /// [`SimReport::CSV_HEADER`]. The workload and policy names are quoted
+    /// when needed: a trace replay takes its workload name from the trace
+    /// header, and a text trace's `name` directive may hold commas.
     pub fn csv_row(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:016x}",
-            self.workload,
-            self.policy,
+            csv_escape(&self.workload),
+            csv_escape(&self.policy),
             self.pf_coverage_bytes,
             self.runtime.as_u64(),
             self.total_accesses,

@@ -12,18 +12,30 @@
 //! 1. **Core phase** (parallel, shard-local state only): every shard first
 //!    commits the directory replies its cores received last round (fills,
 //!    upgrade grants, clock advances, capacity-victim collection) in
-//!    per-core [`MergeKey`] order, then replays each of its cores forward
-//!    through private-cache hits *and further coherence misses* until the
-//!    core blocks. A core does not stop at its first miss: it keeps
-//!    issuing requests for independent lines, accumulating an in-flight
-//!    *miss window*, until it touches a line that is already in flight,
-//!    fills its window (`miss_window.depth`, the MSHR count), runs past
-//!    the round's time horizon, page-faults, or exhausts its trace.
+//!    per-core [`MergeKey`] order, then replays each of its unfinished
+//!    cores once, forward through private-cache hits *and further
+//!    coherence misses* until the core blocks. A core does not stop at its
+//!    first miss: it keeps issuing requests for independent lines,
+//!    accumulating an in-flight *miss window*, until it touches a line that
+//!    is already in flight, fills its window (`miss_window.depth`, the MSHR
+//!    count), runs past the round's time horizon, page-faults, or exhausts
+//!    its trace.
 //! 2. **Directory phase** (parallel by home node): pending page faults are
 //!    applied to the allocator in deterministic `(time, core, seq)` order
 //!    by the lead shard; concurrently every shard drains the coherence
 //!    events bound for its home nodes — sorted by the same key — through
 //!    its directory slice, probing remote caches through per-core locks.
+//!
+//! **Run order.** A shard runs its unfinished cores in `(local clock, slot
+//! index)` order, laggard first: one sort per core phase. Every run ends
+//! with the core either finished or blocked on something the same round
+//! resolves — its window's replies commit at the start of the next core
+//! phase, and its page fault is applied between the phases — so every
+//! unfinished core is runnable again when the next core phase starts, and
+//! each runs exactly once per round. The order matters only where cores
+//! share shard-local state: same-node cores consult their node's LLC slice
+//! in it. A node's cores always live on one shard, in thread order, so the
+//! order among them does not depend on the shard count.
 //!
 //! **The time horizon.** Batching several misses per round is what lets a
 //! round carry several rounds' worth of traffic per barrier crossing, but
@@ -74,7 +86,7 @@ use allarm_coherence::{
     AllocationPolicy, CoherenceEvent, CoherenceOp, CoherenceReply, CoherenceRequest,
     DirectoryController, DirectoryNodeState, DirectoryShard, RequestKind,
 };
-use allarm_engine::{merge_events, CoreScheduler, Keyed, MergeKey, PhaseBarrier, ShardPlan};
+use allarm_engine::{merge_events, Keyed, MergeKey, PhaseBarrier, ShardPlan};
 use allarm_mem::{NumaAllocator, NumaAllocatorState, NumaPolicy};
 use allarm_noc::NocStats;
 use allarm_types::addr::{LineAddr, VirtAddr};
@@ -169,6 +181,11 @@ struct Slot<'a> {
     /// the window arrives in the next directory phase, so the window is
     /// always empty again when the core next runs.
     window: Vec<Pending>,
+    /// The core's local clock.
+    clock: Nanos,
+    /// True once the trace is exhausted and the window has drained.
+    finished: bool,
+    /// True if the core's last run stopped on a page fault.
     faulted: bool,
 }
 
@@ -236,12 +253,9 @@ pub(crate) struct ThreadState {
     pub(crate) core: CoreId,
     /// The core's local clock.
     pub(crate) clock: Nanos,
-    /// True if the core is parked (full/dependent window, horizon, or a
-    /// trace that ended mid-window).
-    pub(crate) parked: bool,
     /// True if the trace is exhausted and the window has drained.
     pub(crate) finished: bool,
-    /// True if the core parked on a page fault this round.
+    /// True if the core's last run stopped on a page fault.
     pub(crate) faulted: bool,
     /// Next access to replay.
     pub(crate) cursor: usize,
@@ -278,48 +292,45 @@ pub(crate) struct KernelState {
     pub(crate) replies: Vec<CoherenceReply>,
     /// Next round's issue cutoff (identical on every shard).
     pub(crate) round_horizon: Nanos,
-    /// Accesses replayed so far (all shards, plus any earlier resume base).
+    /// Whole-run totals so far (all shards, plus any restored run's).
+    pub(crate) totals: Totals,
+}
+
+/// The run totals: what every shard accumulates, every checkpoint carries
+/// and the report prints. Workers count from zero; a restored run's totals
+/// enter the same [`Totals::absorb`] fold as every shard's, both when a
+/// checkpoint is assembled and when the final report is merged, so totals
+/// stay true across any number of checkpoint/restore generations.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Totals {
+    /// Accesses replayed.
     pub(crate) accesses: u64,
-    /// Rounds executed so far.
+    /// Barrier-to-barrier rounds. Every shard crosses the same barriers,
+    /// so only the lead shard counts them.
     pub(crate) rounds: u64,
-    /// Coherence events drained so far.
+    /// Coherence events drained through directory slices.
     pub(crate) events_merged: u64,
-    /// Deepest miss window seen so far.
+    /// Deepest miss window any core accumulated in a single round.
     pub(crate) max_window: u32,
-    /// Network traffic accumulated so far.
+    /// Network traffic.
     pub(crate) noc: NocStats,
-    /// DRAM line reads so far.
+    /// DRAM line reads.
     pub(crate) dram_reads: u64,
-    /// DRAM writebacks so far.
+    /// DRAM writebacks.
     pub(crate) dram_writes: u64,
 }
 
-/// Counters a restored run starts from. Workers count from zero; the base
-/// is added back when merging the final report *and* when assembling a
-/// later checkpoint, so totals stay true across any number of
-/// checkpoint/restore generations.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ResumeBase {
-    accesses: u64,
-    rounds: u64,
-    events_merged: u64,
-    max_window: u32,
-    noc: NocStats,
-    dram_reads: u64,
-    dram_writes: u64,
-}
-
-impl ResumeBase {
-    fn from_state(state: &KernelState) -> Self {
-        ResumeBase {
-            accesses: state.accesses,
-            rounds: state.rounds,
-            events_merged: state.events_merged,
-            max_window: state.max_window,
-            noc: state.noc.clone(),
-            dram_reads: state.dram_reads,
-            dram_writes: state.dram_writes,
-        }
+impl Totals {
+    /// Folds `other` in: a sum for every count, a max for `max_window`.
+    /// Both are commutative, so the fold order is immaterial to the values.
+    fn absorb(&mut self, other: &Totals) {
+        self.accesses += other.accesses;
+        self.rounds += other.rounds;
+        self.events_merged += other.events_merged;
+        self.max_window = self.max_window.max(other.max_window);
+        self.noc.merge(&other.noc);
+        self.dram_reads += other.dram_reads;
+        self.dram_writes += other.dram_writes;
     }
 }
 
@@ -328,11 +339,7 @@ impl ResumeBase {
 struct ShardPart {
     threads: Vec<ThreadState>,
     dirs: Vec<DirectoryNodeState>,
-    noc: NocStats,
-    dram_reads: u64,
-    dram_writes: u64,
-    events_merged: u64,
-    max_window: u32,
+    totals: Totals,
 }
 
 /// Shared checkpoint coordination. The decision to checkpoint is taken at
@@ -354,12 +361,12 @@ struct CheckpointCtl {
     stop: AtomicBool,
     /// Per-shard capture slots for the round being checkpointed.
     parts: Vec<Mutex<Option<ShardPart>>>,
-    /// Counters the run started from (non-zero after a restore).
-    base: ResumeBase,
+    /// Totals the run started from (non-zero after a restore).
+    base: Totals,
 }
 
 impl CheckpointCtl {
-    fn new(every: u64, num_shards: usize, base: ResumeBase) -> Self {
+    fn new(every: u64, num_shards: usize, base: Totals) -> Self {
         CheckpointCtl {
             every,
             next_target: AtomicU64::new(next_multiple(base.accesses, every)),
@@ -388,14 +395,9 @@ fn next_multiple(total: u64, every: u64) -> u64 {
 /// Everything one shard accumulates that the final report needs.
 struct ShardOutput {
     controllers: Vec<DirectoryController>,
-    noc: NocStats,
-    dram_reads: u64,
-    dram_writes: u64,
-    clocks: Vec<Nanos>,
-    accesses: u64,
-    rounds: u64,
-    events_merged: u64,
-    max_window: u32,
+    /// The largest local clock among the shard's cores.
+    makespan: Nanos,
+    totals: Totals,
 }
 
 /// The checkpoint callback: receives each capture; breaking stops the run.
@@ -407,19 +409,8 @@ pub(crate) struct KernelOutput {
     pub(crate) caches: Vec<CoreCaches>,
     /// Per-node shared LLC slices (empty when the LLC is disabled).
     pub(crate) llc: Vec<LlcSlice>,
-    pub(crate) noc: NocStats,
-    pub(crate) dram_reads: u64,
-    pub(crate) dram_writes: u64,
     pub(crate) makespan: Nanos,
-    pub(crate) total_accesses: u64,
-    /// Barrier-to-barrier rounds the kernel executed; every shard runs the
-    /// same count, so this is also each worker thread's round count.
-    pub(crate) rounds_executed: u64,
-    /// Coherence events drained through directory slices, summed over
-    /// shards and rounds.
-    pub(crate) events_merged: u64,
-    /// Deepest miss window any core accumulated in a single round.
-    pub(crate) max_window_depth: u32,
+    pub(crate) totals: Totals,
 }
 
 /// Replays `source` on the machine with `num_shards` worker threads and
@@ -458,7 +449,7 @@ pub(crate) fn run_kernel(
     let llc = shared_llc(config);
     let mut numa = NumaAllocator::new(num_nodes, config.dram, numa_policy);
     let mut live = source.num_threads();
-    let mut base = ResumeBase::default();
+    let mut base = Totals::default();
     if let Some(state) = restore {
         assert_eq!(
             state.threads.len(),
@@ -494,7 +485,7 @@ pub(crate) fn run_kernel(
                 .restore_state(slice_state);
         }
         live = state.threads.iter().filter(|t| !t.finished).count();
-        base = ResumeBase::from_state(state);
+        base = state.totals.clone();
     }
     let allocator = RwLock::new(numa);
     let exchange = Exchange::new(num_shards);
@@ -561,37 +552,22 @@ pub(crate) fn run_kernel(
 }
 
 /// Folds the per-shard outputs (in shard order, which is node order) into
-/// the single-machine view. Every field is a commutative sum or a max, so
-/// the merge order is immaterial to the values — it is fixed anyway. The
-/// resume base is added back so a restored run reports whole-run totals.
+/// the single-machine view, on top of the totals the run started from, so
+/// a restored run reports whole-run totals.
 fn merge(
     caches: Vec<Mutex<CoreCaches>>,
     llc: Vec<Mutex<LlcSlice>>,
     outputs: Vec<Option<ShardOutput>>,
-    base: &ResumeBase,
+    base: &Totals,
 ) -> KernelOutput {
     let mut controllers = Vec::new();
-    let mut noc = base.noc.clone();
-    let mut dram_reads = base.dram_reads;
-    let mut dram_writes = base.dram_writes;
     let mut makespan = Nanos::ZERO;
-    let mut total_accesses = base.accesses;
-    let mut rounds_executed = 0;
-    let mut events_merged = base.events_merged;
-    let mut max_window_depth = base.max_window;
+    let mut totals = base.clone();
     for output in outputs {
         let output = output.expect("every shard reports an output");
         controllers.extend(output.controllers);
-        noc.merge(&output.noc);
-        dram_reads += output.dram_reads;
-        dram_writes += output.dram_writes;
-        makespan = makespan.max(output.clocks.iter().copied().max().unwrap_or(Nanos::ZERO));
-        total_accesses += output.accesses;
-        // Every shard crosses the same barriers, so `rounds` agree; the
-        // max is that common value, not a sum.
-        rounds_executed = rounds_executed.max(output.rounds);
-        events_merged += output.events_merged;
-        max_window_depth = max_window_depth.max(output.max_window);
+        makespan = makespan.max(output.makespan);
+        totals.absorb(&output.totals);
     }
     KernelOutput {
         controllers,
@@ -603,14 +579,8 @@ fn merge(
             .into_iter()
             .map(|s| s.into_inner().expect("LLC slice lock poisoned"))
             .collect(),
-        noc,
-        dram_reads,
-        dram_writes,
         makespan,
-        total_accesses,
-        rounds_executed: rounds_executed + base.rounds,
-        events_merged,
-        max_window_depth,
+        totals,
     }
 }
 
@@ -620,7 +590,6 @@ struct ShardWorker<'a> {
     topology: Topology,
     /// Node index -> owning shard, for per-destination event routing.
     shard_of_node: Vec<usize>,
-    scheduler: CoreScheduler,
     slots: Vec<Slot<'a>>,
     /// Global core index -> local slot index, for reply delivery.
     slot_of_core: Vec<Option<usize>>,
@@ -640,8 +609,8 @@ struct ShardWorker<'a> {
     /// Shared checkpoint coordination (targets, access total, capture
     /// slots).
     ckpt: &'a CheckpointCtl,
-    /// The value of `accesses` already folded into `ckpt.total`, so each
-    /// core phase publishes only its delta.
+    /// The value of `totals.accesses` already folded into `ckpt.total`, so
+    /// each core phase publishes only its delta.
     accesses_reported: u64,
     l1_latency: Nanos,
     l2_latency: Nanos,
@@ -656,13 +625,13 @@ struct ShardWorker<'a> {
     /// This round's absolute issue cutoff: `min(live clocks) + horizon_ns`
     /// as of the previous round's end, identical on every shard.
     round_horizon: Nanos,
-    accesses: u64,
-    rounds: u64,
-    events_merged: u64,
-    max_window: u32,
+    /// The kernel's own counts. The traffic totals (`noc`, DRAM) stay zero
+    /// here: `sys` accounts them, and [`ShardWorker::totals`] adds them.
+    totals: Totals,
     // Round-local buffers, persisted across rounds so the steady state
     // allocates nothing. The outboxes and `routed` swap with the exchange
     // mailboxes; the scratch vectors are drained or cleared each round.
+    run_order: Vec<usize>,
     outboxes: Vec<Vec<CoherenceEvent>>,
     fault_scratch: Vec<Keyed<PageFault>>,
     inbox_scratch: Vec<CoherenceEvent>,
@@ -707,6 +676,8 @@ impl<'a> ShardWorker<'a> {
                 cursor: 0,
                 seq: 0,
                 window: Vec::new(),
+                clock: Nanos::ZERO,
+                finished: false,
                 faulted: false,
             })
             .collect();
@@ -728,16 +699,10 @@ impl<'a> ShardWorker<'a> {
             policy,
             topology.cores_per_node(),
         );
-        let mut scheduler = CoreScheduler::new(slots.len());
         let mut round_horizon = config.miss_window.horizon;
         if let Some(state) = restore {
             // Snapshot threads are sorted by thread index, so each slot's
-            // state is at its own index. The scheduler rebuild is
-            // equivalent to the captured one (lazy heap, see
-            // `CoreScheduler::import`).
-            let mut clocks = Vec::with_capacity(slots.len());
-            let mut finished = Vec::with_capacity(slots.len());
-            let mut parked = Vec::with_capacity(slots.len());
+            // state is at its own index.
             for slot in &mut slots {
                 let thread = &state.threads[slot.thread];
                 assert_eq!(
@@ -751,12 +716,10 @@ impl<'a> ShardWorker<'a> {
                 slot.cursor = thread.cursor;
                 slot.seq = thread.seq;
                 slot.window = thread.window.clone();
+                slot.clock = thread.clock;
+                slot.finished = thread.finished;
                 slot.faulted = thread.faulted;
-                clocks.push(thread.clock);
-                finished.push(thread.finished);
-                parked.push(thread.parked);
             }
-            scheduler = CoreScheduler::import(clocks, finished, parked);
             for node in nodes {
                 dir.restore_node_state(NodeId::new(node as u16), &state.dirs[node]);
             }
@@ -777,7 +740,6 @@ impl<'a> ShardWorker<'a> {
             shard_id,
             topology,
             shard_of_node,
-            scheduler,
             slots,
             slot_of_core,
             dir,
@@ -797,10 +759,8 @@ impl<'a> ShardWorker<'a> {
             depth: config.miss_window.depth.max(1) as usize,
             horizon_ns: config.miss_window.horizon,
             round_horizon,
-            accesses: 0,
-            rounds: 0,
-            events_merged: 0,
-            max_window: 0,
+            totals: Totals::default(),
+            run_order: Vec::new(),
             outboxes: vec![Vec::new(); num_shards],
             fault_scratch: Vec::new(),
             inbox_scratch: Vec::new(),
@@ -814,7 +774,9 @@ impl<'a> ShardWorker<'a> {
     /// and identical for every shard.
     fn run(&mut self, mut emit: Option<&mut Emit<'_>>) {
         loop {
-            self.rounds += 1;
+            if self.shard_id == 0 {
+                self.totals.rounds += 1;
+            }
             self.core_phase();
             self.barrier.wait();
             if self.shard_id == 0 {
@@ -858,7 +820,7 @@ impl<'a> ShardWorker<'a> {
         self.barrier.wait();
         if self.shard_id == 0 {
             let state = self.assemble();
-            let total = state.accesses;
+            let total = state.totals.accesses;
             if let Some(emit) = emit {
                 if emit(state).is_break() {
                     self.ckpt.stop.store(true, Ordering::Release);
@@ -873,33 +835,38 @@ impl<'a> ShardWorker<'a> {
     }
 
     /// This shard's slice of a checkpoint: its threads, its home nodes'
-    /// directory state, and its private counters.
+    /// directory state, and its totals.
     fn capture_part(&self) -> ShardPart {
         let threads = self
             .slots
             .iter()
-            .enumerate()
-            .map(|(local, slot)| ThreadState {
+            .map(|slot| ThreadState {
                 thread: slot.thread,
                 core: slot.core,
-                clock: self.scheduler.time_of(local),
-                parked: self.scheduler.is_parked(local),
-                finished: self.scheduler.is_finished(local),
+                clock: slot.clock,
+                finished: slot.finished,
                 faulted: slot.faulted,
                 cursor: slot.cursor,
                 seq: slot.seq,
                 window: slot.window.clone(),
             })
             .collect();
-        let (noc, dram_reads, dram_writes) = self.sys.stats_view();
         ShardPart {
             threads,
             dirs: self.dir.export_state(),
+            totals: self.totals(),
+        }
+    }
+
+    /// This shard's totals so far: the kernel's counts plus the traffic
+    /// its system view accounted.
+    fn totals(&self) -> Totals {
+        let (noc, dram_reads, dram_writes) = self.sys.stats_view();
+        Totals {
             noc,
             dram_reads,
             dram_writes,
-            events_merged: self.events_merged,
-            max_window: self.max_window,
+            ..self.totals.clone()
         }
     }
 
@@ -909,14 +876,9 @@ impl<'a> ShardWorker<'a> {
     /// are cloned out of the mailboxes (not drained — the next core phase
     /// still commits them) and sorted by the order they commit in.
     fn assemble(&self) -> KernelState {
-        let base = &self.ckpt.base;
         let mut threads: Vec<ThreadState> = Vec::new();
         let mut dirs = Vec::new();
-        let mut noc = base.noc.clone();
-        let mut dram_reads = base.dram_reads;
-        let mut dram_writes = base.dram_writes;
-        let mut events_merged = base.events_merged;
-        let mut max_window = base.max_window;
+        let mut totals = self.ckpt.base.clone();
         for part in &self.ckpt.parts {
             let part = part
                 .lock()
@@ -925,11 +887,7 @@ impl<'a> ShardWorker<'a> {
                 .expect("every shard deposits a part before the barrier");
             threads.extend(part.threads);
             dirs.extend(part.dirs);
-            noc.merge(&part.noc);
-            dram_reads += part.dram_reads;
-            dram_writes += part.dram_writes;
-            events_merged += part.events_merged;
-            max_window = max_window.max(part.max_window);
+            totals.absorb(&part.totals);
         }
         threads.sort_by_key(|t| t.thread);
         let caches = self
@@ -968,19 +926,14 @@ impl<'a> ShardWorker<'a> {
             allocator,
             replies,
             round_horizon: self.round_horizon,
-            accesses: self.ckpt.total.load(Ordering::Acquire),
-            rounds: self.rounds + base.rounds,
-            events_merged,
-            max_window,
-            noc,
-            dram_reads,
-            dram_writes,
+            totals,
         }
     }
 
     /// Phase 1: commit last round's replies to this shard's cores, then
-    /// replay each runnable core forward until it blocks. Every emitted
-    /// event goes straight into its destination shard's mailbox.
+    /// replay each unfinished core forward until it blocks, laggard first
+    /// (see the module docs on run order). Every emitted event goes
+    /// straight into its destination shard's mailbox.
     fn core_phase(&mut self) {
         let mut outboxes = mem::take(&mut self.outboxes);
         let mut faults = mem::take(&mut self.fault_scratch);
@@ -990,9 +943,14 @@ impl<'a> ShardWorker<'a> {
         {
             let allocator = self.allocator.read().expect("allocator lock poisoned");
             self.deliver_replies(&allocator, &mut outboxes);
-            while let Some(local) = self.scheduler.next_actor() {
+            let mut order = mem::take(&mut self.run_order);
+            order.clear();
+            order.extend((0..self.slots.len()).filter(|&local| !self.slots[local].finished));
+            order.sort_unstable_by_key(|&local| (self.slots[local].clock, local));
+            for &local in &order {
                 self.run_slot(local, &allocator, &mut outboxes, &mut faults);
             }
+            self.run_order = order;
         }
         for (dst, outbox) in outboxes.iter_mut().enumerate() {
             // Swap rather than assign: the consumer drained the mailbox
@@ -1016,10 +974,8 @@ impl<'a> ShardWorker<'a> {
         // across shards (after the barrier) bounds next round's window
         // growth. `u64::MAX` marks a shard with no live cores left.
         let mut min = u64::MAX;
-        for local in 0..self.slots.len() {
-            if !self.scheduler.is_finished(local) {
-                min = min.min(self.scheduler.time_of(local).as_u64());
-            }
+        for slot in self.slots.iter().filter(|slot| !slot.finished) {
+            min = min.min(slot.clock.as_u64());
         }
         self.exchange.min_clock[self.shard_id].store(min, Ordering::Release);
 
@@ -1027,8 +983,8 @@ impl<'a> ShardWorker<'a> {
         // the mid-round barrier to the next core phase, which covers the
         // frozen point where the checkpoint decision reads it.
         if self.ckpt.active() {
-            let delta = self.accesses - self.accesses_reported;
-            self.accesses_reported = self.accesses;
+            let delta = self.totals.accesses - self.accesses_reported;
+            self.accesses_reported = self.totals.accesses;
             if delta > 0 {
                 self.ckpt.total.fetch_add(delta, Ordering::AcqRel);
             }
@@ -1037,8 +993,8 @@ impl<'a> ShardWorker<'a> {
 
     /// Commits every reply addressed to one of this shard's cores, in
     /// per-core issue order: install the data, surface capacity victims as
-    /// eviction notices, advance the core's clock by the directory
-    /// latency, and make the core runnable again.
+    /// eviction notices, and advance the core's clock by the directory
+    /// latency.
     fn deliver_replies(
         &mut self,
         allocator: &RwLockReadGuard<'_, NumaAllocator>,
@@ -1075,13 +1031,8 @@ impl<'a> ShardWorker<'a> {
             // controllers' occupancy horizons — compound round over round.
             // At window depth 1 the maximum is always the single reply's
             // completion, reproducing the unbatched kernel's clock exactly.
-            let completion = reply.key.time + reply.latency;
-            let now = self.scheduler.time_of(local);
-            if completion > now {
-                self.scheduler.advance(local, completion - now);
-            }
-            self.scheduler.unpark(local);
-            let completed = self.scheduler.time_of(local);
+            slot.clock = slot.clock.max(reply.key.time + reply.latency);
+            let completed = slot.clock;
 
             let mut caches = self.caches[slot.core.index()]
                 .lock()
@@ -1142,25 +1093,19 @@ impl<'a> ShardWorker<'a> {
             .lock()
             .expect("cache lock poisoned");
         // Hit latencies — and the private-hierarchy part of every issued
-        // miss — accumulate locally and commit to the scheduler in one
-        // `advance` when the core blocks, so a long run costs one heap
-        // entry instead of one per access. Replies later add only the
-        // directory latency on top.
-        let base = self.scheduler.time_of(local);
+        // miss — accumulate locally and commit to the clock once, when the
+        // core blocks. Replies later add only the directory latency on top.
+        let base = slot.clock;
         let mut elapsed = Nanos::ZERO;
         loop {
             let Some(access) = slot.feed.get(slot.cursor) else {
+                // A trace that ends mid-window retires next round, after
+                // the outstanding replies commit.
                 if slot.window.is_empty() {
-                    self.scheduler.finish(local);
-                    self.scheduler.advance(local, elapsed);
+                    slot.finished = true;
                     self.live_slots.fetch_sub(1, Ordering::AcqRel);
-                } else {
-                    // The trace ended mid-window; the slot retires next
-                    // round, after the outstanding replies commit.
-                    self.scheduler.park(local);
-                    self.scheduler.advance(local, elapsed);
                 }
-                return;
+                break;
             };
 
             // The horizon gates only window *growth*: a core that has
@@ -1170,9 +1115,7 @@ impl<'a> ShardWorker<'a> {
             // configured allowance. Checked before any mutation, so the
             // access replays verbatim next round.
             if !slot.window.is_empty() && base + elapsed > self.round_horizon {
-                self.scheduler.park(local);
-                self.scheduler.advance(local, elapsed);
-                return;
+                break;
             }
 
             // Virtual-to-physical translation; an unmapped (or policy-
@@ -1187,25 +1130,21 @@ impl<'a> ShardWorker<'a> {
                     },
                 ));
                 slot.faulted = true;
-                self.scheduler.park(local);
-                self.scheduler.advance(local, elapsed);
-                return;
+                break;
             };
             let line = frame.line(access.vaddr);
 
             // An access to a line with an in-flight transaction depends on
             // the reply; stop here without consuming the access.
             if slot.window.iter().any(|p| p.line == line) {
-                self.scheduler.park(local);
-                self.scheduler.advance(local, elapsed);
-                return;
+                break;
             }
 
             // Walk the private hierarchy.
             let need = caches.coherence_need(line, access.write);
             let outcome = caches.access(line, access.write);
             slot.cursor += 1;
-            self.accesses += 1;
+            self.totals.accesses += 1;
             let mut latency = self.l1_latency;
             if outcome != AccessOutcome::L1Hit {
                 latency += self.l2_latency;
@@ -1225,7 +1164,7 @@ impl<'a> ShardWorker<'a> {
             // core block lives on this shard, so the lookup (which moves
             // recency and counts a hit or miss) touches shard-local state
             // only — the order same-node cores run in is fixed by the
-            // scheduler and independent of the shard count. Writes and
+            // run order and independent of the shard count. Writes and
             // upgrades bypass the slice: it holds only clean Shared lines,
             // which cannot satisfy an ownership request.
             if self.llc_enabled && kind == RequestKind::GetS {
@@ -1266,15 +1205,14 @@ impl<'a> ShardWorker<'a> {
             };
             outboxes[self.shard_of_node[frame.home.index()]].push(event);
             slot.window.push(Pending { key, line });
-            self.max_window = self.max_window.max(slot.window.len() as u32);
+            self.totals.max_window = self.totals.max_window.max(slot.window.len() as u32);
             if slot.window.len() >= self.depth {
-                self.scheduler.park(local);
-                self.scheduler.advance(local, elapsed);
-                return;
+                break;
             }
             // Window not full: keep replaying — the next independent miss
             // overlaps with this one.
         }
+        slot.clock += elapsed;
     }
 
     /// The lead shard resolves every page fault of the round, in merged
@@ -1303,10 +1241,8 @@ impl<'a> ShardWorker<'a> {
     }
 
     /// Phase 2: drain the coherence events bound for this shard's home
-    /// nodes through its directory slice, route each reply to the shard
-    /// owning the requesting core, and unpark the cores that faulted (the
-    /// lead shard has resolved their mappings by now... by the
-    /// end-of-round barrier, which is what the next core phase waits on).
+    /// nodes through its directory slice and route each reply to the shard
+    /// owning the requesting core.
     fn directory_phase(&mut self) {
         // Fold next round's horizon from the per-shard minima published at
         // the end of the core phase (the barrier between the phases orders
@@ -1326,7 +1262,7 @@ impl<'a> ShardWorker<'a> {
         for mailbox in &self.exchange.events[self.shard_id] {
             inbox.append(&mut mailbox.lock().expect("event mailbox poisoned"));
         }
-        self.events_merged += inbox.len() as u64;
+        self.totals.events_merged += inbox.len() as u64;
         let replies = self.dir.process(&mut inbox, &mut self.sys);
         self.inbox_scratch = inbox;
 
@@ -1342,27 +1278,19 @@ impl<'a> ShardWorker<'a> {
             mem::swap(&mut *mailbox, bin);
         }
         self.routed_scratch = routed;
-
-        for local in 0..self.slots.len() {
-            if self.slots[local].faulted {
-                self.scheduler.unpark(local);
-            }
-        }
     }
 
     /// Tears the worker down into the statistics the report needs.
     fn into_output(self) -> ShardOutput {
-        let (noc, dram_reads, dram_writes) = self.sys.into_stats();
         ShardOutput {
+            totals: self.totals(),
+            makespan: self
+                .slots
+                .iter()
+                .map(|slot| slot.clock)
+                .max()
+                .unwrap_or(Nanos::ZERO),
             controllers: self.dir.into_controllers(),
-            noc,
-            dram_reads,
-            dram_writes,
-            clocks: self.scheduler.clocks().to_vec(),
-            accesses: self.accesses,
-            rounds: self.rounds,
-            events_merged: self.events_merged,
-            max_window: self.max_window,
         }
     }
 }

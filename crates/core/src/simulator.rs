@@ -90,7 +90,6 @@ pub struct Simulator {
     config: MachineConfig,
     policy: AllocationPolicy,
     numa_policy: NumaPolicy,
-    energy_model: EnergyModel,
     sim_threads: usize,
 }
 
@@ -102,14 +101,12 @@ impl Simulator {
         config: MachineConfig,
         policy: AllocationPolicy,
         numa_policy: NumaPolicy,
-        energy_model: EnergyModel,
         sim_threads: usize,
     ) -> Self {
         Simulator {
             config,
             policy,
             numa_policy,
-            energy_model,
             sim_threads,
         }
     }
@@ -300,7 +297,7 @@ impl Simulator {
             workload_name: source.name().to_string(),
             workload_checksum: source.checksum(),
             workload_total: source.total_accesses(),
-            accesses_done: state.accesses,
+            accesses_done: state.totals.accesses,
             row_index: u64::MAX,
             scenario: String::new(),
         };
@@ -342,9 +339,9 @@ impl Simulator {
             + llc_stats.misses.get()
             + llc_stats.evictions.get()
             + llc_stats.invalidations.get();
+        let totals = &output.totals;
         let energy =
-            self.energy_model
-                .dynamic_energy_with_llc(&output.noc, &pf_stats, llc_accesses);
+            EnergyModel::default().dynamic_energy_with_llc(&totals.noc, &pf_stats, llc_accesses);
 
         SimReport {
             workload: source.name().to_string(),
@@ -355,7 +352,7 @@ impl Simulator {
             } else {
                 output.makespan
             },
-            total_accesses: output.total_accesses,
+            total_accesses: totals.accesses,
             l1_hits,
             l2_hits,
             l2_misses,
@@ -367,10 +364,10 @@ impl Simulator {
             eviction_messages: dir_stats.eviction_messages.get(),
             eviction_invalidations: dir_stats.eviction_invalidations.get(),
             allarm_allocation_skips: dir_stats.allarm_allocation_skips.get(),
-            noc_bytes: output.noc.total_bytes(),
-            noc_messages: output.noc.total_messages(),
-            dram_reads: output.dram_reads,
-            dram_writes: output.dram_writes,
+            noc_bytes: totals.noc.total_bytes(),
+            noc_messages: totals.noc.total_messages(),
+            dram_reads: totals.dram_reads,
+            dram_writes: totals.dram_writes,
             local_probes: dir_stats.local_probes.get(),
             local_probe_hits: dir_stats.local_probe_hits.get(),
             local_probes_hidden: dir_stats.local_probes_hidden.get(),
@@ -379,9 +376,9 @@ impl Simulator {
             llc_evictions: llc_stats.evictions.get(),
             llc_invalidations: llc_stats.invalidations.get(),
             energy,
-            rounds_executed: output.rounds_executed,
-            events_merged: output.events_merged,
-            max_window_depth: output.max_window_depth,
+            rounds_executed: totals.rounds,
+            events_merged: totals.events_merged,
+            max_window_depth: totals.max_window,
             workload_checksum: source.checksum(),
         }
     }

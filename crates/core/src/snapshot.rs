@@ -69,7 +69,7 @@ use std::fmt;
 use std::io::Write;
 use std::path::Path;
 
-use crate::sharded::{KernelState, Pending, ThreadState};
+use crate::sharded::{KernelState, Pending, ThreadState, Totals};
 use allarm_cache::{CoherenceState, CoreCachesState, EvictedLine, SetAssocState, WayState};
 use allarm_coherence::{
     CoherenceReply, DirectoryControllerState, DirectoryNodeState, DirectoryStats, PfEntry,
@@ -354,7 +354,7 @@ impl SimSnapshot {
         }
         let missing = |what: &'static str| SnapError::new(format!("missing section '{what}'"));
         let header = header.ok_or_else(|| missing("header"))?;
-        let (round_horizon, counters, noc) = kernel.ok_or_else(|| missing("kernel"))?;
+        let (round_horizon, totals) = kernel.ok_or_else(|| missing("kernel"))?;
         let state = KernelState {
             threads: threads.ok_or_else(|| missing("cores"))?,
             dirs: dirs.ok_or_else(|| missing("directories"))?,
@@ -364,13 +364,7 @@ impl SimSnapshot {
             allocator: alloc.ok_or_else(|| missing("allocator"))?,
             replies: replies.ok_or_else(|| missing("replies"))?,
             round_horizon,
-            accesses: counters[0],
-            rounds: counters[1],
-            events_merged: counters[2],
-            max_window: counters[3] as u32,
-            noc,
-            dram_reads: counters[4],
-            dram_writes: counters[5],
+            totals,
         };
         validate_consistency(&header, &state)?;
         Ok(SimSnapshot { header, state })
@@ -529,7 +523,12 @@ fn split_sections(bytes: &[u8]) -> Result<Vec<(u16, u16, Vec<u8>)>, SnapError> {
 }
 
 /// Cross-section sanity: the header's machine shape must match the state
-/// sections, so a restore can trust either.
+/// sections, so a restore can trust either, and the threads and replies
+/// must agree the way the kernel leaves them at a frozen point: a finished
+/// thread has no miss window, a parked one waits on a non-empty window,
+/// and every pending window entry has exactly one reply. Restoring
+/// anything else would replay a different run, or panic on a reply
+/// nothing waits for.
 fn validate_consistency(header: &SnapHeader, state: &KernelState) -> Result<(), SnapError> {
     if state.caches.len() != header.num_cores as usize {
         return Err(SnapError::in_section(
@@ -574,6 +573,37 @@ fn validate_consistency(header: &SnapHeader, state: &KernelState) -> Result<(), 
                 format!("thread {i} pinned to out-of-range core {}", t.core),
             ));
         }
+        if (t.finished && !t.window.is_empty())
+            || (parked(t.finished, t.faulted) && t.window.is_empty())
+        {
+            return Err(SnapError::in_section(
+                "cores",
+                format!(
+                    "thread {i} is {} but has {} pending misses",
+                    if t.finished { "finished" } else { "parked" },
+                    t.window.len()
+                ),
+            ));
+        }
+    }
+    let mut pending: Vec<(CoreId, MergeKey)> = state
+        .threads
+        .iter()
+        .flat_map(|t| t.window.iter().map(|p| (t.core, p.key)))
+        .collect();
+    let mut replied: Vec<(CoreId, MergeKey)> =
+        state.replies.iter().map(|r| (r.core, r.key)).collect();
+    pending.sort_unstable();
+    replied.sort_unstable();
+    if pending != replied {
+        return Err(SnapError::in_section(
+            "replies",
+            format!(
+                "{} replies do not answer the threads' {} pending window entries one to one",
+                replied.len(),
+                pending.len()
+            ),
+        ));
     }
     Ok(())
 }
@@ -1061,6 +1091,14 @@ fn decode_alloc(payload: &[u8]) -> Result<NumaAllocatorState, SnapError> {
     })
 }
 
+/// The thread flags' "parked" bit: set for a core blocked at the frozen
+/// point, i.e. one that neither finished nor faulted (a faulted core is
+/// released once its fault is applied between the phases). Derived, not
+/// stored, so a file whose bit disagrees was not written by the kernel.
+fn parked(finished: bool, faulted: bool) -> bool {
+    !finished && !faulted
+}
+
 fn encode_threads(threads: &[ThreadState]) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(threads.len() as u32);
@@ -1069,7 +1107,7 @@ fn encode_threads(threads: &[ThreadState]) -> Vec<u8> {
         e.u16(t.core.raw());
         e.u64(t.clock.as_u64());
         let mut flags = 0u8;
-        if t.parked {
+        if parked(t.finished, t.faulted) {
             flags |= 1;
         }
         if t.finished {
@@ -1101,7 +1139,8 @@ fn decode_threads(payload: &[u8]) -> Result<Vec<ThreadState>, SnapError> {
         let core = CoreId::new(d.u16()?);
         let clock = d.nanos()?;
         let flags = d.u8()?;
-        if flags & !0b111 != 0 {
+        let (finished, faulted) = (flags & 2 != 0, flags & 4 != 0);
+        if flags & !0b111 != 0 || (flags & 1 != 0) != parked(finished, faulted) {
             return Err(d.err(format!("invalid thread flags {flags:#x}")));
         }
         let cursor = d.u64()? as usize;
@@ -1122,9 +1161,8 @@ fn decode_threads(payload: &[u8]) -> Result<Vec<ThreadState>, SnapError> {
             thread,
             core,
             clock,
-            parked: flags & 1 != 0,
-            finished: flags & 2 != 0,
-            faulted: flags & 4 != 0,
+            finished,
+            faulted,
             cursor,
             seq,
             window,
@@ -1182,14 +1220,15 @@ fn encode_kernel(state: &KernelState) -> Vec<u8> {
     // The message-class count pins the NoC array layout; a build with a
     // different class set must refuse the section rather than misalign.
     e.u32(MessageClass::ALL.len() as u32);
+    let totals = &state.totals;
     e.u64(state.round_horizon.as_u64());
-    e.u64(state.accesses);
-    e.u64(state.rounds);
-    e.u64(state.events_merged);
-    e.u64(u64::from(state.max_window));
-    e.u64(state.dram_reads);
-    e.u64(state.dram_writes);
-    let noc = state.noc.export_counts();
+    e.u64(totals.accesses);
+    e.u64(totals.rounds);
+    e.u64(totals.events_merged);
+    e.u64(u64::from(totals.max_window));
+    e.u64(totals.dram_reads);
+    e.u64(totals.dram_writes);
+    let noc = totals.noc.export_counts();
     for i in 0..MessageClass::ALL.len() {
         e.u64(noc.messages[i]);
         e.u64(noc.bytes[i]);
@@ -1200,9 +1239,7 @@ fn encode_kernel(state: &KernelState) -> Vec<u8> {
     e.finish()
 }
 
-type KernelSection = (Nanos, [u64; 6], NocStats);
-
-fn decode_kernel(payload: &[u8]) -> Result<KernelSection, SnapError> {
+fn decode_kernel(payload: &[u8]) -> Result<(Nanos, Totals), SnapError> {
     let mut d = Dec::new(payload, "kernel");
     let classes = d.u32()? as usize;
     if classes != MessageClass::ALL.len() {
@@ -1215,10 +1252,7 @@ fn decode_kernel(payload: &[u8]) -> Result<KernelSection, SnapError> {
     let accesses = d.u64()?;
     let rounds = d.u64()?;
     let events_merged = d.u64()?;
-    let max_window = d.u64()?;
-    if max_window > u64::from(u32::MAX) {
-        return Err(d.err("max window depth overflows"));
-    }
+    let max_window = u32::try_from(d.u64()?).map_err(|_| d.err("max window depth overflows"))?;
     let dram_reads = d.u64()?;
     let dram_writes = d.u64()?;
     let mut noc = NocStatsExport {
@@ -1236,16 +1270,14 @@ fn decode_kernel(payload: &[u8]) -> Result<KernelSection, SnapError> {
     noc.flit_hops = d.u64()?;
     noc.local_deliveries = d.u64()?;
     d.done()?;
-    Ok((
-        round_horizon,
-        [
-            accesses,
-            rounds,
-            events_merged,
-            max_window,
-            dram_reads,
-            dram_writes,
-        ],
-        NocStats::import_counts(&noc),
-    ))
+    let totals = Totals {
+        accesses,
+        rounds,
+        events_merged,
+        max_window,
+        noc: NocStats::import_counts(&noc),
+        dram_reads,
+        dram_writes,
+    };
+    Ok((round_horizon, totals))
 }

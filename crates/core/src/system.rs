@@ -82,18 +82,8 @@ impl<'a> ShardSystem<'a> {
         }
     }
 
-    /// Tears the view down into its accumulated statistics:
+    /// A copy of the accumulated statistics:
     /// `(network traffic, DRAM reads, DRAM writes)`.
-    pub(crate) fn into_stats(self) -> (NocStats, u64, u64) {
-        (
-            self.network.stats().clone(),
-            self.dram.total_reads(),
-            self.dram.total_writes(),
-        )
-    }
-
-    /// Mid-run copy of the accumulated statistics, for checkpoint capture
-    /// without tearing the view down.
     pub(crate) fn stats_view(&self) -> (NocStats, u64, u64) {
         (
             self.network.stats().clone(),
@@ -194,7 +184,7 @@ mod tests {
         assert_eq!(sys.local_core_of(NodeId::new(1)), CoreId::new(1));
         assert_eq!(SystemAccess::num_cores(&sys), 4);
         assert_eq!(sys.cache_access_latency(), Nanos::new(1));
-        let (noc, reads, writes) = sys.into_stats();
+        let (noc, reads, writes) = sys.stats_view();
         assert_eq!(noc.total_messages(), 1);
         assert_eq!((reads, writes), (1, 0));
     }

@@ -1,20 +1,16 @@
-//! Deterministic discrete-event simulation kernel.
+//! Deterministic simulation substrate.
 //!
-//! The ALLARM evaluation does not need a full parallel-discrete-event engine,
-//! but it does need three things the standard library does not provide
-//! directly:
+//! Two pieces the standard library does not provide directly:
 //!
-//! * a **multi-actor clock** ([`CoreScheduler`]) that repeatedly selects the
-//!   actor (core) with the smallest local time — backed by a lazy min-heap,
-//!   so selection is `O(log n)` on large machines — which is how the
-//!   trace-driven simulator in `allarm-core` interleaves cores;
-//! * a **sharding layer** ([`ShardPlan`], [`MergeKey`], [`merge_events`])
-//!   that partitions the machine by home node and defines the deterministic
-//!   `(time, actor, seq)` order in which cross-shard events are merged at
-//!   epoch barriers, making an N-shard run byte-identical to a serial one;
-//!   and
-//! * a **seeded random-number layer** ([`rng::StreamRng`]) that hands
-//!   independent, reproducible streams to each component.
+//! * a **sharding layer** ([`ShardPlan`], [`MergeKey`], [`merge_events`],
+//!   [`PhaseBarrier`]) that partitions the machine by home node and defines
+//!   the deterministic `(time, actor, seq)` order in which cross-shard
+//!   events are merged at epoch barriers — what lets the kernel in
+//!   `allarm-core` make an N-shard run byte-identical to a serial one; and
+//! * **seeded random-number streams** ([`rng::StreamRng`]): independent,
+//!   reproducible, named sub-streams of one seed. The randomized tests draw
+//!   their cases from them; the simulator itself does not (see the
+//!   [`rng`] module docs).
 //!
 //! # Examples
 //!
@@ -39,9 +35,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod rng;
-pub mod scheduler;
 pub mod shard;
 
 pub use rng::StreamRng;
-pub use scheduler::CoreScheduler;
 pub use shard::{merge_events, Keyed, MergeKey, PhaseBarrier, ShardPlan};

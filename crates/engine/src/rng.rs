@@ -1,9 +1,10 @@
 //! Seeded, splittable random-number streams.
 //!
-//! Every source of randomness in the simulator (workload generation, random
-//! replacement, tie-breaking) draws from a [`StreamRng`] derived from the
-//! experiment seed, so that an experiment is a pure function of its
-//! configuration.
+//! The randomized tests draw their cases from a [`StreamRng`], so every
+//! failing case replays from its seed and stream label. The simulator does
+//! not use it: workload generation seeds `rand`'s `StdRng` per thread from
+//! the experiment seed, and random replacement hashes the access tick, so
+//! an experiment is still a pure function of its configuration.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

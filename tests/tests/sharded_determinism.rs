@@ -5,8 +5,8 @@
 //! scenario-level workers, extended down into a single simulation.
 //!
 //! The grids are scaled down (shorter traces), and the large sweep grids
-//! are subsampled (every benchmark still appears), so the sweep stays
-//! fast; determinism is a structural property of the kernel,
+//! are subsampled (every benchmark and every policy still appears), so the
+//! sweep stays fast; determinism is a structural property of the kernel,
 //! not of the trace length. The CI determinism gate complements this by
 //! diffing `scenario_run --sim-threads 4` output on the *full* fig3 grid.
 
@@ -15,9 +15,11 @@ use allarm_tests::{load_grid, scenarios_dir, shortened};
 
 /// How each checked-in document is scaled down: its per-thread trace
 /// length (`None`: the full length) and the stride its expansion is
-/// subsampled with. Policy is the fastest-varying axis, so the odd strides
-/// keep both policies, while stride 4 keeps every benchmark of the fig3h
-/// and fig4 sweeps but only their baseline points. The scale64 and
+/// subsampled with. Policy is the fastest-varying axis, so only odd
+/// strides keep both policies (the test checks that every subsample holds
+/// every policy its document lists). Stride 5 over fig3h's 48 points keeps
+/// all 8 benchmarks and all 6 coverage × policy pairs; stride 3 over
+/// fig4's 40 keeps all 4 benchmarks and all 10 pairs. The scale64 and
 /// scale256 grids put the multi-core-node topology — where a shard owns
 /// whole nodes, i.e. blocks of four cores — and the NUCA machine (LLC
 /// slices on, torus and concentrated-mesh fabrics) under the same
@@ -28,8 +30,8 @@ use allarm_tests::{load_grid, scenarios_dir, shortened};
 const SHRINK: [(&str, Option<usize>, usize); 13] = [
     ("consolidation_comparison.toml", Some(700), 1),
     ("fig3_comparison.toml", Some(700), 1),
-    ("fig3h_pf_sweep.toml", Some(700), 4),
-    ("fig4_multiprocess.toml", Some(700), 4),
+    ("fig3h_pf_sweep.toml", Some(700), 5),
+    ("fig4_multiprocess.toml", Some(700), 3),
     ("kv_store_comparison.toml", Some(700), 1),
     ("scale256_comparison.toml", Some(150), 3),
     ("scale256_pf_sweep.toml", Some(150), 5),
@@ -80,6 +82,12 @@ fn sharded_runs_are_byte_identical_across_every_checked_in_grid() {
         .into_iter()
         .step_by(stride)
         .collect();
+        for policy in load_grid(name).policies {
+            assert!(
+                scenarios.iter().any(|s| s.policy == policy),
+                "{name}: stride {stride} drops every {policy:?} point"
+            );
+        }
         let serial: Vec<Scenario> = scenarios
             .iter()
             .map(|s| s.clone().with_sim_threads(1))

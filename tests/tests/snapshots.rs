@@ -6,8 +6,9 @@
 //! settings (the serial depth-1 ablation and the default depth-8 window).
 //! On top of that: snapshot bytes are canonical across shard counts, file
 //! round trips survive, bit flips and version skews are refused with a
-//! typed error naming the section, and fork-from-warm resumption equals a
-//! cold run.
+//! typed error naming the section, so are threads and replies that
+//! disagree (resealed so every checksum passes), and fork-from-warm
+//! resumption equals a cold run.
 
 use allarm_core::simulator::Start;
 use allarm_core::snapshot::{read_header, read_section_table};
@@ -16,7 +17,7 @@ use allarm_core::{
 };
 use allarm_types::config::LlcConfig;
 use allarm_types::MissWindowConfig;
-use allarm_workloads::{Benchmark, TraceGenerator, Workload};
+use allarm_workloads::{fnv1a, Benchmark, TraceGenerator, Workload, FNV1A_OFFSET};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 
@@ -189,20 +190,30 @@ fn snapshot_files_round_trip_and_corruption_is_refused_with_the_section_named() 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Walks a snapshot's section frames and returns the byte offset of the
-/// *version* field of the section with `id`, or None.
-fn section_version_offset(bytes: &[u8], id: u16) -> Option<usize> {
+/// Walks a snapshot's section frames: each section's id, the byte offset
+/// of its frame (id u16, version u16, length u64, payload, checksum u64)
+/// and its payload length, in file order.
+fn frames(bytes: &[u8]) -> Vec<(u16, usize, usize)> {
     let count = u16::from_le_bytes([bytes[10], bytes[11]]) as usize;
     let mut pos = 12;
-    for _ in 0..count {
-        let sid = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
-        if sid == id {
-            return Some(pos + 2);
-        }
-        pos += 12 + len + 8;
-    }
-    None
+    (0..count)
+        .map(|_| {
+            let id = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
+            let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+            let frame = (id, pos, len);
+            pos += 12 + len + 8;
+            frame
+        })
+        .collect()
+}
+
+/// The byte offset of the *version* field of the section with `id`, or
+/// None.
+fn section_version_offset(bytes: &[u8], id: u16) -> Option<usize> {
+    frames(bytes)
+        .into_iter()
+        .find(|&(sid, ..)| sid == id)
+        .map(|(_, at, _)| at + 2)
 }
 
 #[test]
@@ -263,4 +274,161 @@ fn llc_section_is_present_only_when_enabled_and_skew_is_refused_by_name() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+const SEC_CORES: u16 = 4;
+const SEC_REPLIES: u16 = 5;
+
+/// Replaces section `id`'s payload with `edit` of it and reseals the file:
+/// the frame length and the FNV-1a checksum match the new payload, so only
+/// the content checks can refuse it.
+fn reseal(bytes: &[u8], id: u16, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = bytes[..12].to_vec();
+    let mut edit = Some(edit);
+    for (sid, at, len) in frames(bytes) {
+        let mut payload = bytes[at + 12..at + 12 + len].to_vec();
+        if sid == id {
+            (edit.take().unwrap())(&mut payload);
+        }
+        out.extend_from_slice(&bytes[at..at + 4]); // id and version
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&fnv1a(FNV1A_OFFSET, &payload).to_le_bytes());
+    }
+    assert!(edit.is_none(), "no section {id}");
+    out
+}
+
+/// One thread record of a `cores` payload: its byte offset, core, flags
+/// (1 parked, 2 finished, 4 faulted) and miss-window length.
+struct ThreadRecord {
+    at: usize,
+    core: u16,
+    flags: u8,
+    window: usize,
+}
+
+/// Record layout: thread u32, core u16, clock u64, flags u8, cursor u64,
+/// seq u32, window length u32, then 24 bytes per window entry.
+const FLAGS_AT: usize = 14;
+const WINDOW_LEN_AT: usize = 27;
+const WINDOW_AT: usize = 31;
+const WINDOW_ENTRY: usize = 24;
+/// A reply: core u16, key (time u64, actor u32, seq u32), latency u64,
+/// fill state u8, carries-data u8.
+const REPLY: usize = 28;
+
+fn thread_records(bytes: &[u8]) -> Vec<ThreadRecord> {
+    let (_, at, len) = frames(bytes)
+        .into_iter()
+        .find(|&(id, ..)| id == SEC_CORES)
+        .unwrap();
+    let cores = &bytes[at + 12..at + 12 + len];
+    let count = u32::from_le_bytes(cores[..4].try_into().unwrap());
+    let mut at = 4;
+    (0..count)
+        .map(|_| {
+            let window = u32::from_le_bytes(
+                cores[at + WINDOW_LEN_AT..at + WINDOW_AT]
+                    .try_into()
+                    .unwrap(),
+            ) as usize;
+            let record = ThreadRecord {
+                at,
+                core: u16::from_le_bytes([cores[at + 4], cores[at + 5]]),
+                flags: cores[at + FLAGS_AT],
+                window,
+            };
+            at += WINDOW_AT + WINDOW_ENTRY * window;
+            record
+        })
+        .collect()
+}
+
+/// The small run the crafted snapshots below are cut from.
+fn small_run() -> (Simulator, Workload) {
+    let workload = TraceGenerator::new(4, 800, 11).generate(Benchmark::OceanContiguous);
+    let sim = SimulationBuilder::new(MachineConfig::small_test())
+        .build()
+        .unwrap();
+    (sim, workload)
+}
+
+/// The first of [`small_run`]'s checkpoints (one per 100 accesses) that
+/// holds a thread `pick` selects, as file bytes, with that thread's record.
+fn first_checkpoint_with(pick: impl Fn(&ThreadRecord) -> bool) -> (Vec<u8>, ThreadRecord) {
+    let (sim, workload) = small_run();
+    let mut found = None;
+    sim.replay((&workload).into(), Start::Cold, 100, |snap| {
+        let bytes = snap.to_bytes();
+        match thread_records(&bytes).into_iter().find(&pick) {
+            Some(thread) => {
+                found = Some((bytes, thread));
+                ControlFlow::Break(())
+            }
+            None => ControlFlow::Continue(()),
+        }
+    })
+    .unwrap();
+    found.expect("some checkpoint holds such a thread")
+}
+
+/// A parked thread whose window was emptied, with its replies dropped: the
+/// two sections still agree one to one, but the thread is blocked on
+/// nothing. That is not a state the kernel writes, so the read refuses it.
+#[test]
+fn a_parked_thread_with_no_pending_misses_is_refused() {
+    let (bytes, thread) = first_checkpoint_with(|t| t.flags == 1 && t.window > 0);
+    let (sim, workload) = small_run();
+    let snap = SimSnapshot::from_bytes(&bytes).unwrap();
+    assert_eq!(
+        finish(&sim, &workload, Start::Restore(&snap)),
+        sim.run(&workload)
+    );
+
+    let emptied = reseal(&bytes, SEC_CORES, |cores| {
+        let window = thread.at + WINDOW_AT;
+        cores.drain(window..window + WINDOW_ENTRY * thread.window);
+        cores[thread.at + WINDOW_LEN_AT..window].copy_from_slice(&0u32.to_le_bytes());
+    });
+    let crafted = reseal(&emptied, SEC_REPLIES, |replies| {
+        let kept: Vec<u8> = replies[4..]
+            .chunks(REPLY)
+            .filter(|r| u16::from_le_bytes([r[0], r[1]]) != thread.core)
+            .flatten()
+            .copied()
+            .collect();
+        *replies = ((kept.len() / REPLY) as u32).to_le_bytes().to_vec();
+        replies.extend(kept);
+    });
+    let err = SimSnapshot::from_bytes(&crafted).unwrap_err();
+    assert_eq!(err.section(), Some("cores"), "{err}");
+    assert!(err.to_string().contains("parked"), "{err}");
+
+    // The parked bit is derived from the finished and faulted bits; a
+    // file that disagrees was not written by the kernel.
+    let unparked = reseal(&bytes, SEC_CORES, |cores| cores[thread.at + FLAGS_AT] = 0);
+    let err = SimSnapshot::from_bytes(&unparked).unwrap_err();
+    assert_eq!(err.section(), Some("cores"), "{err}");
+}
+
+/// One extra reply for a finished thread: nothing waits for it, so
+/// committing it would panic. The read refuses it, naming the section.
+#[test]
+fn a_reply_for_a_finished_thread_is_refused() {
+    let (bytes, thread) = first_checkpoint_with(|t| t.flags & 2 != 0);
+    assert!(SimSnapshot::from_bytes(&bytes).is_ok());
+
+    let crafted = reseal(&bytes, SEC_REPLIES, |replies| {
+        let count = u32::from_le_bytes(replies[..4].try_into().unwrap());
+        replies[..4].copy_from_slice(&(count + 1).to_le_bytes());
+        replies.extend(thread.core.to_le_bytes());
+        replies.extend(0u64.to_le_bytes());
+        replies.extend(u32::from(thread.core).to_le_bytes());
+        replies.extend(0u32.to_le_bytes());
+        replies.extend(1u64.to_le_bytes());
+        replies.extend([3, 1]); // a Shared fill carrying data
+    });
+    let err = SimSnapshot::from_bytes(&crafted).unwrap_err();
+    assert_eq!(err.section(), Some("replies"), "{err}");
 }
