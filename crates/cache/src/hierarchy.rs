@@ -25,13 +25,6 @@ pub enum AccessOutcome {
     Miss,
 }
 
-impl AccessOutcome {
-    /// True if the access never left the core's private hierarchy.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, AccessOutcome::Miss)
-    }
-}
-
 /// The coherence action a write requires when the line is present but not
 /// writable, or absent entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

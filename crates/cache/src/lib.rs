@@ -5,9 +5,9 @@
 //! Table I of the paper. This crate provides:
 //!
 //! * [`CoherenceState`] — MOESI line states shared with the directory model;
-//! * [`SetAssocCache`] — a generic set-associative array with pluggable
-//!   replacement ([`ReplacementPolicy`]), backing the private data caches
-//!   and the shared LLC slices ([`LlcSlice`]);
+//! * [`SetAssocCache`] — a generic set-associative array with LRU
+//!   replacement, backing the private data caches and the shared LLC
+//!   slices ([`LlcSlice`]);
 //! * [`CoreCaches`] — the per-core L1D + exclusive L2 hierarchy with the
 //!   fill/eviction/invalidation operations the directory controller needs.
 //!
@@ -33,14 +33,12 @@
 
 pub mod hierarchy;
 pub mod llc;
-pub mod replacement;
 pub mod set_assoc;
 pub mod state;
 pub mod stats;
 
 pub use hierarchy::{AccessOutcome, CoherenceNeed, CoreCaches, CoreCachesState, ProbeOutcome};
 pub use llc::LlcSlice;
-pub use replacement::ReplacementPolicy;
 pub use set_assoc::{EvictedLine, SetAssocCache, SetAssocState, WayState};
 pub use state::CoherenceState;
 pub use stats::CacheStats;

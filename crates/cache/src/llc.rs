@@ -16,7 +16,6 @@
 //! evictions check the slice before clearing it), so ownership
 //! invalidations and probe-filter evictions always reach the slice.
 
-use crate::replacement::ReplacementPolicy;
 use crate::set_assoc::{SetAssocCache, SetAssocState};
 use crate::state::CoherenceState;
 use crate::stats::CacheStats;
@@ -52,7 +51,7 @@ impl LlcSlice {
     /// get an error instead.
     pub fn new(config: &LlcConfig) -> Self {
         LlcSlice {
-            array: SetAssocCache::with_policy(&config.cache_config(), ReplacementPolicy::Lru),
+            array: SetAssocCache::new(&config.cache_config()),
         }
     }
 

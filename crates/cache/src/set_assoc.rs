@@ -1,6 +1,5 @@
 //! A generic set-associative array of cache lines.
 
-use crate::replacement::ReplacementPolicy;
 use crate::state::CoherenceState;
 use crate::stats::CacheStats;
 use allarm_types::addr::LineAddr;
@@ -27,10 +26,10 @@ struct Way {
     addr: LineAddr,
     state: CoherenceState,
     last_touch: u64,
-    inserted: u64,
 }
 
-/// A set-associative array of cache lines with MOESI state per line.
+/// A set-associative array of cache lines with MOESI state per line and
+/// LRU replacement.
 ///
 /// This structure backs the private data caches (`L1D`, `L2`) and the
 /// shared per-node LLC slices. (The probe filter keeps its own slab, in
@@ -39,9 +38,12 @@ struct Way {
 /// Storage is a single flat slab of `num_sets * ways` entries indexed by
 /// `set * ways + way` — one allocation, cache-friendly walks — with a
 /// per-set occupancy count. Within a set the occupied prefix behaves
-/// exactly like the per-set `Vec` it replaced (push appends at `len`,
-/// removal is a `swap_remove`), so victim selection — which is
-/// position-dependent — is unchanged.
+/// like a `Vec` (push appends at `len`, removal is a `swap_remove`), and
+/// iteration and snapshots follow that storage order.
+///
+/// A full set evicts its least recently touched line. Every lookup and
+/// insert stamps the way it touches with a fresh tick, so no two resident
+/// ways share a stamp and the victim never depends on position.
 ///
 /// # Examples
 ///
@@ -63,7 +65,6 @@ pub struct SetAssocCache {
     lens: Vec<u32>,
     num_sets: usize,
     ways: usize,
-    policy: ReplacementPolicy,
     tick: u64,
     stats: CacheStats,
 }
@@ -74,52 +75,27 @@ const EMPTY_WAY: Way = Way {
     addr: LineAddr::new(0),
     state: CoherenceState::Invalid,
     last_touch: 0,
-    inserted: 0,
 };
 
 impl SetAssocCache {
-    /// Creates a cache with the geometry of `config` and LRU replacement.
+    /// Creates a cache with the geometry of `config`.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero sets or zero ways.
+    /// Panics if the configuration has zero ways or zero sets.
     pub fn new(config: &CacheConfig) -> Self {
-        Self::with_policy(config, ReplacementPolicy::Lru)
-    }
-
-    /// Creates a cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero sets or zero ways.
-    pub fn with_policy(config: &CacheConfig, policy: ReplacementPolicy) -> Self {
+        assert!(config.ways > 0, "cache must have at least one way");
         let num_sets = config.num_sets() as usize;
         let ways = config.ways as usize;
-        Self::from_geometry(num_sets, ways, policy)
-    }
-
-    /// Creates a cache from an explicit (sets, ways) geometry, without a
-    /// [`CacheConfig`]'s byte sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is zero.
-    pub fn from_geometry(num_sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
         assert!(num_sets > 0, "cache must have at least one set");
-        assert!(ways > 0, "cache must have at least one way");
         SetAssocCache {
             slab: vec![EMPTY_WAY; num_sets * ways],
             lens: vec![0; num_sets],
             num_sets,
             ways,
-            policy,
             tick: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.num_sets as u64) as usize
     }
 
     /// The occupied ways of `set`.
@@ -128,29 +104,21 @@ impl SetAssocCache {
         &self.slab[base..base + self.lens[set] as usize]
     }
 
-    /// The occupied ways of `set`, mutably.
-    fn set_ways_mut(&mut self, set: usize) -> &mut [Way] {
-        let base = set * self.ways;
-        &mut self.slab[base..base + self.lens[set] as usize]
+    /// Finds `line`: its set, and its slab index if it is resident. Every
+    /// operation on one line walks its set here.
+    fn find(&self, line: LineAddr) -> (usize, Option<usize>) {
+        let set = (line.raw() % self.num_sets as u64) as usize;
+        let pos = self.set_ways(set).iter().position(|w| w.addr == line);
+        (set, pos.map(|pos| set * self.ways + pos))
     }
 
-    /// Appends `way` to `set`'s occupied prefix (`Vec::push` equivalent).
-    fn push_way(&mut self, set: usize, way: Way) {
-        let len = self.lens[set] as usize;
-        debug_assert!(len < self.ways, "set overfull");
-        self.slab[set * self.ways + len] = way;
-        self.lens[set] += 1;
-    }
-
-    /// Removes position `pos` from `set`'s occupied prefix by swapping the
-    /// last occupied way into its place (`Vec::swap_remove` equivalent —
-    /// victim choice downstream depends on this exact reordering).
-    fn swap_remove_way(&mut self, set: usize, pos: usize) -> Way {
-        let base = set * self.ways;
-        let len = self.lens[set] as usize;
-        debug_assert!(pos < len, "swap_remove out of bounds");
-        let removed = self.slab[base + pos];
-        self.slab[base + pos] = self.slab[base + len - 1];
+    /// Removes slab entry `at` from `set`'s occupied prefix by moving the
+    /// last occupied way into its place (`Vec::swap_remove` equivalent).
+    fn swap_remove_way(&mut self, set: usize, at: usize) -> Way {
+        let last = set * self.ways + self.lens[set] as usize - 1;
+        debug_assert!(at <= last, "swap_remove out of bounds");
+        let removed = self.slab[at];
+        self.slab[at] = self.slab[last];
         self.lens[set] -= 1;
         removed
     }
@@ -158,20 +126,11 @@ impl SetAssocCache {
     /// Looks up `line`, updating recency and hit/miss statistics.
     pub fn lookup(&mut self, line: LineAddr) -> Option<CoherenceState> {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(line);
-        let hit = self
-            .set_ways_mut(set)
-            .iter_mut()
-            .find(|w| w.addr == line)
-            .map(|way| {
-                way.last_touch = tick;
-                way.state
-            });
-        match hit {
-            Some(state) => {
+        match self.find(line).1 {
+            Some(at) => {
+                self.slab[at].last_touch = self.tick;
                 self.stats.hits.incr();
-                Some(state)
+                Some(self.slab[at].state)
             }
             None => {
                 self.stats.misses.incr();
@@ -183,43 +142,35 @@ impl SetAssocCache {
     /// Checks whether `line` is present without updating recency or
     /// statistics (a directory probe).
     pub fn probe(&self, line: LineAddr) -> Option<CoherenceState> {
-        let set = self.set_index(line);
-        self.set_ways(set)
-            .iter()
-            .find(|w| w.addr == line)
-            .map(|w| w.state)
+        self.find(line).1.map(|at| self.slab[at].state)
     }
 
-    /// Inserts `line` in `state`, evicting a victim if the set is full.
+    /// Inserts `line` in `state`, evicting the set's least recently touched
+    /// line if the set is full.
     ///
     /// Returns the victim, if any. Inserting a line that is already present
     /// just updates its state and recency and returns `None`.
     pub fn insert(&mut self, line: LineAddr, state: CoherenceState) -> Option<EvictedLine> {
         self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_index(line);
-        let ways = self.ways;
-        let policy = self.policy;
-
-        if let Some(way) = self
-            .set_ways_mut(set_idx)
-            .iter_mut()
-            .find(|w| w.addr == line)
-        {
-            way.state = state;
-            way.last_touch = tick;
+        let way = Way {
+            addr: line,
+            state,
+            last_touch: self.tick,
+        };
+        let (set, at) = self.find(line);
+        if let Some(at) = at {
+            self.slab[at] = way;
             return None;
         }
 
         let mut victim = None;
-        if self.lens[set_idx] as usize >= ways {
-            let (touches, inserts): (Vec<u64>, Vec<u64>) = self
-                .set_ways(set_idx)
-                .iter()
-                .map(|w| (w.last_touch, w.inserted))
-                .unzip();
-            let victim_way = policy.pick_victim(&touches, &inserts, tick);
-            let evicted = self.swap_remove_way(set_idx, victim_way);
+        let len = self.lens[set] as usize;
+        if len == self.ways {
+            let base = set * self.ways;
+            let lru = (base..base + len)
+                .min_by_key(|&at| self.slab[at].last_touch)
+                .expect("a full set is non-empty");
+            let evicted = self.swap_remove_way(set, lru);
             self.stats.evictions.incr();
             if evicted.state.is_dirty() {
                 self.stats.writebacks.incr();
@@ -229,56 +180,39 @@ impl SetAssocCache {
                 state: evicted.state,
             });
         }
-        self.push_way(
-            set_idx,
-            Way {
-                addr: line,
-                state,
-                last_touch: tick,
-                inserted: tick,
-            },
-        );
+        self.slab[set * self.ways + self.lens[set] as usize] = way;
+        self.lens[set] += 1;
         victim
     }
 
     /// Removes `line` (a directory-initiated invalidation), returning its
     /// state if it was present.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<CoherenceState> {
-        let set = self.set_index(line);
-        if let Some(pos) = self.set_ways(set).iter().position(|w| w.addr == line) {
-            let way = self.swap_remove_way(set, pos);
-            self.stats.invalidations.incr();
-            if way.state.is_dirty() {
-                self.stats.writebacks.incr();
-            }
-            Some(way.state)
-        } else {
-            None
+        let state = self.remove_silently(line)?;
+        self.stats.invalidations.incr();
+        if state.is_dirty() {
+            self.stats.writebacks.incr();
         }
+        Some(state)
     }
 
     /// Changes the state of a resident line. Returns false if the line is
     /// not present.
     pub fn set_state(&mut self, line: LineAddr, state: CoherenceState) -> bool {
-        let set = self.set_index(line);
-        if let Some(way) = self.set_ways_mut(set).iter_mut().find(|w| w.addr == line) {
-            way.state = state;
-            true
-        } else {
-            false
+        match self.find(line).1 {
+            Some(at) => {
+                self.slab[at].state = state;
+                true
+            }
+            None => false,
         }
     }
 
     /// Removes `line` without counting it as an invalidation (used when a
     /// line migrates between levels of the same core's hierarchy).
     pub fn remove_silently(&mut self, line: LineAddr) -> Option<CoherenceState> {
-        let set = self.set_index(line);
-        if let Some(pos) = self.set_ways(set).iter().position(|w| w.addr == line) {
-            let way = self.swap_remove_way(set, pos);
-            Some(way.state)
-        } else {
-            None
-        }
+        let (set, at) = self.find(line);
+        Some(self.swap_remove_way(set, at?).state)
     }
 
     /// Number of resident lines.
@@ -317,8 +251,7 @@ impl SetAssocCache {
     }
 
     /// Exports the complete dynamic state of the array — every occupied way
-    /// in storage order (position within a set is semantic: victim choice
-    /// depends on it), the per-set occupancy counts, the recency clock and
+    /// in storage order, the per-set occupancy counts, the recency clock and
     /// the statistics — for checkpointing. [`SetAssocCache::restore_state`]
     /// of the export onto a fresh same-geometry cache reproduces the array
     /// bit-for-bit.
@@ -332,7 +265,6 @@ impl SetAssocCache {
                             addr: w.addr,
                             state: w.state,
                             last_touch: w.last_touch,
-                            inserted: w.inserted,
                         })
                         .collect()
                 })
@@ -367,7 +299,6 @@ impl SetAssocCache {
                     addr: w.addr,
                     state: w.state,
                     last_touch: w.last_touch,
-                    inserted: w.inserted,
                 };
             }
         }
@@ -385,8 +316,6 @@ pub struct WayState {
     pub state: CoherenceState,
     /// Recency stamp (drives LRU victim choice).
     pub last_touch: u64,
-    /// Insertion stamp (drives FIFO victim choice).
-    pub inserted: u64,
 }
 
 /// The complete dynamic state of a [`SetAssocCache`], as captured by
@@ -395,7 +324,7 @@ pub struct WayState {
 pub struct SetAssocState {
     /// Occupied ways per set, in storage order.
     pub sets: Vec<Vec<WayState>>,
-    /// The recency/insertion clock.
+    /// The recency clock.
     pub tick: u64,
     /// Access statistics at capture time.
     pub stats: CacheStats,
@@ -407,7 +336,7 @@ mod tests {
 
     fn tiny() -> SetAssocCache {
         // 2 sets x 2 ways = 4 lines.
-        SetAssocCache::from_geometry(2, 2, ReplacementPolicy::Lru)
+        SetAssocCache::new(&CacheConfig::new(4 * 64, 2, 1))
     }
 
     #[test]
@@ -540,7 +469,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one way")]
     fn zero_ways_rejected() {
-        let _ = SetAssocCache::from_geometry(4, 0, ReplacementPolicy::Lru);
+        let _ = SetAssocCache::new(&CacheConfig::new(4096, 0, 1));
     }
 
     /// The nested-`Vec` storage the flat slab replaced, kept as an
@@ -549,17 +478,15 @@ mod tests {
     struct NestedModel {
         sets: Vec<Vec<Way>>,
         ways: usize,
-        policy: ReplacementPolicy,
         tick: u64,
         stats: CacheStats,
     }
 
     impl NestedModel {
-        fn new(num_sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
+        fn new(num_sets: usize, ways: usize) -> Self {
             NestedModel {
                 sets: vec![Vec::new(); num_sets],
                 ways,
-                policy,
                 tick: 0,
                 stats: CacheStats::default(),
             }
@@ -594,10 +521,10 @@ mod tests {
             }
             let mut victim = None;
             if self.sets[set].len() >= self.ways {
-                let touches: Vec<u64> = self.sets[set].iter().map(|w| w.last_touch).collect();
-                let inserts: Vec<u64> = self.sets[set].iter().map(|w| w.inserted).collect();
-                let evicted =
-                    self.sets[set].swap_remove(self.policy.pick_victim(&touches, &inserts, tick));
+                let lru = (0..self.ways)
+                    .min_by_key(|&pos| (self.sets[set][pos].last_touch, pos))
+                    .unwrap();
+                let evicted = self.sets[set].swap_remove(lru);
                 self.stats.evictions.incr();
                 if evicted.state.is_dirty() {
                     self.stats.writebacks.incr();
@@ -611,7 +538,6 @@ mod tests {
                 addr: line,
                 state,
                 last_touch: tick,
-                inserted: tick,
             });
             victim
         }
@@ -656,50 +582,45 @@ mod tests {
     /// Drives the flat-slab cache and the nested-`Vec` reference through
     /// the same seeded operation stream and demands identical results,
     /// identical stats, and identical storage order — the strongest form
-    /// of "the slab refactor changed nothing", covering the
-    /// position-dependent victim choices of every policy.
+    /// of "the slab refactor changed nothing", covering the LRU victim
+    /// choice and the `swap_remove` reordering.
     #[test]
     fn flat_slab_matches_nested_vec_reference_model() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
-            for seed in 1..=4u64 {
-                let mut rng = seed;
-                let mut flat = SetAssocCache::from_geometry(4, 3, policy);
-                let mut model = NestedModel::new(4, 3, policy);
-                let states = [
-                    CoherenceState::Modified,
-                    CoherenceState::Owned,
-                    CoherenceState::Exclusive,
-                    CoherenceState::Shared,
-                ];
-                for _ in 0..5_000 {
-                    let r = splitmix64(&mut rng);
-                    let line = LineAddr::new(r % 48); // 4x conflict pressure
-                    let state = states[(r >> 8) as usize % states.len()];
-                    match (r >> 16) % 5 {
-                        0 => assert_eq!(flat.lookup(line), model.lookup(line)),
-                        1 | 2 => assert_eq!(flat.insert(line, state), model.insert(line, state)),
-                        3 => assert_eq!(flat.invalidate(line), model.invalidate(line)),
-                        _ => assert_eq!(flat.remove_silently(line), model.remove_silently(line)),
-                    }
+        for seed in 1..=4u64 {
+            let mut rng = seed;
+            // 4 sets x 3 ways.
+            let mut flat = SetAssocCache::new(&CacheConfig::new(12 * 64, 3, 1));
+            let mut model = NestedModel::new(4, 3);
+            let states = [
+                CoherenceState::Modified,
+                CoherenceState::Owned,
+                CoherenceState::Exclusive,
+                CoherenceState::Shared,
+            ];
+            for _ in 0..5_000 {
+                let r = splitmix64(&mut rng);
+                let line = LineAddr::new(r % 48); // 4x conflict pressure
+                let state = states[(r >> 8) as usize % states.len()];
+                match (r >> 16) % 5 {
+                    0 => assert_eq!(flat.lookup(line), model.lookup(line)),
+                    1 | 2 => assert_eq!(flat.insert(line, state), model.insert(line, state)),
+                    3 => assert_eq!(flat.invalidate(line), model.invalidate(line)),
+                    _ => assert_eq!(flat.remove_silently(line), model.remove_silently(line)),
                 }
-                let flat_contents: Vec<(u64, CoherenceState)> = flat
-                    .iter()
-                    .map(|(addr, state)| (addr.raw(), state))
-                    .collect();
-                assert_eq!(flat_contents, model.contents(), "{policy:?} seed {seed}");
-                assert_eq!(flat.stats().hits.get(), model.stats.hits.get());
-                assert_eq!(flat.stats().misses.get(), model.stats.misses.get());
-                assert_eq!(flat.stats().evictions.get(), model.stats.evictions.get());
-                assert_eq!(flat.stats().writebacks.get(), model.stats.writebacks.get());
-                assert_eq!(
-                    flat.stats().invalidations.get(),
-                    model.stats.invalidations.get()
-                );
             }
+            let flat_contents: Vec<(u64, CoherenceState)> = flat
+                .iter()
+                .map(|(addr, state)| (addr.raw(), state))
+                .collect();
+            assert_eq!(flat_contents, model.contents(), "seed {seed}");
+            assert_eq!(flat.stats().hits.get(), model.stats.hits.get());
+            assert_eq!(flat.stats().misses.get(), model.stats.misses.get());
+            assert_eq!(flat.stats().evictions.get(), model.stats.evictions.get());
+            assert_eq!(flat.stats().writebacks.get(), model.stats.writebacks.get());
+            assert_eq!(
+                flat.stats().invalidations.get(),
+                model.stats.invalidations.get()
+            );
         }
     }
 }

@@ -9,7 +9,7 @@
 //! [`AllocationPolicy`].
 
 use crate::policy::AllocationPolicy;
-use crate::probe_filter::{PfEviction, ProbeFilter};
+use crate::probe_filter::{PfEntry, PfEviction, ProbeFilter};
 use crate::request::{CoherenceRequest, RequestKind};
 use allarm_cache::{CoherenceState, ProbeOutcome};
 use allarm_noc::MessageClass;
@@ -285,7 +285,7 @@ impl DirectoryController {
         latency += self.pf_latency;
 
         let response = match self.probe_filter.lookup(req.line) {
-            Some(_) => self.handle_hit(req, sys),
+            Some(entry) => self.handle_hit(req, entry, sys),
             None => self.handle_miss(req, sys),
         };
 
@@ -329,12 +329,9 @@ impl DirectoryController {
     fn handle_hit(
         &mut self,
         req: CoherenceRequest,
+        entry: PfEntry,
         sys: &mut dyn SystemAccess,
     ) -> DirectoryResponse {
-        let entry = self
-            .probe_filter
-            .peek(req.line)
-            .expect("handle_hit is only called after a successful lookup");
         match req.kind {
             RequestKind::GetS => {
                 let owner = entry.owner;
@@ -460,6 +457,31 @@ impl DirectoryController {
         groups
     }
 
+    /// One node's share of an invalidation: one Invalidate reaches `node`,
+    /// its member `cores` and its shared LLC slice lose their copies there
+    /// in parallel (one array latency, no extra traffic), and one combined
+    /// ack returns. Returns the round trip, how many cores held the line
+    /// and how many of those held it dirty.
+    fn invalidate_node(
+        &self,
+        node: NodeId,
+        cores: &[CoreId],
+        line: LineAddr,
+        sys: &mut dyn SystemAccess,
+    ) -> (Nanos, u64, u64) {
+        let inv = sys.send(self.home, node, MessageClass::Invalidate);
+        let (mut hits, mut dirty_hits) = (0, 0);
+        for &core in cores {
+            if let ProbeOutcome::Hit { dirty, .. } = sys.probe_cache(core, line, false, true) {
+                hits += 1;
+                dirty_hits += u64::from(dirty);
+            }
+        }
+        sys.probe_llc(node, line, true);
+        let ack = sys.send(node, self.home, MessageClass::InvalidateAck);
+        (inv + sys.cache_access_latency() + ack, hits, dirty_hits)
+    }
+
     /// Invalidates every copy other than the requester's and (for GetX)
     /// delivers the data. Used for both probe-filter hits on writes and the
     /// write-miss allocation path.
@@ -478,24 +500,12 @@ impl DirectoryController {
         let mut inval_path = Nanos::ZERO;
         let mut dirty_source: Option<NodeId> = None;
         for (target_node, cores) in groups {
-            let inv = sys.send(self.home, target_node, MessageClass::Invalidate);
-            let mut node_had_dirty = false;
-            for target in cores {
-                let outcome = sys.probe_cache(target, req.line, false, true);
-                self.stats.ownership_invalidations.incr();
-                if let ProbeOutcome::Hit { dirty: true, .. } = outcome {
-                    node_had_dirty = true;
-                }
-            }
-            // The node's shared LLC slice loses its clean copy off the same
-            // invalidation message (no extra traffic, no extra latency — the
-            // slice is looked up alongside the member caches).
-            sys.probe_llc(target_node, req.line, true);
-            let ack = sys.send(target_node, self.home, MessageClass::InvalidateAck);
-            if node_had_dirty {
+            let (round_trip, _, dirty) = self.invalidate_node(target_node, &cores, req.line, sys);
+            self.stats.ownership_invalidations.add(cores.len() as u64);
+            if dirty > 0 {
                 dirty_source = Some(target_node);
             }
-            inval_path = inval_path.max(inv + sys.cache_access_latency() + ack);
+            inval_path = inval_path.max(round_trip);
         }
 
         // The requester's own node slice may also hold a clean copy (the
@@ -678,27 +688,14 @@ impl DirectoryController {
         // that cannot occur.
         let nobody = CoreId::new(u16::MAX);
         for (target_node, cores) in self.invalidation_targets(sharers, nobody, sys) {
-            // One invalidation reaches the node; its member caches are
-            // probed there; one combined ack returns. On one-core nodes
-            // this is the classic two-messages-per-sharer cost of Fig. 3d;
-            // hierarchical tracking amortizes it across the node's cores.
-            sys.send(self.home, target_node, MessageClass::Invalidate);
-            self.stats.eviction_messages.incr();
-            let mut writebacks = 0u64;
-            for target in cores {
-                let outcome = sys.probe_cache(target, line, false, true);
-                if let ProbeOutcome::Hit { dirty, .. } = outcome {
-                    self.stats.eviction_invalidations.incr();
-                    if dirty {
-                        writebacks += 1;
-                    }
-                }
-            }
-            // Once the directory stops tracking the line, the node's shared
-            // LLC slice may no longer serve it either.
-            sys.probe_llc(target_node, line, true);
-            sys.send(target_node, self.home, MessageClass::InvalidateAck);
-            self.stats.eviction_messages.incr();
+            // On one-core nodes the invalidation and its ack are the
+            // classic two-messages-per-sharer cost of Fig. 3d; hierarchical
+            // tracking amortizes them across the node's cores. Once the
+            // directory stops tracking the line, the node's shared LLC
+            // slice may no longer serve it either.
+            let (_, hits, writebacks) = self.invalidate_node(target_node, &cores, line, sys);
+            self.stats.eviction_messages.add(2);
+            self.stats.eviction_invalidations.add(hits);
             for _ in 0..writebacks {
                 // The victim's dirty data must be written back to memory.
                 sys.send(target_node, self.home, MessageClass::WriteBack);

@@ -192,13 +192,19 @@ impl ProbeFilter {
         self.cores_per_node
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.num_sets as u64) as usize
-    }
-
     /// Start of `line`'s set within the slab.
     fn set_base(&self, line: LineAddr) -> usize {
-        self.set_index(line) * self.ways
+        (line.raw() % self.num_sets as u64) as usize * self.ways
+    }
+
+    /// The slab index of `line`'s valid slot, if it has one. Every
+    /// operation on one line's entry walks its set here.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let base = self.set_base(line);
+        self.slab[base..base + self.ways]
+            .iter()
+            .position(|s| s.valid && s.entry.line == line)
+            .map(|pos| base + pos)
     }
 
     /// Charges one full array access; on a hierarchical filter the level-1
@@ -213,37 +219,30 @@ impl ProbeFilter {
     /// Looks up the entry for `line`, updating recency and hit/miss counts.
     pub fn lookup(&mut self, line: LineAddr) -> Option<PfEntry> {
         self.tick += 1;
-        let tick = self.tick;
         self.touch_array();
-        let base = self.set_base(line);
-        let ways = self.ways;
-        if let Some(slot) = self.slab[base..base + ways]
-            .iter_mut()
-            .find(|s| s.valid && s.entry.line == line)
-        {
-            slot.last_touch = tick;
-            self.stats.hits.incr();
-            Some(slot.entry.clone())
-        } else {
-            self.stats.misses.incr();
-            None
+        match self.find(line) {
+            Some(at) => {
+                self.slab[at].last_touch = self.tick;
+                self.stats.hits.incr();
+                Some(self.slab[at].entry.clone())
+            }
+            None => {
+                self.stats.misses.incr();
+                None
+            }
         }
     }
 
     /// Checks for an entry without touching recency or statistics.
     pub fn peek(&self, line: LineAddr) -> Option<PfEntry> {
-        let base = self.set_base(line);
-        self.slab[base..base + self.ways]
-            .iter()
-            .find(|s| s.valid && s.entry.line == line)
-            .map(|s| s.entry.clone())
+        self.find(line).map(|at| self.slab[at].entry.clone())
     }
 
     /// The level-1 view of `line`'s entry, if present: the nodes holding at
     /// least one copy. Statistics-free, like [`ProbeFilter::peek`].
     pub fn node_presence(&self, line: LineAddr) -> Option<NodeSet> {
-        self.peek(line)
-            .map(|entry| entry.node_presence(self.cores_per_node))
+        self.find(line)
+            .map(|at| self.slab[at].entry.node_presence(self.cores_per_node))
     }
 
     /// Allocates an entry for `line` owned by `owner`, evicting the LRU
@@ -256,14 +255,8 @@ impl ProbeFilter {
         self.tick += 1;
         let tick = self.tick;
         self.touch_array();
-        let base = self.set_base(line);
-        let ways = self.ways;
-
-        if let Some(slot) = self.slab[base..base + ways]
-            .iter_mut()
-            .find(|s| s.valid && s.entry.line == line)
-        {
-            slot.last_touch = tick;
+        if let Some(at) = self.find(line) {
+            self.slab[at].last_touch = tick;
             return None;
         }
 
@@ -276,6 +269,8 @@ impl ProbeFilter {
 
         // Reuse the first invalid slot if the set has one (a never-used way
         // or a deallocated entry).
+        let base = self.set_base(line);
+        let ways = self.ways;
         if let Some(slot) = self.slab[base..base + ways].iter_mut().find(|s| !s.valid) {
             *slot = new_slot;
             return None;
@@ -309,38 +304,27 @@ impl ProbeFilter {
     /// Adds `core` to the sharer set of an existing entry; returns false if
     /// no entry exists.
     pub fn add_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
-        let base = self.set_base(line);
-        let ways = self.ways;
-        if let Some(slot) = self.slab[base..base + ways]
-            .iter_mut()
-            .find(|s| s.valid && s.entry.line == line)
-        {
-            slot.entry.sharers.insert(core);
-            true
-        } else {
-            false
-        }
+        let Some(at) = self.find(line) else {
+            return false;
+        };
+        self.slab[at].entry.sharers.insert(core);
+        true
     }
 
     /// Replaces the owner (and optionally collapses the sharer set to just
     /// the new owner, as happens after a GetX).
     pub fn set_owner(&mut self, line: LineAddr, owner: CoreId, exclusive: bool) -> bool {
-        let base = self.set_base(line);
-        let ways = self.ways;
-        if let Some(slot) = self.slab[base..base + ways]
-            .iter_mut()
-            .find(|s| s.valid && s.entry.line == line)
-        {
-            slot.entry.owner = owner;
-            if exclusive {
-                slot.entry.sharers = SharerSet::only(owner);
-            } else {
-                slot.entry.sharers.insert(owner);
-            }
-            true
+        let Some(at) = self.find(line) else {
+            return false;
+        };
+        let entry = &mut self.slab[at].entry;
+        entry.owner = owner;
+        if exclusive {
+            entry.sharers = SharerSet::only(owner);
         } else {
-            false
+            entry.sharers.insert(owner);
         }
+        true
     }
 
     /// Removes `core` from the sharer set of `line`'s entry; if the sharer
@@ -351,40 +335,30 @@ impl ProbeFilter {
     /// when a cache tells the directory it dropped its copy, the directory
     /// can free the entry once no copies remain.
     pub fn remove_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
-        let base = self.set_base(line);
-        let ways = self.ways;
-        if let Some(slot) = self.slab[base..base + ways]
-            .iter_mut()
-            .find(|s| s.valid && s.entry.line == line)
-        {
-            slot.entry.sharers.remove(core);
-            let emptied = slot.entry.sharers.is_empty();
-            if emptied {
-                slot.valid = false;
-            }
-            self.touch_array();
-            if emptied {
-                self.stats.deallocations.incr();
-                return true;
-            }
+        let Some(at) = self.find(line) else {
+            return false;
+        };
+        let slot = &mut self.slab[at];
+        slot.entry.sharers.remove(core);
+        let emptied = slot.entry.sharers.is_empty();
+        if emptied {
+            slot.valid = false;
         }
-        false
+        self.touch_array();
+        if emptied {
+            self.stats.deallocations.incr();
+        }
+        emptied
     }
 
     /// Explicitly removes the entry for `line`, if present.
     pub fn deallocate(&mut self, line: LineAddr) -> bool {
-        let base = self.set_base(line);
-        let ways = self.ways;
-        if let Some(slot) = self.slab[base..base + ways]
-            .iter_mut()
-            .find(|s| s.valid && s.entry.line == line)
-        {
-            slot.valid = false;
-            self.stats.deallocations.incr();
-            true
-        } else {
-            false
-        }
+        let Some(at) = self.find(line) else {
+            return false;
+        };
+        self.slab[at].valid = false;
+        self.stats.deallocations.incr();
+        true
     }
 
     /// Number of valid entries currently resident.

@@ -1,9 +1,9 @@
 //! Offline stand-in for the `rand` crate.
 //!
 //! Provides the subset of the `rand 0.8` surface the workspace uses —
-//! [`StdRng`] (here xoshiro256++ seeded via SplitMix64), the [`RngCore`] /
-//! [`SeedableRng`] traits, and the [`Rng`] extension with `gen`, `gen_bool`
-//! and `gen_range`. The generator is **not** bit-compatible with upstream
+//! [`StdRng`](rngs::StdRng) (here xoshiro256++ seeded via SplitMix64),
+//! the [`RngCore`] / [`SeedableRng`] traits, and the [`Rng`] extension with
+//! `gen`, `gen_bool` and `gen_range`. The generator is **not** bit-compatible with upstream
 //! `rand`'s `StdRng`; every consumer in this workspace only relies on
 //! determinism for a fixed seed, which this crate guarantees (the algorithm
 //! is fixed and documented, with golden-value tests below).

@@ -46,8 +46,8 @@ pub enum Start<'a> {
 /// cores' caches, the mesh and DRAM. The simulated execution time is the
 /// largest per-core accumulated latency.
 ///
-/// Execution runs on the sharded kernel of [`crate::sharded`]: the machine
-/// is partitioned by home node across `sim_threads` worker threads, and
+/// Execution runs on the crate's sharded kernel: the machine is
+/// partitioned by home node across `sim_threads` worker threads, and
 /// cross-shard coherence traffic is merged in a deterministic order — so
 /// the report is **byte-identical for every thread count**. `sim_threads`
 /// is purely a host-performance knob.
@@ -176,9 +176,9 @@ impl Simulator {
     /// of a [`Start::Restore`] or [`Start::Fork`] does not fit: it was taken
     /// under another machine/policy configuration
     /// (`snapshot.config_fingerprint`), a restore's workload differs
-    /// (`snapshot.workload_checksum`), or a fork's workload has another
-    /// thread count, pins a thread to another core, or is shorter than a
-    /// snapshot cursor (`fork`).
+    /// (`snapshot.workload_checksum`), or the workload has another thread
+    /// count, pins a thread to another core, or is shorter than a snapshot
+    /// cursor (`fork` for a fork, `snapshot.threads` for a restore).
     ///
     /// # Panics
     ///
@@ -237,7 +237,9 @@ impl Simulator {
                 ),
             ));
         }
-        if let Start::Restore(_) = start {
+        // Both starts share the shape checks below; a restore's are only
+        // reachable by a crafted file, since its checksum already matched.
+        let (field, forked) = if let Start::Restore(_) = start {
             if header.workload_checksum != source.checksum() {
                 return Err(ConfigError::new(
                     "snapshot.workload_checksum",
@@ -251,15 +253,17 @@ impl Simulator {
                     ),
                 ));
             }
-            return Ok(Some(snap));
-        }
+            ("snapshot.threads", "")
+        } else {
+            ("fork", "forked ")
+        };
         let threads = source.threads();
         let state = snap.state();
         if state.threads.len() != threads.len() {
             return Err(ConfigError::new(
-                "fork",
+                field,
                 format!(
-                    "the snapshot has {} threads but the forked workload has {}",
+                    "the snapshot has {} threads but the {forked}workload has {}",
                     state.threads.len(),
                     threads.len()
                 ),
@@ -268,18 +272,18 @@ impl Simulator {
         for (taken, trace) in state.threads.iter().zip(&threads) {
             if taken.core != trace.core {
                 return Err(ConfigError::new(
-                    "fork",
+                    field,
                     format!(
-                        "the forked workload pins thread {} to core {}, the snapshot to core {}",
+                        "the {forked}workload pins thread {} to core {}, the snapshot to core {}",
                         taken.thread, trace.core, taken.core
                     ),
                 ));
             }
             if taken.cursor as u64 > trace.accesses {
                 return Err(ConfigError::new(
-                    "fork",
+                    field,
                     format!(
-                        "snapshot cursor {} of thread {} is past the forked trace ({} accesses)",
+                        "snapshot cursor {} of thread {} is past the {forked}trace ({} accesses)",
                         taken.cursor, taken.thread, trace.accesses
                     ),
                 ));

@@ -106,15 +106,20 @@ const SEC_LLC: u16 = 7;
 
 /// Per-section payload versions this build writes (and the only ones it
 /// reads).
+///
+/// `caches` and `llc` are at version 2: a way is 17 bytes (line, state,
+/// recency stamp) since the caches dropped their FIFO insertion stamp,
+/// which version 1 wrote as 8 more bytes per way. A version-1 section is
+/// refused by name rather than misread.
 const SECTION_VERSIONS: [(u16, u16); 8] = [
     (SEC_HEADER, 1),
-    (SEC_CACHES, 1),
+    (SEC_CACHES, 2),
     (SEC_DIRS, 1),
     (SEC_ALLOC, 1),
     (SEC_CORES, 1),
     (SEC_REPLIES, 1),
     (SEC_KERNEL, 1),
-    (SEC_LLC, 1),
+    (SEC_LLC, 2),
 ];
 
 /// Cap on embedded strings while parsing untrusted files.
@@ -815,7 +820,6 @@ fn encode_set_assoc(e: &mut Enc, s: &SetAssocState) {
             e.u64(w.addr.raw());
             e.u8(encode_coherence_state(w.state));
             e.u64(w.last_touch);
-            e.u64(w.inserted);
         }
     }
 }
@@ -833,7 +837,7 @@ fn decode_set_assoc(d: &mut Dec<'_>) -> Result<SetAssocState, SnapError> {
     let mut sets = Vec::with_capacity(num_sets);
     for _ in 0..num_sets {
         let ways = d.u16()? as usize;
-        if ways.saturating_mul(25) > d.remaining() {
+        if ways.saturating_mul(17) > d.remaining() {
             return Err(d.err(format!("way count {ways} exceeds the payload")));
         }
         let mut set = Vec::with_capacity(ways);
@@ -844,7 +848,6 @@ fn decode_set_assoc(d: &mut Dec<'_>) -> Result<SetAssocState, SnapError> {
                 addr,
                 state,
                 last_touch: d.u64()?,
-                inserted: d.u64()?,
             });
         }
         sets.push(set);
@@ -1151,11 +1154,13 @@ fn decode_threads(payload: &[u8]) -> Result<Vec<ThreadState>, SnapError> {
             let time = d.nanos()?;
             let actor = d.u32()?;
             let wseq = d.u32()?;
+            let key = MergeKey::new(time, actor, wseq);
+            // Replies commit front to back, in issue order.
+            if window.last().is_some_and(|p: &Pending| p.key >= key) {
+                return Err(d.err(format!("thread {thread}'s window is out of issue order")));
+            }
             let line = LineAddr::new(d.u64()?);
-            window.push(Pending {
-                key: MergeKey::new(time, actor, wseq),
-                line,
-            });
+            window.push(Pending { key, line });
         }
         threads.push(ThreadState {
             thread,

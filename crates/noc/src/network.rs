@@ -133,13 +133,6 @@ impl Network {
     pub fn reset_stats(&mut self) {
         self.stats = NocStats::new();
     }
-
-    /// Replaces the traffic statistics with checkpointed values (the fabric
-    /// and configuration are pure functions of the machine config, so the
-    /// statistics are the network's only dynamic state).
-    pub fn restore_stats(&mut self, stats: NocStats) {
-        self.stats = stats;
-    }
 }
 
 #[cfg(test)]

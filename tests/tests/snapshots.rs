@@ -7,8 +7,9 @@
 //! On top of that: snapshot bytes are canonical across shard counts, file
 //! round trips survive, bit flips and version skews are refused with a
 //! typed error naming the section, so are threads and replies that
-//! disagree (resealed so every checksum passes), and fork-from-warm
-//! resumption equals a cold run.
+//! disagree and miss windows out of issue order (resealed so every
+//! checksum passes), a restore whose threads do not fit the workload is
+//! refused as a fork is, and fork-from-warm resumption equals a cold run.
 
 use allarm_core::simulator::Start;
 use allarm_core::snapshot::{read_header, read_section_table};
@@ -236,7 +237,8 @@ fn llc_section_is_present_only_when_enabled_and_skew_is_refused_by_name() {
     assert!(section_version_offset(&plain, SEC_LLC).is_none());
 
     // LLC enabled: the section is written, listed by the section-table
-    // reader as "llc" v1, and the file round-trips.
+    // reader as "llc" v2 (the same version as "caches"), and the file
+    // round-trips.
     machine.llc = LlcConfig::shared_slice(256 * 1024, 16);
     let snap = run_until(
         &SimulationBuilder::new(machine).build().unwrap(),
@@ -252,30 +254,39 @@ fn llc_section_is_present_only_when_enabled_and_skew_is_refused_by_name() {
         .find(|s| s.id == SEC_LLC)
         .expect("LLC-enabled snapshot carries the llc section");
     assert_eq!(llc_row.name, "llc");
-    assert_eq!(llc_row.version, 1);
+    assert_eq!(llc_row.version, 2);
     assert!(llc_row.len > 0);
+    let caches_row = table.iter().find(|s| s.id == SEC_CACHES).unwrap();
+    assert_eq!((caches_row.name, caches_row.version), ("caches", 2));
     assert!(SimSnapshot::read_from(&path).is_ok());
 
-    // A writer with a newer llc section (as a build without this PR would
-    // see one from the future) is refused with the section named, and the
-    // header-only read refuses identically — nothing downstream of the
-    // check can be touched.
-    let mut skewed = std::fs::read(&path).unwrap();
-    let at = section_version_offset(&skewed, SEC_LLC).unwrap();
-    skewed[at] = 2;
-    let bad = dir.join("llc-skewed.snap");
-    std::fs::write(&bad, &skewed).unwrap();
-    for err in [
-        SimSnapshot::read_from(&bad).unwrap_err(),
-        read_header(&bad).unwrap_err(),
-    ] {
-        assert_eq!(err.section(), Some("llc"), "{err}");
-        assert!(err.to_string().contains("unsupported section version 2"));
+    // A cache section from another build is refused with the section
+    // named, and the header-only read refuses identically — nothing
+    // downstream of the check can be touched. That holds for a newer
+    // writer (version 3) and for an older one (version 1, whose ways
+    // carry an 8-byte insertion stamp that version 2 would misread).
+    let bytes = std::fs::read(&path).unwrap();
+    for (id, name) in [(SEC_CACHES, "caches"), (SEC_LLC, "llc")] {
+        for version in [3u8, 1] {
+            let mut skewed = bytes.clone();
+            skewed[section_version_offset(&bytes, id).unwrap()] = version;
+            let bad = dir.join(format!("{name}-v{version}.snap"));
+            std::fs::write(&bad, &skewed).unwrap();
+            for err in [
+                SimSnapshot::read_from(&bad).unwrap_err(),
+                read_header(&bad).unwrap_err(),
+            ] {
+                assert_eq!(err.section(), Some(name), "{err}");
+                let expected = format!("unsupported section version {version}");
+                assert!(err.to_string().contains(&expected), "{err}");
+            }
+        }
     }
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
+const SEC_CACHES: u16 = 1;
 const SEC_CORES: u16 = 4;
 const SEC_REPLIES: u16 = 5;
 
@@ -431,4 +442,68 @@ fn a_reply_for_a_finished_thread_is_refused() {
     });
     let err = SimSnapshot::from_bytes(&crafted).unwrap_err();
     assert_eq!(err.section(), Some("replies"), "{err}");
+}
+
+/// Restores `bytes` onto [`small_run`], expecting the restore checks to
+/// refuse it before anything runs.
+fn refused_restore(bytes: &[u8]) -> allarm_types::ConfigError {
+    let snap = SimSnapshot::from_bytes(bytes).unwrap();
+    let (sim, workload) = small_run();
+    sim.replay((&workload).into(), Start::Restore(&snap), 0, |_| {
+        ControlFlow::Continue(())
+    })
+    .unwrap_err()
+}
+
+/// Two entries of one thread's miss window swapped: the replies still
+/// answer the window one to one, but they commit front to back, so the
+/// first commit would meet the wrong key. The read refuses it.
+#[test]
+fn a_miss_window_out_of_issue_order_is_refused() {
+    let (bytes, thread) = first_checkpoint_with(|t| t.window >= 2);
+    let crafted = reseal(&bytes, SEC_CORES, |cores| {
+        let first = thread.at + WINDOW_AT;
+        let (a, b) = cores[first..first + 2 * WINDOW_ENTRY].split_at_mut(WINDOW_ENTRY);
+        a.swap_with_slice(b);
+    });
+    let err = SimSnapshot::from_bytes(&crafted).unwrap_err();
+    assert_eq!(err.section(), Some("cores"), "{err}");
+    assert!(err.to_string().contains("issue order"), "{err}");
+}
+
+/// A finished thread moved to another in-range core: the file is
+/// consistent on its own, but the workload pins the thread elsewhere, so
+/// a restore checks the pinning as a fork does.
+#[test]
+fn a_restore_onto_another_core_pinning_is_refused() {
+    let (bytes, thread) = first_checkpoint_with(|t| t.flags & 2 != 0);
+    let crafted = reseal(&bytes, SEC_CORES, |cores| {
+        let other = (thread.core + 1) % 4;
+        cores[thread.at + 4..thread.at + 6].copy_from_slice(&other.to_le_bytes());
+    });
+    let err = refused_restore(&crafted);
+    assert_eq!(err.field(), "snapshot.threads", "{err}");
+    assert!(err.reason().contains("pins thread"), "{err}");
+}
+
+/// One finished thread record appended: the file is consistent on its
+/// own, but it has one thread more than the workload, so a restore checks
+/// the thread count as a fork does.
+#[test]
+fn a_restore_with_an_extra_thread_is_refused() {
+    let (bytes, _) = first_checkpoint_with(|t| t.flags & 2 != 0);
+    let crafted = reseal(&bytes, SEC_CORES, |cores| {
+        let count = u32::from_le_bytes(cores[..4].try_into().unwrap());
+        cores[..4].copy_from_slice(&(count + 1).to_le_bytes());
+        cores.extend(count.to_le_bytes()); // thread index
+        cores.extend(0u16.to_le_bytes()); // core
+        cores.extend(0u64.to_le_bytes()); // clock
+        cores.push(2); // finished
+        cores.extend(0u64.to_le_bytes()); // cursor
+        cores.extend(0u32.to_le_bytes()); // seq
+        cores.extend(0u32.to_le_bytes()); // empty window
+    });
+    let err = refused_restore(&crafted);
+    assert_eq!(err.field(), "snapshot.threads", "{err}");
+    assert!(err.reason().contains("5 threads"), "{err}");
 }

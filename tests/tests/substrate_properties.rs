@@ -6,7 +6,7 @@
 //! from fixed seeds — fully deterministic, reproducible by seed, and with
 //! the failing case number printed on assertion failure.
 
-use allarm_cache::{CoherenceState, ReplacementPolicy, SetAssocCache};
+use allarm_cache::{CoherenceState, SetAssocCache};
 use allarm_coherence::ProbeFilter;
 use allarm_engine::StreamRng;
 use allarm_mem::{NumaAllocator, NumaPolicy};
@@ -38,14 +38,7 @@ fn for_cases(cases: u64, body: impl Fn(&mut StreamRng)) {
 #[test]
 fn cache_capacity_and_uniqueness() {
     for_cases(64, |rng| {
-        let policy = *rng
-            .choose(&[
-                ReplacementPolicy::Lru,
-                ReplacementPolicy::Fifo,
-                ReplacementPolicy::Random,
-            ])
-            .unwrap();
-        let mut cache = SetAssocCache::with_policy(&CacheConfig::new(4096, 4, 1), policy);
+        let mut cache = SetAssocCache::new(&CacheConfig::new(4096, 4, 1));
         let ops = 1 + rng.below(399);
         for _ in 0..ops {
             let line = LineAddr::new(rng.below(256));
