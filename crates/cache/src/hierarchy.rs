@@ -201,10 +201,12 @@ impl CoreCaches {
         self.state_of(line).is_some()
     }
 
-    /// Takes the list of lines that have been displaced entirely out of the
-    /// hierarchy (L2 capacity victims) since the last call.
-    pub fn take_capacity_victims(&mut self) -> Vec<EvictedLine> {
-        std::mem::take(&mut self.pending_victims)
+    /// Drains the lines that have been displaced entirely out of the
+    /// hierarchy (L2 capacity victims) since the last call. The buffer
+    /// keeps its capacity, so collecting victims never allocates once it
+    /// has grown to the largest batch.
+    pub fn take_capacity_victims(&mut self) -> std::vec::Drain<'_, EvictedLine> {
+        self.pending_victims.drain(..)
     }
 
     /// L1D statistics.
@@ -398,14 +400,14 @@ mod tests {
         for i in 0..(total * 2) {
             c.fill(LineAddr::new(i), CoherenceState::Exclusive);
         }
-        let victims = c.take_capacity_victims();
+        let victims: Vec<_> = c.take_capacity_victims().collect();
         assert!(!victims.is_empty());
         // Victims are gone from the hierarchy.
         for v in &victims {
             assert!(!c.contains(v.addr));
         }
         // Draining twice yields nothing new.
-        assert!(c.take_capacity_victims().is_empty());
+        assert_eq!(c.take_capacity_victims().len(), 0);
         // The hierarchy never holds more than its capacity.
         assert!(c.resident_lines() <= total as usize);
     }

@@ -9,15 +9,18 @@
 //! [`AllocationPolicy`].
 
 use crate::policy::AllocationPolicy;
-use crate::probe_filter::{PfEntry, PfEviction, ProbeFilter};
+use crate::probe_filter::ProbeFilter;
 use crate::request::{CoherenceRequest, RequestKind};
+use crate::sharers::SharerView;
 use allarm_cache::{CoherenceState, ProbeOutcome};
 use allarm_noc::MessageClass;
 use allarm_types::addr::LineAddr;
 use allarm_types::config::{ProbeFilterConfig, SharerTracking};
 use allarm_types::ids::{CoreId, NodeId};
 use allarm_types::stats::Counter;
+use allarm_types::topology::Topology;
 use allarm_types::Nanos;
+use std::mem;
 
 /// The machine resources a directory controller needs to reach: every
 /// core's private caches, the on-chip network, and the DRAM behind each
@@ -176,6 +179,21 @@ pub struct DirectoryControllerState {
     pub stats: DirectoryStats,
 }
 
+/// One node's share of an invalidation, as
+/// [`DirectoryController::invalidate_node`] reports it.
+#[derive(Debug, Clone, Copy)]
+struct NodeInvalidation {
+    node: NodeId,
+    /// Cores probed on the node.
+    probed: u64,
+    /// Invalidate out, array lookup, combined ack back.
+    round_trip: Nanos,
+    /// Probed cores that held the line.
+    hits: u64,
+    /// Probed cores that held it dirty.
+    dirty: u64,
+}
+
 /// A directory controller plus its probe filter, for one home node.
 #[derive(Debug, Clone)]
 pub struct DirectoryController {
@@ -185,39 +203,46 @@ pub struct DirectoryController {
     sharer_tracking: SharerTracking,
     pf_latency: Nanos,
     stats: DirectoryStats,
+    // Reused buffers, so no transaction allocates: the sharer words of the
+    // entry being served (a hit, or an eviction's victim), copied out of
+    // the probe filter so the flow can update it, and one node's run of
+    // invalidation targets.
+    sharers: Vec<u64>,
+    group: Vec<CoreId>,
 }
 
 impl DirectoryController {
     /// Creates a controller for the directory homed on `home`, on a
-    /// one-core-per-node machine.
+    /// one-core-per-node machine of at least `home + 1` nodes (the probe
+    /// filter widens for any core beyond).
     pub fn new(home: NodeId, config: &ProbeFilterConfig, policy: AllocationPolicy) -> Self {
-        DirectoryController::hierarchical(home, config, policy, 1)
+        let topology = Topology::flat(home.index() as u32 + 1);
+        DirectoryController::hierarchical(home, config, policy, topology)
     }
 
-    /// Creates a controller for a machine hosting `cores_per_node` cores on
-    /// each NUMA node. The probe filter becomes two-level (node-presence
-    /// vector over the exact core map — see
-    /// [`ProbeFilter::hierarchical`]), and probes / back-invalidations are
-    /// steered at node granularity: one invalidation message and one
-    /// combined ack per *node*, with the node's member caches probed there
-    /// in parallel. With `cores_per_node == 1` this is exactly [`Self::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores_per_node` is zero.
+    /// Creates a controller for a node of a machine of shape `topology`,
+    /// its probe filter sized for the machine's core count once
+    /// ([`ProbeFilter::for_machine`]). With several cores per node the
+    /// filter is two-level (node-presence vector over the exact core map),
+    /// and probes / back-invalidations are steered at node granularity: one
+    /// invalidation message and one combined ack per *node*, with the
+    /// node's member caches probed there in parallel. On a flat topology
+    /// the flows are exactly [`Self::new`]'s.
     pub fn hierarchical(
         home: NodeId,
         config: &ProbeFilterConfig,
         policy: AllocationPolicy,
-        cores_per_node: u32,
+        topology: Topology,
     ) -> Self {
         DirectoryController {
             home,
-            probe_filter: ProbeFilter::hierarchical(config, cores_per_node),
+            probe_filter: ProbeFilter::for_machine(config, topology),
             policy,
             sharer_tracking: config.sharer_tracking,
             pf_latency: config.access_latency,
             stats: DirectoryStats::default(),
+            sharers: Vec::new(),
+            group: Vec::new(),
         }
     }
 
@@ -285,7 +310,17 @@ impl DirectoryController {
         latency += self.pf_latency;
 
         let response = match self.probe_filter.lookup(req.line) {
-            Some(entry) => self.handle_hit(req, entry, sys),
+            Some(entry) => {
+                // Copy the entry out of the filter, so the flow can update
+                // it; the sharer words go into the reused buffer.
+                let owner = entry.owner;
+                let mut sharers = mem::take(&mut self.sharers);
+                sharers.clear();
+                sharers.extend_from_slice(entry.sharers.words());
+                let response = self.handle_hit(req, owner, SharerView::new(&sharers), sys);
+                self.sharers = sharers;
+                response
+            }
             None => self.handle_miss(req, sys),
         };
 
@@ -329,13 +364,13 @@ impl DirectoryController {
     fn handle_hit(
         &mut self,
         req: CoherenceRequest,
-        entry: PfEntry,
+        owner: CoreId,
+        sharers: SharerView<'_>,
         sys: &mut dyn SystemAccess,
     ) -> DirectoryResponse {
         match req.kind {
             RequestKind::GetS => {
-                let owner = entry.owner;
-                if owner != req.requester && entry.sharers.contains(owner) {
+                if owner != req.requester && sharers.contains(owner) {
                     // Probe the owner and launch the DRAM read speculatively
                     // in parallel (as deployed Hammer directories do): if the
                     // owner still holds the line it supplies it
@@ -379,10 +414,14 @@ impl DirectoryController {
                             // Re-establish tracking for the requester. Other
                             // sharers may remain in the entry, in which case
                             // the requester only gets a shared copy.
-                            let fill_state = match self.probe_filter.peek(req.line) {
-                                Some(remaining) => {
+                            let others_gone = self
+                                .probe_filter
+                                .peek(req.line)
+                                .map(|remaining| remaining.sharers.is_empty());
+                            let fill_state = match others_gone {
+                                Some(others_gone) => {
                                     self.probe_filter.add_sharer(req.line, req.requester);
-                                    if remaining.sharers.is_empty() {
+                                    if others_gone {
                                         CoherenceState::Exclusive
                                     } else {
                                         CoherenceState::Shared
@@ -407,7 +446,7 @@ impl DirectoryController {
                 self.stats.dram_fills.incr();
                 let data = sys.send(self.home, req.requester_node, MessageClass::Data);
                 self.probe_filter.add_sharer(req.line, req.requester);
-                let state = if entry.sharers.count() <= 1 {
+                let state = if sharers.count() <= 1 {
                     CoherenceState::Exclusive
                 } else {
                     CoherenceState::Shared
@@ -419,67 +458,86 @@ impl DirectoryController {
                 }
             }
             RequestKind::GetX | RequestKind::Upgrade => {
-                let response =
-                    self.invalidate_for_ownership(req, entry.sharers.iter().collect(), sys);
+                let response = self.invalidate_for_ownership(req, sharers, sys);
                 self.probe_filter.set_owner(req.line, req.requester, true);
                 response
             }
         }
     }
 
-    /// The caches that must lose their copy for `requester` to take
-    /// ownership, grouped by NUMA node in ascending core order. Grouping is
-    /// what makes tracking hierarchical on multi-core nodes: the directory
-    /// sends one invalidation (and collects one combined ack) per *node*,
-    /// and the node fans it out to its member caches locally. With one core
-    /// per node every group is a singleton and the flow is the classic
-    /// per-core one.
-    fn invalidation_targets(
-        &self,
-        sharers: Vec<CoreId>,
+    /// Invalidates `line` in every cache that may hold it — the `sharers`
+    /// under a sharer vector, every core under Hammer broadcast — except
+    /// `exclude`'s. The cores are walked once, in ascending order, and
+    /// each run of same-node cores becomes one [`Self::invalidate_node`]:
+    /// that grouping is what makes tracking hierarchical on multi-core
+    /// nodes, where the directory sends one invalidation (and collects one
+    /// combined ack) per *node* and the node fans it out to its member
+    /// caches locally. With one core per node every run is a single core
+    /// and the flow is the classic per-core one. `done` sees each node's
+    /// outcome before the next node is reached.
+    fn invalidate_targets(
+        &mut self,
+        sharers: SharerView<'_>,
         exclude: CoreId,
-        sys: &dyn SystemAccess,
-    ) -> Vec<(NodeId, Vec<CoreId>)> {
-        let targets: Box<dyn Iterator<Item = CoreId>> = match self.sharer_tracking {
-            SharerTracking::SharerVector => Box::new(sharers.into_iter()),
-            SharerTracking::HammerBroadcast => {
-                Box::new((0..sys.num_cores() as u16).map(CoreId::new))
-            }
+        line: LineAddr,
+        sys: &mut dyn SystemAccess,
+        mut done: impl FnMut(&mut DirectoryStats, &mut dyn SystemAccess, NodeInvalidation),
+    ) {
+        // One of the two chained sources is always empty.
+        let (listed, everyone) = match self.sharer_tracking {
+            SharerTracking::SharerVector => (sharers, 0..0),
+            SharerTracking::HammerBroadcast => (SharerView::new(&[]), 0..sys.num_cores() as u16),
         };
-        let mut groups: Vec<(NodeId, Vec<CoreId>)> = Vec::new();
-        for core in targets.filter(|c| *c != exclude) {
-            let node = sys.node_of_core(core);
-            match groups.last_mut() {
-                Some((n, cores)) if *n == node => cores.push(core),
-                _ => groups.push((node, vec![core])),
+        let mut targets = listed
+            .iter()
+            .chain(everyone.map(CoreId::new))
+            .filter(|&core| core != exclude);
+        let mut group = mem::take(&mut self.group);
+        let mut next = targets.next().map(|core| (core, sys.node_of_core(core)));
+        while let Some((core, node)) = next {
+            group.push(core);
+            next = targets.next().map(|core| (core, sys.node_of_core(core)));
+            if next.is_some_and(|(_, after)| after == node) {
+                continue;
             }
+            let outcome = self.invalidate_node(node, &group, line, sys);
+            done(&mut self.stats, sys, outcome);
+            group.clear();
         }
-        groups
+        self.group = group;
     }
 
     /// One node's share of an invalidation: one Invalidate reaches `node`,
     /// its member `cores` and its shared LLC slice lose their copies there
     /// in parallel (one array latency, no extra traffic), and one combined
-    /// ack returns. Returns the round trip, how many cores held the line
-    /// and how many of those held it dirty.
+    /// ack returns.
     fn invalidate_node(
         &self,
         node: NodeId,
         cores: &[CoreId],
         line: LineAddr,
         sys: &mut dyn SystemAccess,
-    ) -> (Nanos, u64, u64) {
+    ) -> NodeInvalidation {
         let inv = sys.send(self.home, node, MessageClass::Invalidate);
-        let (mut hits, mut dirty_hits) = (0, 0);
+        let (mut hits, mut dirty) = (0, 0);
         for &core in cores {
-            if let ProbeOutcome::Hit { dirty, .. } = sys.probe_cache(core, line, false, true) {
+            if let ProbeOutcome::Hit {
+                dirty: was_dirty, ..
+            } = sys.probe_cache(core, line, false, true)
+            {
                 hits += 1;
-                dirty_hits += u64::from(dirty);
+                dirty += u64::from(was_dirty);
             }
         }
         sys.probe_llc(node, line, true);
         let ack = sys.send(node, self.home, MessageClass::InvalidateAck);
-        (inv + sys.cache_access_latency() + ack, hits, dirty_hits)
+        NodeInvalidation {
+            node,
+            probed: cores.len() as u64,
+            round_trip: inv + sys.cache_access_latency() + ack,
+            hits,
+            dirty,
+        }
     }
 
     /// Invalidates every copy other than the requester's and (for GetX)
@@ -488,25 +546,22 @@ impl DirectoryController {
     fn invalidate_for_ownership(
         &mut self,
         req: CoherenceRequest,
-        sharers: Vec<CoreId>,
+        sharers: SharerView<'_>,
         sys: &mut dyn SystemAccess,
     ) -> DirectoryResponse {
-        let groups = self.invalidation_targets(sharers, req.requester, sys);
-
         // All invalidations proceed in parallel; the critical path is the
         // slowest round trip. Within a node the member caches are probed in
         // parallel off one message, so the node costs a single array
         // latency however many cores it hosts.
         let mut inval_path = Nanos::ZERO;
         let mut dirty_source: Option<NodeId> = None;
-        for (target_node, cores) in groups {
-            let (round_trip, _, dirty) = self.invalidate_node(target_node, &cores, req.line, sys);
-            self.stats.ownership_invalidations.add(cores.len() as u64);
-            if dirty > 0 {
-                dirty_source = Some(target_node);
+        self.invalidate_targets(sharers, req.requester, req.line, sys, |stats, _, node| {
+            stats.ownership_invalidations.add(node.probed);
+            if node.dirty > 0 {
+                dirty_source = Some(node.node);
             }
-            inval_path = inval_path.max(round_trip);
-        }
+            inval_path = inval_path.max(node.round_trip);
+        });
 
         // The requester's own node slice may also hold a clean copy (the
         // requester is excluded from the target groups): it must die before
@@ -570,9 +625,15 @@ impl DirectoryController {
             };
         }
 
-        // Allocate an entry (possibly displacing a victim).
-        if let Some(eviction) = self.probe_filter.allocate(req.line, req.requester) {
-            self.process_pf_eviction(eviction, sys);
+        // Allocate an entry (possibly displacing a victim, whose sharer
+        // words are copied into the reused buffer).
+        if let Some(victim) = self.probe_filter.allocate(req.line, req.requester) {
+            let line = victim.line;
+            let mut sharers = mem::take(&mut self.sharers);
+            sharers.clear();
+            sharers.extend_from_slice(victim.sharers.words());
+            self.process_pf_eviction(line, SharerView::new(&sharers), sys);
+            self.sharers = sharers;
         }
 
         if self.policy.is_allarm() {
@@ -680,30 +741,33 @@ impl DirectoryController {
     /// (the directory retires them in the background), but every message and
     /// every lost cache line is accounted for — they are the cost the paper
     /// measures in Figs. 3b–3f.
-    fn process_pf_eviction(&mut self, eviction: PfEviction, sys: &mut dyn SystemAccess) {
+    fn process_pf_eviction(
+        &mut self,
+        line: LineAddr,
+        sharers: SharerView<'_>,
+        sys: &mut dyn SystemAccess,
+    ) {
         self.stats.pf_evictions.incr();
-        let line = eviction.entry.line;
-        let sharers: Vec<CoreId> = eviction.entry.sharers.iter().collect();
+        let home = self.home;
         // No core is exempt from a back-invalidation, so exclude a core id
         // that cannot occur.
         let nobody = CoreId::new(u16::MAX);
-        for (target_node, cores) in self.invalidation_targets(sharers, nobody, sys) {
+        self.invalidate_targets(sharers, nobody, line, sys, |stats, sys, node| {
             // On one-core nodes the invalidation and its ack are the
             // classic two-messages-per-sharer cost of Fig. 3d; hierarchical
             // tracking amortizes them across the node's cores. Once the
             // directory stops tracking the line, the node's shared LLC
             // slice may no longer serve it either.
-            let (_, hits, writebacks) = self.invalidate_node(target_node, &cores, line, sys);
-            self.stats.eviction_messages.add(2);
-            self.stats.eviction_invalidations.add(hits);
-            for _ in 0..writebacks {
+            stats.eviction_messages.add(2);
+            stats.eviction_invalidations.add(node.hits);
+            for _ in 0..node.dirty {
                 // The victim's dirty data must be written back to memory.
-                sys.send(target_node, self.home, MessageClass::WriteBack);
-                self.stats.eviction_messages.incr();
-                self.stats.eviction_writebacks.incr();
-                sys.dram_write(self.home);
+                sys.send(node.node, home, MessageClass::WriteBack);
+                stats.eviction_messages.incr();
+                stats.eviction_writebacks.incr();
+                sys.dram_write(home);
             }
-        }
+        });
     }
 }
 
@@ -714,9 +778,10 @@ mod tests {
     use allarm_noc::Network;
     use allarm_types::config::{MachineConfig, NocConfig};
 
-    /// A miniature 4-core machine for exercising the controller directly.
-    /// With `cores_per_node > 1` the four cores fold onto fewer nodes
-    /// (blocked assignment), exercising the hierarchical flows.
+    /// A miniature machine for exercising the controller directly: four
+    /// cores unless built with [`MiniSystem::with_cores`]. With
+    /// `cores_per_node > 1` the cores fold onto fewer nodes (blocked
+    /// assignment), exercising the hierarchical flows.
     struct MiniSystem {
         caches: Vec<CoreCaches>,
         network: Network,
@@ -732,11 +797,19 @@ mod tests {
         }
 
         fn with_cores_per_node(cores_per_node: u16) -> Self {
+            MiniSystem::with_cores(4, cores_per_node)
+        }
+
+        /// `cores` cores on two or four nodes.
+        fn with_cores(cores: u16, cores_per_node: u16) -> Self {
             let cfg = MachineConfig::small_test();
-            let mesh = 2 / cores_per_node.min(2) as u32;
+            let nodes = u32::from(cores / cores_per_node);
+            assert!(nodes == 2 || nodes == 4, "a 1x2 or 2x2 mesh");
             MiniSystem {
-                caches: (0..4).map(|_| CoreCaches::new(&cfg.l1d, &cfg.l2)).collect(),
-                network: Network::new(NocConfig::mesh(mesh.max(1), 2)),
+                caches: (0..cores)
+                    .map(|_| CoreCaches::new(&cfg.l1d, &cfg.l2))
+                    .collect(),
+                network: Network::new(NocConfig::mesh(nodes / 2, 2)),
                 cores_per_node,
                 dram_latency: Nanos::new(60),
                 dram_reads: 0,
@@ -1096,7 +1169,7 @@ mod tests {
             NodeId::new(0),
             &ProbeFilterConfig::new(4096, 4),
             AllocationPolicy::Allarm,
-            2,
+            Topology::new(2, 2),
         );
         // The designated core's local miss stays untracked...
         dir.handle_request(gets2(100, 0), &mut sys);
@@ -1118,8 +1191,12 @@ mod tests {
         let mut sys = MiniSystem::with_cores_per_node(2);
         let mut cfg = ProbeFilterConfig::new(2 * 64, 2);
         cfg.replacement = allarm_types::config::PfReplacement::Lru;
-        let mut dir =
-            DirectoryController::hierarchical(NodeId::new(0), &cfg, AllocationPolicy::Baseline, 2);
+        let mut dir = DirectoryController::hierarchical(
+            NodeId::new(0),
+            &cfg,
+            AllocationPolicy::Baseline,
+            Topology::new(2, 2),
+        );
         let r = dir.handle_request(gets2(0, 2), &mut sys);
         sys.caches[2].fill(LineAddr::new(0), r.fill_state);
         let r = dir.handle_request(gets2(0, 3), &mut sys);
@@ -1143,5 +1220,61 @@ mod tests {
         assert_eq!(sys.caches[3].state_of(LineAddr::new(0)), None);
         // The two-level filter recorded its node-vector activity.
         assert!(dir.probe_filter().stats().node_vector_accesses.get() > 0);
+    }
+
+    #[test]
+    fn wide_sharer_sets_invalidate_once_per_node() {
+        // 256 cores on two nodes of 128: the line's sharers 5 and 70 (node
+        // 0, sharer words 0 and 1) and 130 (node 1, word 2) lose their
+        // copies to core 200's GetX with one Invalidate and one ack per
+        // node, and every probed core counts as an ownership invalidation.
+        let mut sys = MiniSystem::with_cores(256, 128);
+        let mut dir = DirectoryController::hierarchical(
+            NodeId::new(0),
+            &ProbeFilterConfig::new(4096, 4),
+            AllocationPolicy::Baseline,
+            Topology::new(2, 128),
+        );
+        let request = |kind, core: u16| {
+            CoherenceRequest::new(
+                LineAddr::new(300),
+                kind,
+                CoreId::new(core),
+                NodeId::new(core / 128),
+            )
+        };
+        for core in [5, 70, 130] {
+            let r = dir.handle_request(request(RequestKind::GetS, core), &mut sys);
+            sys.caches[core as usize].fill(LineAddr::new(300), r.fill_state);
+        }
+        let sharers: Vec<u16> = dir
+            .probe_filter()
+            .peek(LineAddr::new(300))
+            .unwrap()
+            .sharers
+            .iter()
+            .map(|c| c.raw())
+            .collect();
+        assert_eq!(sharers, vec![5, 70, 130]);
+
+        let count = |sys: &MiniSystem, class| sys.network.stats().messages_of(class);
+        let (inv, acks) = (
+            count(&sys, MessageClass::Invalidate),
+            count(&sys, MessageClass::InvalidateAck),
+        );
+        let r = dir.handle_request(request(RequestKind::GetX, 200), &mut sys);
+        assert_eq!(r.fill_state, CoherenceState::Modified);
+        assert_eq!(count(&sys, MessageClass::Invalidate) - inv, 2);
+        assert_eq!(count(&sys, MessageClass::InvalidateAck) - acks, 2);
+        assert_eq!(dir.stats().ownership_invalidations.get(), 3);
+        for core in [5, 70, 130] {
+            assert_eq!(sys.caches[core].state_of(LineAddr::new(300)), None);
+        }
+        let entry = dir.probe_filter().peek(LineAddr::new(300)).unwrap();
+        assert_eq!(entry.owner, CoreId::new(200));
+        assert_eq!(
+            entry.sharers.iter().collect::<Vec<_>>(),
+            vec![CoreId::new(200)]
+        );
     }
 }

@@ -54,7 +54,7 @@ pub use controller::{
     DirectoryController, DirectoryControllerState, DirectoryResponse, DirectoryStats, SystemAccess,
 };
 pub use policy::AllocationPolicy;
-pub use probe_filter::{PfEntry, PfEviction, PfSlotState, PfStats, ProbeFilter, ProbeFilterState};
+pub use probe_filter::{PfEntry, PfEntryView, PfSlotState, PfStats, ProbeFilter, ProbeFilterState};
 pub use request::{CoherenceRequest, RequestKind};
 pub use shard::{CoherenceEvent, CoherenceOp, CoherenceReply, DirectoryNodeState, DirectoryShard};
-pub use sharers::{NodeSet, SharerSet};
+pub use sharers::{NodeSet, SharerSet, SharerView};

@@ -17,14 +17,22 @@
 //! tracked by its own activity counter
 //! ([`PfStats::node_vector_accesses`]) so the energy model can charge it
 //! independently of the full entry read.
+//!
+//! Every entry, sharer bits included, lives in one flat slab of machine
+//! words (see [`ProbeFilter`]). Lookups hand out a borrowed
+//! [`PfEntryView`], so the directory's miss path reads, updates and evicts
+//! entries without touching the host heap.
 
-use crate::sharers::{NodeSet, SharerSet};
+use crate::sharers::{words_for, NodeSet, SharerSet, SharerView, WORD_BITS};
 use allarm_types::addr::LineAddr;
 use allarm_types::config::{PfReplacement, ProbeFilterConfig};
 use allarm_types::ids::CoreId;
 use allarm_types::stats::Counter;
+use allarm_types::topology::Topology;
 
-/// One directory entry: the tracked line, its owner, and its sharers.
+/// One directory entry, owned: the tracked line, its owner, and its
+/// sharers. The form checkpoints carry; the filter itself stores entries
+/// in its slab and lends them out as [`PfEntryView`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PfEntry {
     /// The tracked cache line.
@@ -55,15 +63,38 @@ impl PfEntry {
     }
 }
 
-/// A victim entry displaced by an allocation.
-///
-/// The directory controller must back-invalidate `line` from every core in
-/// `sharers` (or broadcast, under Hammer-style tracking) before the entry
-/// can be reused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PfEviction {
-    /// The evicted entry.
-    pub entry: PfEntry,
+/// One directory entry read in place: what [`ProbeFilter::lookup`] and
+/// [`ProbeFilter::peek`] return, and what [`ProbeFilter::allocate`]
+/// returns for the victim of a full set. The sharers are the slot's own
+/// words, so reading an entry never allocates.
+#[derive(Debug, Clone, Copy)]
+pub struct PfEntryView<'a> {
+    /// The tracked cache line.
+    pub line: LineAddr,
+    /// The core considered the owner.
+    pub owner: CoreId,
+    /// Cores that may hold a copy.
+    pub sharers: SharerView<'a>,
+}
+
+impl PfEntryView<'_> {
+    /// The owned copy of this entry.
+    pub fn to_entry(&self) -> PfEntry {
+        PfEntry {
+            line: self.line,
+            owner: self.owner,
+            sharers: self.sharers.to_set(),
+        }
+    }
+
+    /// Reads the entry stored in `slot` (a slab slot or a victim copy).
+    fn of(slot: &[u64]) -> PfEntryView<'_> {
+        PfEntryView {
+            line: LineAddr::new(slot[TAG]),
+            owner: CoreId::new(slot[OWNER] as u16),
+            sharers: SharerView::new(&slot[WORDS..]),
+        }
+    }
 }
 
 /// Probe-filter activity counters.
@@ -100,22 +131,35 @@ impl PfStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Slot {
-    entry: PfEntry,
-    last_touch: u64,
-    valid: bool,
-}
+/// Word offsets within a slab slot: the tag, the recency stamp and the
+/// owner, followed by the sharer words.
+const TAG: usize = 0;
+const STAMP: usize = 1;
+const OWNER: usize = 2;
+const WORDS: usize = 3;
+
+/// The tag of a free slot: a line number no 64-bit byte address maps to.
+/// A valid slot's tag is its line.
+const FREE: u64 = u64::MAX;
 
 /// A set-associative sparse directory.
 ///
-/// Storage is a single flat slab of `num_sets * ways` slots indexed by
-/// `set * ways + way`, pre-initialised to invalid slots — one allocation,
-/// sequential walks in the directory hot path. Sets never reorder (the
-/// old per-set `Vec` only ever pushed or overwrote in place, never
-/// removed), so a slot's `valid` flag carries the same information the
-/// grow-only `Vec` length did and every position-dependent choice —
-/// first-invalid reuse, LRU and random victim selection — is unchanged.
+/// Storage is a single flat slab of `u64` words: `num_sets * ways` slots
+/// indexed by `set * ways + way`, each `[tag, recency stamp, owner,
+/// sharer words…]`, pre-initialised to free slots. The sharer words come
+/// at a fixed stride of ⌈cores/64⌉, so a slot is 32 B on machines of up to
+/// 64 cores and 56 B at 256, and no entry owns a heap block. One
+/// allocation serves the whole array, and a set is walked sequentially.
+/// Sets never reorder (the old per-set `Vec` only ever pushed or overwrote
+/// in place, never removed), so a free slot carries the same information
+/// the grow-only `Vec` length did and every position-dependent choice —
+/// first-free reuse, LRU and random victim selection — is unchanged.
+///
+/// [`ProbeFilter::for_machine`] sizes the stride for the machine's core
+/// count once. The other constructors guess a stride (see
+/// [`ProbeFilter::hierarchical`]) and widen every slot the first time a
+/// larger core index arrives, so any core index fits: there is no
+/// core-count ceiling.
 ///
 /// # Examples
 ///
@@ -132,8 +176,10 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbeFilter {
-    /// `num_sets * ways` slots; invalid slots are free.
-    slab: Vec<Slot>,
+    /// `num_sets * ways` slots of `WORDS + stride` words each.
+    slab: Vec<u64>,
+    /// Sharer words per slot.
+    stride: usize,
     num_sets: usize,
     ways: usize,
     replacement: PfReplacement,
@@ -142,6 +188,9 @@ pub struct ProbeFilter {
     cores_per_node: u32,
     tick: u64,
     stats: PfStats,
+    /// The last evicted slot, copied out before its slot was reused;
+    /// [`ProbeFilter::allocate`] lends it out.
+    victim: Vec<u64>,
 }
 
 impl ProbeFilter {
@@ -159,31 +208,46 @@ impl ProbeFilter {
     /// NUMA node. With more than one core per node the filter is two-level:
     /// every array access first reads the entry's node-presence vector
     /// (counted in [`PfStats::node_vector_accesses`]) before the exact
-    /// per-core sharer map.
+    /// per-core sharer map. Not knowing the machine's core count, the slots
+    /// start with room for 64 nodes — one sharer word per core of a node —
+    /// and widen the first time a larger core index arrives.
     ///
     /// # Panics
     ///
     /// Panics if the configuration has zero sets or ways, or if
     /// `cores_per_node` is zero.
     pub fn hierarchical(config: &ProbeFilterConfig, cores_per_node: u32) -> Self {
+        ProbeFilter::with_stride(config, cores_per_node, cores_per_node as usize)
+    }
+
+    /// Creates the probe filter of one node of `topology`, with slots wide
+    /// enough for every core of the machine, so a run never widens them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration has zero sets or ways.
+    pub fn for_machine(config: &ProbeFilterConfig, topology: Topology) -> Self {
+        let cores = topology.num_cores() as usize;
+        ProbeFilter::with_stride(config, topology.cores_per_node(), cores.div_ceil(WORD_BITS))
+    }
+
+    fn with_stride(config: &ProbeFilterConfig, cores_per_node: u32, stride: usize) -> Self {
         let num_sets = config.num_sets() as usize;
         let ways = config.ways as usize;
         assert!(num_sets > 0, "probe filter must have at least one set");
         assert!(ways > 0, "probe filter must have at least one way");
         assert!(cores_per_node > 0, "a node hosts at least one core");
-        let empty = Slot {
-            entry: PfEntry::new(LineAddr::new(0), CoreId::new(0)),
-            last_touch: 0,
-            valid: false,
-        };
+        let stride = stride.max(1);
         ProbeFilter {
-            slab: vec![empty; num_sets * ways],
+            slab: vec![FREE; num_sets * ways * (WORDS + stride)],
+            stride,
             num_sets,
             ways,
             replacement: config.replacement,
             cores_per_node,
             tick: 0,
             stats: PfStats::default(),
+            victim: Vec::with_capacity(WORDS + stride),
         }
     }
 
@@ -192,19 +256,52 @@ impl ProbeFilter {
         self.cores_per_node
     }
 
-    /// Start of `line`'s set within the slab.
+    /// Words per slot.
+    fn slot_len(&self) -> usize {
+        WORDS + self.stride
+    }
+
+    fn slot(&self, at: usize) -> &[u64] {
+        let len = self.slot_len();
+        &self.slab[at * len..(at + 1) * len]
+    }
+
+    fn slot_mut(&mut self, at: usize) -> &mut [u64] {
+        let len = self.slot_len();
+        &mut self.slab[at * len..(at + 1) * len]
+    }
+
+    /// Index of the first slot of `line`'s set.
     fn set_base(&self, line: LineAddr) -> usize {
         (line.raw() % self.num_sets as u64) as usize * self.ways
     }
 
-    /// The slab index of `line`'s valid slot, if it has one. Every
-    /// operation on one line's entry walks its set here.
+    /// The slot index of `line`'s entry, if it has one. Every operation on
+    /// one line's entry walks its set here.
     fn find(&self, line: LineAddr) -> Option<usize> {
         let base = self.set_base(line);
-        self.slab[base..base + self.ways]
-            .iter()
-            .position(|s| s.valid && s.entry.line == line)
-            .map(|pos| base + pos)
+        let len = self.slot_len();
+        self.slab[base * len..(base + self.ways) * len]
+            .chunks_exact(len)
+            .position(|slot| slot[TAG] == line.raw())
+            .map(|way| base + way)
+    }
+
+    /// Widens every slot so `core` fits in the sharer words, keeping slot
+    /// positions and contents (the new words are clear). Never runs on a
+    /// [`ProbeFilter::for_machine`] filter fed the machine's own cores.
+    fn fit(&mut self, core: CoreId) {
+        let stride = words_for(core.index());
+        if stride <= self.stride {
+            return;
+        }
+        let (old, new) = (self.slot_len(), WORDS + stride);
+        let mut slab = vec![0; self.capacity() * new];
+        for (to, from) in slab.chunks_exact_mut(new).zip(self.slab.chunks_exact(old)) {
+            to[..old].copy_from_slice(from);
+        }
+        self.slab = slab;
+        self.stride = stride;
     }
 
     /// Charges one full array access; on a hierarchical filter the level-1
@@ -217,14 +314,15 @@ impl ProbeFilter {
     }
 
     /// Looks up the entry for `line`, updating recency and hit/miss counts.
-    pub fn lookup(&mut self, line: LineAddr) -> Option<PfEntry> {
+    pub fn lookup(&mut self, line: LineAddr) -> Option<PfEntryView<'_>> {
         self.tick += 1;
         self.touch_array();
         match self.find(line) {
             Some(at) => {
-                self.slab[at].last_touch = self.tick;
+                let tick = self.tick;
+                self.slot_mut(at)[STAMP] = tick;
                 self.stats.hits.incr();
-                Some(self.slab[at].entry.clone())
+                Some(PfEntryView::of(self.slot(at)))
             }
             None => {
                 self.stats.misses.incr();
@@ -234,45 +332,41 @@ impl ProbeFilter {
     }
 
     /// Checks for an entry without touching recency or statistics.
-    pub fn peek(&self, line: LineAddr) -> Option<PfEntry> {
-        self.find(line).map(|at| self.slab[at].entry.clone())
+    pub fn peek(&self, line: LineAddr) -> Option<PfEntryView<'_>> {
+        self.find(line).map(|at| PfEntryView::of(self.slot(at)))
     }
 
     /// The level-1 view of `line`'s entry, if present: the nodes holding at
     /// least one copy. Statistics-free, like [`ProbeFilter::peek`].
     pub fn node_presence(&self, line: LineAddr) -> Option<NodeSet> {
-        self.find(line)
-            .map(|at| self.slab[at].entry.node_presence(self.cores_per_node))
+        self.peek(line)
+            .map(|entry| entry.sharers.node_set(self.cores_per_node))
     }
 
     /// Allocates an entry for `line` owned by `owner`, evicting the LRU
     /// entry of a full set.
     ///
-    /// Returns the eviction the directory controller must process, if any.
-    /// Allocating a line that already has an entry refreshes that entry
-    /// instead (owner unchanged, requester added as a sharer by the caller).
-    pub fn allocate(&mut self, line: LineAddr, owner: CoreId) -> Option<PfEviction> {
+    /// Returns the evicted entry the directory controller must process, if
+    /// any; it stays readable until the filter is next changed. Allocating
+    /// a line that already has an entry refreshes that entry instead (owner
+    /// unchanged, requester added as a sharer by the caller).
+    pub fn allocate(&mut self, line: LineAddr, owner: CoreId) -> Option<PfEntryView<'_>> {
         self.tick += 1;
         let tick = self.tick;
         self.touch_array();
         if let Some(at) = self.find(line) {
-            self.slab[at].last_touch = tick;
+            self.slot_mut(at)[STAMP] = tick;
             return None;
         }
 
         self.stats.allocations.incr();
-        let new_slot = Slot {
-            entry: PfEntry::new(line, owner),
-            last_touch: tick,
-            valid: true,
-        };
-
-        // Reuse the first invalid slot if the set has one (a never-used way
+        self.fit(owner);
+        // Reuse the first free slot if the set has one (a never-used way
         // or a deallocated entry).
         let base = self.set_base(line);
         let ways = self.ways;
-        if let Some(slot) = self.slab[base..base + ways].iter_mut().find(|s| !s.valid) {
-            *slot = new_slot;
+        if let Some(way) = (0..ways).find(|&way| self.slot(base + way)[TAG] == FREE) {
+            self.install(base + way, line, owner, tick);
             return None;
         }
 
@@ -280,12 +374,9 @@ impl ProbeFilter {
         // (victim read-out) plus the write of the replacement, which the
         // energy model charges via `array_accesses`.
         self.touch_array();
-        let victim_idx = match self.replacement {
-            PfReplacement::Lru => self.slab[base..base + ways]
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, s)| (s.last_touch, *i))
-                .map(|(i, _)| i)
+        let way = match self.replacement {
+            PfReplacement::Lru => (0..ways)
+                .min_by_key(|&way| (self.slot(base + way)[STAMP], way))
                 .expect("set is non-empty"),
             PfReplacement::Random => {
                 // SplitMix64 hash of the allocation tick: deterministic
@@ -296,9 +387,25 @@ impl ProbeFilter {
                 ((z ^ (z >> 31)) % ways as u64) as usize
             }
         };
-        let victim = std::mem::replace(&mut self.slab[base + victim_idx], new_slot).entry;
+        let len = self.slot_len();
+        let at = base + way;
+        self.victim.clear();
+        self.victim
+            .extend_from_slice(&self.slab[at * len..(at + 1) * len]);
+        self.install(at, line, owner, tick);
         self.stats.evictions.incr();
-        Some(PfEviction { entry: victim })
+        Some(PfEntryView::of(&self.victim))
+    }
+
+    /// Writes a fresh entry for `line`, owned and solely shared by
+    /// `owner`, into slot `at`. The caller has fitted `owner`.
+    fn install(&mut self, at: usize, line: LineAddr, owner: CoreId, tick: u64) {
+        let slot = self.slot_mut(at);
+        slot[TAG] = line.raw();
+        slot[STAMP] = tick;
+        slot[OWNER] = u64::from(owner.raw());
+        slot[WORDS..].fill(0);
+        set_bit(&mut slot[WORDS..], owner);
     }
 
     /// Adds `core` to the sharer set of an existing entry; returns false if
@@ -307,7 +414,8 @@ impl ProbeFilter {
         let Some(at) = self.find(line) else {
             return false;
         };
-        self.slab[at].entry.sharers.insert(core);
+        self.fit(core);
+        set_bit(&mut self.slot_mut(at)[WORDS..], core);
         true
     }
 
@@ -317,13 +425,13 @@ impl ProbeFilter {
         let Some(at) = self.find(line) else {
             return false;
         };
-        let entry = &mut self.slab[at].entry;
-        entry.owner = owner;
+        self.fit(owner);
+        let slot = self.slot_mut(at);
+        slot[OWNER] = u64::from(owner.raw());
         if exclusive {
-            entry.sharers = SharerSet::only(owner);
-        } else {
-            entry.sharers.insert(owner);
+            slot[WORDS..].fill(0);
         }
+        set_bit(&mut slot[WORDS..], owner);
         true
     }
 
@@ -338,11 +446,13 @@ impl ProbeFilter {
         let Some(at) = self.find(line) else {
             return false;
         };
-        let slot = &mut self.slab[at];
-        slot.entry.sharers.remove(core);
-        let emptied = slot.entry.sharers.is_empty();
+        let slot = self.slot_mut(at);
+        if let Some(word) = slot[WORDS..].get_mut(core.index() / WORD_BITS) {
+            *word &= !(1 << (core.index() % WORD_BITS));
+        }
+        let emptied = slot[WORDS..].iter().all(|&w| w == 0);
         if emptied {
-            slot.valid = false;
+            slot[TAG] = FREE;
         }
         self.touch_array();
         if emptied {
@@ -356,19 +466,22 @@ impl ProbeFilter {
         let Some(at) = self.find(line) else {
             return false;
         };
-        self.slab[at].valid = false;
+        self.slot_mut(at)[TAG] = FREE;
         self.stats.deallocations.incr();
         true
     }
 
     /// Number of valid entries currently resident.
     pub fn occupancy(&self) -> usize {
-        self.slab.iter().filter(|s| s.valid).count()
+        self.slab
+            .chunks_exact(self.slot_len())
+            .filter(|slot| slot[TAG] != FREE)
+            .count()
     }
 
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
-        self.slab.len()
+        self.num_sets * self.ways
     }
 
     /// Activity statistics.
@@ -385,16 +498,12 @@ impl ProbeFilter {
         ProbeFilterState {
             slots: self
                 .slab
-                .iter()
-                .map(|s| {
-                    if s.valid {
-                        Some(PfSlotState {
-                            entry: s.entry.clone(),
-                            last_touch: s.last_touch,
-                        })
-                    } else {
-                        None
-                    }
+                .chunks_exact(self.slot_len())
+                .map(|slot| {
+                    (slot[TAG] != FREE).then(|| PfSlotState {
+                        entry: PfEntryView::of(slot).to_entry(),
+                        last_touch: slot[STAMP],
+                    })
                 })
                 .collect(),
             tick: self.tick,
@@ -411,26 +520,34 @@ impl ProbeFilter {
     pub fn restore_state(&mut self, state: &ProbeFilterState) {
         assert_eq!(
             state.slots.len(),
-            self.slab.len(),
+            self.capacity(),
             "snapshot slot count does not match probe-filter geometry"
         );
-        for (slot, restored) in self.slab.iter_mut().zip(&state.slots) {
-            match restored {
-                Some(s) => {
-                    slot.entry = s.entry.clone();
-                    slot.last_touch = s.last_touch;
-                    slot.valid = true;
-                }
-                None => {
-                    slot.entry = PfEntry::new(LineAddr::new(0), CoreId::new(0));
-                    slot.last_touch = 0;
-                    slot.valid = false;
-                }
+        for restored in state.slots.iter().flatten() {
+            if let Some(core) = restored.entry.sharers.iter().last() {
+                self.fit(core);
+            }
+        }
+        for (at, restored) in state.slots.iter().enumerate() {
+            let slot = self.slot_mut(at);
+            slot.fill(0);
+            slot[TAG] = FREE;
+            if let Some(s) = restored {
+                slot[TAG] = s.entry.line.raw();
+                slot[STAMP] = s.last_touch;
+                slot[OWNER] = u64::from(s.entry.owner.raw());
+                let words = s.entry.sharers.view().words();
+                slot[WORDS..WORDS + words.len()].copy_from_slice(words);
             }
         }
         self.tick = state.tick;
         self.stats = state.stats;
     }
+}
+
+/// Sets `core`'s bit in a slot's sharer words, which the caller has fitted.
+fn set_bit(words: &mut [u64], core: CoreId) {
+    words[core.index() / WORD_BITS] |= 1 << (core.index() % WORD_BITS);
 }
 
 /// One valid slab slot of a checkpointed [`ProbeFilter`].
@@ -494,7 +611,7 @@ mod tests {
         // Touch line 0 so line 2 is LRU.
         pf.lookup(LineAddr::new(0));
         let evicted = pf.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
-        assert_eq!(evicted.entry.line, LineAddr::new(2));
+        assert_eq!(evicted.line, LineAddr::new(2));
         assert_eq!(pf.stats().evictions.get(), 1);
         assert!(pf.peek(LineAddr::new(0)).is_some());
         assert!(pf.peek(LineAddr::new(2)).is_none());
@@ -596,8 +713,12 @@ mod tests {
         }
         let va = a.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
         let vb = b.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
-        assert_eq!(va, vb, "same history must evict the same victim");
-        assert!(va.entry.line == LineAddr::new(0) || va.entry.line == LineAddr::new(2));
+        assert_eq!(
+            va.to_entry(),
+            vb.to_entry(),
+            "same history must evict the same victim"
+        );
+        assert!(va.line == LineAddr::new(0) || va.line == LineAddr::new(2));
         assert!(a.peek(LineAddr::new(4)).is_some());
     }
 
@@ -647,6 +768,53 @@ mod tests {
         pf.peek(LineAddr::new(0));
         pf.peek(LineAddr::new(5));
         assert_eq!(*pf.stats(), before);
+    }
+
+    #[test]
+    fn any_core_index_fits_and_reads_back() {
+        // Core 1000 is far past one sharer word and past every reference
+        // machine: the slots widen, and the entry reads back through a
+        // lookup and through the eviction that displaces it.
+        let mut pf = tiny();
+        let (line, far) = (LineAddr::new(0), CoreId::new(1000));
+        pf.allocate(line, CoreId::new(3));
+        assert!(pf.add_sharer(line, far));
+        let entry = pf.lookup(line).unwrap();
+        assert_eq!(entry.owner, CoreId::new(3));
+        assert_eq!(
+            entry.sharers.iter().collect::<Vec<_>>(),
+            vec![CoreId::new(3), far]
+        );
+        pf.allocate(LineAddr::new(2), far);
+        assert_eq!(pf.peek(LineAddr::new(2)).unwrap().owner, far);
+        pf.lookup(LineAddr::new(2));
+        let victim = pf.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
+        assert_eq!(victim.line, line);
+        assert!(victim.sharers.contains(far));
+        assert_eq!(victim.sharers.count(), 2);
+        assert_eq!(victim.to_entry().sharers.to_string(), "{3,1000}");
+    }
+
+    #[test]
+    fn machine_sized_slots_are_32_bytes_to_64_cores_and_56_at_256() {
+        let cfg = ProbeFilterConfig::new(4096, 4);
+        for (topology, slot_bytes) in [
+            (Topology::new(16, 1), 32),
+            (Topology::new(16, 4), 32),
+            (Topology::new(64, 4), 56),
+        ] {
+            let pf = ProbeFilter::for_machine(&cfg, topology);
+            assert_eq!(pf.slot_len() * 8, slot_bytes, "{topology:?}");
+            assert_eq!(pf.slab.len(), pf.capacity() * pf.slot_len());
+        }
+    }
+
+    /// One slot of the nested-`Vec` reference model.
+    #[derive(Clone)]
+    struct Slot {
+        entry: PfEntry,
+        last_touch: u64,
+        valid: bool,
     }
 
     /// The grow-only nested-`Vec` storage the flat slab replaced, kept as
@@ -712,7 +880,7 @@ mod tests {
             }
         }
 
-        fn allocate(&mut self, line: LineAddr, owner: CoreId) -> Option<PfEviction> {
+        fn allocate(&mut self, line: LineAddr, owner: CoreId) -> Option<PfEntry> {
             self.tick += 1;
             let tick = self.tick;
             self.touch_array();
@@ -752,7 +920,7 @@ mod tests {
             };
             let victim = std::mem::replace(&mut self.sets[set][victim_idx], new_slot).entry;
             self.stats.evictions.incr();
-            Some(PfEviction { entry: victim })
+            Some(victim)
         }
 
         fn add_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
@@ -827,30 +995,42 @@ mod tests {
 
     /// Drives the flat-slab filter and the grow-only nested-`Vec`
     /// reference through the same seeded operation stream and demands
-    /// identical return values, stats and occupancy — covering the
+    /// identical return values — every entry read and every evicted
+    /// victim, sharers included — stats and occupancy, covering the
     /// position-dependent pieces (first-invalid reuse, LRU and random
-    /// victim selection) across both replacement policies and both the
-    /// flat and hierarchical sharer-tracking modes.
+    /// victim selection) across both replacement policies, the flat and
+    /// hierarchical sharer-tracking modes, and sharer sets of one word
+    /// (8 cores) and of four (256 cores: in slots sized up front, or, on
+    /// the flat filter, widened from one word on demand).
     #[test]
     fn flat_slab_matches_nested_vec_reference_model() {
         for replacement in [PfReplacement::Lru, PfReplacement::Random] {
-            for cores_per_node in [1u32, 4] {
+            for (cores_per_node, cores) in [(1u32, 8u64), (4, 8), (4, 256), (1, 256)] {
                 for seed in 1..=3u64 {
                     let mut cfg = ProbeFilterConfig::new(16 * 64, 4);
                     cfg.replacement = replacement;
-                    let mut flat = ProbeFilter::hierarchical(&cfg, cores_per_node);
+                    let mut flat = if cores_per_node > 1 && cores > 64 && seed % 2 == 1 {
+                        let nodes = (cores as u32) / cores_per_node;
+                        ProbeFilter::for_machine(&cfg, Topology::new(nodes, cores_per_node))
+                    } else {
+                        ProbeFilter::hierarchical(&cfg, cores_per_node)
+                    };
                     let mut model =
                         NestedModel::new(flat.num_sets, flat.ways, replacement, cores_per_node);
                     let mut rng = seed;
                     for _ in 0..5_000 {
                         let r = splitmix64(&mut rng);
                         let line = LineAddr::new(r % 64); // 4x conflict pressure
-                        let core = CoreId::new(((r >> 8) % 8) as u16);
+                        let core = CoreId::new(((r >> 8) % cores) as u16);
                         match (r >> 16) % 6 {
-                            0 => assert_eq!(flat.lookup(line), model.lookup(line)),
-                            1 | 2 => {
-                                assert_eq!(flat.allocate(line, core), model.allocate(line, core));
-                            }
+                            0 => assert_eq!(
+                                flat.lookup(line).map(|e| e.to_entry()),
+                                model.lookup(line)
+                            ),
+                            1 | 2 => assert_eq!(
+                                flat.allocate(line, core).map(|e| e.to_entry()),
+                                model.allocate(line, core)
+                            ),
                             3 => assert_eq!(
                                 flat.add_sharer(line, core),
                                 model.add_sharer(line, core)
@@ -874,19 +1054,28 @@ mod tests {
                     assert_eq!(
                         *flat.stats(),
                         model.stats,
-                        "{replacement:?} cpn {cores_per_node} seed {seed}"
+                        "{replacement:?} cpn {cores_per_node} cores {cores} seed {seed}"
                     );
                     assert_eq!(flat.occupancy(), model.occupancy());
+                    // A checkpoint round trip onto a fresh filter of the
+                    // same width reproduces every entry.
+                    let state = flat.export_state();
+                    let mut restored = ProbeFilter::with_stride(&cfg, cores_per_node, flat.stride);
+                    restored.restore_state(&state);
+                    assert_eq!(restored.export_state(), state);
                     for addr in 0..64u64 {
-                        assert_eq!(
-                            flat.peek(LineAddr::new(addr)),
-                            model
-                                .sets
-                                .iter()
-                                .flat_map(|s| s.iter())
-                                .find(|s| s.valid && s.entry.line == LineAddr::new(addr))
-                                .map(|s| s.entry.clone())
-                        );
+                        let expected = model
+                            .sets
+                            .iter()
+                            .flat_map(|s| s.iter())
+                            .find(|s| s.valid && s.entry.line == LineAddr::new(addr))
+                            .map(|s| s.entry.clone());
+                        for pf in [&flat, &restored] {
+                            assert_eq!(
+                                pf.peek(LineAddr::new(addr)).map(|e| e.to_entry()),
+                                expected
+                            );
+                        }
                     }
                 }
             }

@@ -23,10 +23,11 @@ use crate::controller::{DirectoryController, SystemAccess};
 use crate::policy::AllocationPolicy;
 use crate::request::CoherenceRequest;
 use allarm_cache::CoherenceState;
-use allarm_engine::MergeKey;
+use allarm_engine::{sort_by_unique_key, MergeKey};
 use allarm_types::addr::LineAddr;
 use allarm_types::config::ProbeFilterConfig;
 use allarm_types::ids::{CoreId, NodeId};
+use allarm_types::topology::Topology;
 use allarm_types::Nanos;
 use std::ops::Range;
 
@@ -140,38 +141,32 @@ pub struct DirectoryShard {
 impl DirectoryShard {
     /// Creates the directory slice for home nodes `nodes`, all using the
     /// same probe-filter configuration and allocation policy, on a
-    /// one-core-per-node machine.
+    /// one-core-per-node machine of at least `nodes.end` nodes (the probe
+    /// filters widen for any core beyond).
     pub fn new(nodes: Range<usize>, config: &ProbeFilterConfig, policy: AllocationPolicy) -> Self {
-        DirectoryShard::hierarchical(nodes, config, policy, 1)
+        let topology = Topology::flat(nodes.end.max(1) as u32);
+        DirectoryShard::hierarchical(nodes, config, policy, topology)
     }
 
-    /// Creates the directory slice for a machine hosting `cores_per_node`
-    /// cores on each NUMA node (two-level probe filters; see
+    /// Creates the directory slice for home nodes `nodes` of a machine of
+    /// shape `topology`: two-level probe filters on multi-core nodes, each
+    /// sized for the machine's core count (see
     /// [`DirectoryController::hierarchical`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores_per_node` is zero.
     pub fn hierarchical(
         nodes: Range<usize>,
         config: &ProbeFilterConfig,
         policy: AllocationPolicy,
-        cores_per_node: u32,
+        topology: Topology,
     ) -> Self {
         DirectoryShard {
             first_node: nodes.start,
+            busy_until: vec![Nanos::ZERO; nodes.len()],
             controllers: nodes
-                .clone()
                 .map(|n| {
-                    DirectoryController::hierarchical(
-                        NodeId::new(n as u16),
-                        config,
-                        policy,
-                        cores_per_node,
-                    )
+                    let home = NodeId::new(n as u16);
+                    DirectoryController::hierarchical(home, config, policy, topology)
                 })
                 .collect(),
-            busy_until: vec![Nanos::ZERO; nodes.len()],
         }
     }
 
@@ -227,12 +222,14 @@ impl DirectoryShard {
     }
 
     /// Drains a batch of events through this shard's directories, in
-    /// deterministic [`MergeKey`] order, and returns the replies owed to
-    /// requesting cores (in the same order).
+    /// deterministic [`MergeKey`] order, and appends the replies owed to
+    /// requesting cores to `replies` (in the same order) — a buffer the
+    /// caller reuses from round to round.
     ///
     /// The batch may arrive unsorted (it is typically concatenated from
     /// several source shards); sorting happens here so no caller can
-    /// accidentally feed a nondeterministic order.
+    /// accidentally feed a nondeterministic order. Every key is unique
+    /// (each carries its core and that core's sequence number).
     ///
     /// # Panics
     ///
@@ -241,9 +238,9 @@ impl DirectoryShard {
         &mut self,
         events: &mut [CoherenceEvent],
         sys: &mut dyn SystemAccess,
-    ) -> Vec<CoherenceReply> {
-        events.sort_by_key(|e| e.key);
-        let mut replies = Vec::new();
+        replies: &mut Vec<CoherenceReply>,
+    ) {
+        sort_by_unique_key(events, |e| e.key);
         for &event in events.iter() {
             assert!(
                 self.owns(event.home),
@@ -264,7 +261,6 @@ impl DirectoryShard {
                 }
             }
         }
-        replies
     }
 
     /// One request transaction: the protocol flow plus the controller-
@@ -390,6 +386,17 @@ mod tests {
         )
     }
 
+    /// Drains `events` through `shard` into a fresh reply buffer.
+    fn process(
+        shard: &mut DirectoryShard,
+        events: &mut [CoherenceEvent],
+        sys: &mut MiniSystem,
+    ) -> Vec<CoherenceReply> {
+        let mut replies = Vec::new();
+        shard.process(events, sys, &mut replies);
+        replies
+    }
+
     #[test]
     fn events_are_processed_in_merge_key_order_regardless_of_arrival() {
         // Two orderings of the same batch must leave identical state.
@@ -404,11 +411,11 @@ mod tests {
 
         let mut sys_a = MiniSystem::new();
         let mut shard_a = shard(0..2);
-        let replies_a = shard_a.process(&mut batch, &mut sys_a);
+        let replies_a = process(&mut shard_a, &mut batch, &mut sys_a);
 
         let mut sys_b = MiniSystem::new();
         let mut shard_b = shard(0..2);
-        let replies_b = shard_b.process(&mut reversed, &mut sys_b);
+        let replies_b = process(&mut shard_b, &mut reversed, &mut sys_b);
 
         assert_eq!(replies_a, replies_b);
         assert_eq!(sys_a.dram_accesses, sys_b.dram_accesses);
@@ -429,7 +436,8 @@ mod tests {
         // the two runs is exactly the queueing delay.
         let mut sys = MiniSystem::new();
         let mut s = shard(0..1);
-        let queued = s.process(
+        let queued = process(
+            &mut s,
             &mut [
                 request_event(0, 100, 1, 10, 0),
                 request_event(0, 164, 2, 10, 0),
@@ -439,7 +447,8 @@ mod tests {
 
         let mut sys = MiniSystem::new();
         let mut s = shard(0..1);
-        let spaced = s.process(
+        let spaced = process(
+            &mut s,
             &mut [
                 request_event(0, 100, 1, 10, 0),
                 request_event(0, 164, 2, 10_000, 0),
@@ -460,7 +469,7 @@ mod tests {
     fn evict_notices_free_directory_entries_without_replies() {
         let mut sys = MiniSystem::new();
         let mut s = shard(0..1);
-        let replies = s.process(&mut [request_event(0, 100, 1, 10, 0)], &mut sys);
+        let replies = process(&mut s, &mut [request_event(0, 100, 1, 10, 0)], &mut sys);
         assert_eq!(replies.len(), 1);
         assert!(s.controllers()[0]
             .probe_filter()
@@ -476,7 +485,7 @@ mod tests {
                 dirty: false,
             },
         };
-        let replies = s.process(&mut [notice], &mut sys);
+        let replies = process(&mut s, &mut [notice], &mut sys);
         assert!(replies.is_empty());
         assert!(s.controllers()[0]
             .probe_filter()
@@ -488,6 +497,10 @@ mod tests {
     #[should_panic(expected = "routed to shard")]
     fn misrouted_events_are_rejected() {
         let mut sys = MiniSystem::new();
-        shard(0..2).process(&mut [request_event(3, 1, 1, 0, 0)], &mut sys);
+        process(
+            &mut shard(0..2),
+            &mut [request_event(3, 1, 1, 0, 0)],
+            &mut sys,
+        );
     }
 }

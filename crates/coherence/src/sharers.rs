@@ -1,22 +1,85 @@
 //! Compact, width-generic sharer sets for directory entries.
 //!
-//! A directory entry must know which caches may hold a line. Machines up to
-//! 64 cores fit an inline bit mask with no allocation; larger machines
-//! promote transparently to a multi-word vector, so the representation
-//! imposes no ceiling on the core count. On top of the exact per-core set,
-//! [`SharerSet::node_set`] projects the hierarchical (level-1) view — which
-//! *NUMA nodes* have a copy — that multi-core-node directories and probe
-//! filters track first.
+//! A directory entry must know which caches may hold a line: one bit per
+//! core, in 64-bit words. The probe filter keeps each entry's words in its
+//! own flat slab, at a fixed stride of ⌈cores/64⌉ words, and hands them out
+//! as a borrowed [`SharerView`], so reading an entry never allocates.
+//! [`SharerSet`] is the owned form that API users build and keep
+//! (snapshots, tests, benchmarks): one inline word up to 64 cores, a word
+//! vector beyond, so neither form imposes a ceiling on the core count. On
+//! top of the exact per-core set, [`SharerView::node_set`] projects the
+//! hierarchical (level-1) view — which *NUMA nodes* have a copy — that
+//! multi-core-node directories and probe filters track first.
 
 use allarm_types::ids::{CoreId, NodeId};
 use std::fmt;
 
-/// Bits per word of the inline / wide representations.
-const WORD_BITS: usize = 64;
+/// Bits per word of every representation.
+pub(crate) const WORD_BITS: usize = 64;
 
-/// A width-generic bit set: one inline word up to 64 members, a word vector
-/// beyond. Kept canonical (a set whose members all fit one word is always
-/// `Inline`) so the derived equality and hash match set equality.
+/// The words needed to hold bit `index`.
+pub(crate) fn words_for(index: usize) -> usize {
+    index / WORD_BITS + 1
+}
+
+/// True if bit `index` of `words` is set (bits past the slice are clear).
+fn get(words: &[u64], index: usize) -> bool {
+    words
+        .get(index / WORD_BITS)
+        .is_some_and(|w| (w >> (index % WORD_BITS)) & 1 == 1)
+}
+
+/// Number of set bits in `words`.
+fn count(words: &[u64]) -> u32 {
+    words.iter().map(|w| w.count_ones()).sum()
+}
+
+/// True if no bit of `words` is set.
+fn is_empty(words: &[u64]) -> bool {
+    words.iter().all(|&w| w == 0)
+}
+
+/// The indices of the set bits of `words`, ascending. Each word is walked
+/// with `trailing_zeros`, so a step costs one member, not one bit position.
+#[derive(Debug, Clone)]
+struct SetBits<'a> {
+    rest: &'a [u64],
+    base: usize,
+    word: u64,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        let (word, rest) = words.split_first().map_or((0, words), |(&w, r)| (w, r));
+        SetBits {
+            rest,
+            base: 0,
+            word,
+        }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&word, rest) = self.rest.split_first()?;
+            self.word = word;
+            self.rest = rest;
+            self.base += WORD_BITS;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
+}
+
+/// The owned bit set behind [`SharerSet`] and [`NodeSet`]: one inline word
+/// up to 64 members, a word vector beyond. Kept canonical (a set whose
+/// members all fit one word is always `Inline`, and a wide set has no
+/// trailing zero words) so the derived equality and hash match set
+/// equality.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Bits {
     Inline(u64),
@@ -28,18 +91,38 @@ impl Bits {
         Bits::Inline(0)
     }
 
+    /// The canonical set holding the members of `words`.
+    fn from_words(words: &[u64]) -> Self {
+        let len = words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |last| last + 1);
+        match len {
+            0 => Bits::empty(),
+            1 => Bits::Inline(words[0]),
+            _ => Bits::Wide(words[..len].to_vec()),
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Bits::Inline(word) => std::slice::from_ref(word),
+            Bits::Wide(words) => words,
+        }
+    }
+
     fn set(&mut self, index: usize) {
         match self {
             Bits::Inline(word) if index < WORD_BITS => *word |= 1 << index,
             Bits::Inline(word) => {
-                let mut words = vec![0u64; index / WORD_BITS + 1];
+                let mut words = vec![0u64; words_for(index)];
                 words[0] = *word;
                 words[index / WORD_BITS] |= 1 << (index % WORD_BITS);
                 *self = Bits::Wide(words);
             }
             Bits::Wide(words) => {
                 if index / WORD_BITS >= words.len() {
-                    words.resize(index / WORD_BITS + 1, 0);
+                    words.resize(words_for(index), 0);
                 }
                 words[index / WORD_BITS] |= 1 << (index % WORD_BITS);
             }
@@ -62,29 +145,6 @@ impl Bits {
         }
     }
 
-    fn get(&self, index: usize) -> bool {
-        match self {
-            Bits::Inline(word) => index < WORD_BITS && (word >> index) & 1 == 1,
-            Bits::Wide(words) => words
-                .get(index / WORD_BITS)
-                .is_some_and(|w| (w >> (index % WORD_BITS)) & 1 == 1),
-        }
-    }
-
-    fn count(&self) -> u32 {
-        match self {
-            Bits::Inline(word) => word.count_ones(),
-            Bits::Wide(words) => words.iter().map(|w| w.count_ones()).sum(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Bits::Inline(word) => *word == 0,
-            Bits::Wide(words) => words.iter().all(|w| *w == 0),
-        }
-    }
-
     /// Restores the canonical form after removals: trailing zero words are
     /// dropped and a single-word set collapses back to `Inline`, so two
     /// sets with the same members always compare (and hash) equal
@@ -99,32 +159,87 @@ impl Bits {
             }
         }
     }
+}
 
-    fn iter_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        let words: &[u64] = match self {
-            Bits::Inline(word) => std::slice::from_ref(word),
-            Bits::Wide(words) => words,
-        };
-        words.iter().enumerate().flat_map(|(wi, &word)| {
-            (0..WORD_BITS)
-                .filter(move |bit| (word >> bit) & 1 == 1)
-                .map(move |bit| wi * WORD_BITS + bit)
-        })
+/// A borrowed, read-only sharer set: the words of one probe-filter slot,
+/// or of a [`SharerSet`]. Bits past the slice are clear.
+///
+/// # Examples
+///
+/// ```
+/// use allarm_coherence::SharerSet;
+/// use allarm_types::ids::CoreId;
+///
+/// let set: SharerSet = [CoreId::new(2), CoreId::new(130)].into_iter().collect();
+/// let view = set.view();
+/// assert!(view.contains(CoreId::new(130)));
+/// assert_eq!(view.iter().collect::<Vec<_>>(), vec![CoreId::new(2), CoreId::new(130)]);
+/// assert_eq!(view.to_set(), set);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct SharerView<'a>(&'a [u64]);
+
+impl<'a> SharerView<'a> {
+    /// A view over raw sharer words: bit `i` of word `w` is core
+    /// `64 * w + i`.
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        SharerView(words)
     }
 
-    fn low_word(&self) -> u64 {
-        match self {
-            Bits::Inline(word) => *word,
-            Bits::Wide(words) => words.first().copied().unwrap_or(0),
+    /// The underlying words.
+    pub(crate) fn words(self) -> &'a [u64] {
+        self.0
+    }
+
+    /// True if the core is in the set.
+    pub fn contains(self, core: CoreId) -> bool {
+        get(self.0, core.index())
+    }
+
+    /// Number of cores in the set.
+    pub fn count(self) -> u32 {
+        count(self.0)
+    }
+
+    /// True if the set is empty.
+    pub fn is_empty(self) -> bool {
+        is_empty(self.0)
+    }
+
+    /// Iterates over the cores in ascending index order.
+    pub fn iter(self) -> impl Iterator<Item = CoreId> + 'a {
+        SetBits::new(self.0).map(|i| CoreId::new(i as u16))
+    }
+
+    /// Projects the level-1 (node-granularity) view of this set: the NUMA
+    /// nodes on which at least one member core lives, under a blocked
+    /// core-to-node assignment of `cores_per_node` cores each. With
+    /// `cores_per_node == 1` the node set mirrors the core set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores_per_node` is zero.
+    pub fn node_set(self, cores_per_node: u32) -> NodeSet {
+        assert!(cores_per_node > 0, "a node hosts at least one core");
+        let mut nodes = Bits::empty();
+        for index in SetBits::new(self.0) {
+            nodes.set(index / cores_per_node as usize);
         }
+        NodeSet(nodes)
+    }
+
+    /// The owned copy of this set.
+    pub fn to_set(self) -> SharerSet {
+        SharerSet(Bits::from_words(self.0))
     }
 }
 
-/// The exact set of cores that may hold a copy of a line.
+/// The exact set of cores that may hold a line, owned.
 ///
-/// Stored inline (one 64-bit mask) for machines up to 64 cores — the common
-/// case, and allocation-free — and as a word vector beyond, so directory
-/// entries scale with the machine instead of capping it.
+/// Stored inline (one 64-bit mask) for machines up to 64 cores and as a
+/// word vector beyond, so sets scale with the machine instead of capping
+/// it. Reads go through the same code as a probe-filter slot's
+/// [`SharerView`].
 ///
 /// # Examples
 ///
@@ -177,47 +292,38 @@ impl SharerSet {
         self.0.clear(core.index());
     }
 
+    /// The read-only view of this set.
+    pub fn view(&self) -> SharerView<'_> {
+        SharerView(self.0.words())
+    }
+
     /// True if the core is in the set.
     pub fn contains(&self, core: CoreId) -> bool {
-        self.0.get(core.index())
+        self.view().contains(core)
     }
 
     /// Number of cores in the set.
     pub fn count(&self) -> u32 {
-        self.0.count()
+        self.view().count()
     }
 
     /// True if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.view().is_empty()
     }
 
     /// Iterates over the cores in ascending index order.
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        self.0.iter_indices().map(|i| CoreId::new(i as u16))
+        self.view().iter()
     }
 
-    /// The low 64 bits of the mask (the whole mask for machines up to 64
-    /// cores).
-    pub fn bits(&self) -> u64 {
-        self.0.low_word()
-    }
-
-    /// Projects the level-1 (node-granularity) view of this set: the NUMA
-    /// nodes on which at least one member core lives, under a blocked
-    /// core-to-node assignment of `cores_per_node` cores each. With
-    /// `cores_per_node == 1` the node set mirrors the core set.
+    /// The level-1 projection of this set; see [`SharerView::node_set`].
     ///
     /// # Panics
     ///
     /// Panics if `cores_per_node` is zero.
     pub fn node_set(&self, cores_per_node: u32) -> NodeSet {
-        assert!(cores_per_node > 0, "a node hosts at least one core");
-        let mut nodes = Bits::empty();
-        for index in self.0.iter_indices() {
-            nodes.set(index / cores_per_node as usize);
-        }
-        NodeSet(nodes)
+        self.view().node_set(cores_per_node)
     }
 }
 
@@ -252,7 +358,7 @@ impl FromIterator<CoreId> for SharerSet {
     }
 }
 
-/// The level-1 view of a [`SharerSet`]: the NUMA nodes holding at least one
+/// The level-1 view of a sharer set: the NUMA nodes holding at least one
 /// copy. This is what a hierarchical (two-level) directory tracks first —
 /// one probe or back-invalidation message per *node*, expanded to the
 /// node's member cores on arrival.
@@ -267,22 +373,22 @@ impl NodeSet {
 
     /// True if the node is in the set.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.0.get(node.index())
+        get(self.0.words(), node.index())
     }
 
     /// Number of nodes in the set.
     pub fn count(&self) -> u32 {
-        self.0.count()
+        count(self.0.words())
     }
 
     /// True if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        is_empty(self.0.words())
     }
 
     /// Iterates over the nodes in ascending index order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.0.iter_indices().map(|i| NodeId::new(i as u16))
+        SetBits::new(self.0.words()).map(|i| NodeId::new(i as u16))
     }
 }
 
@@ -364,16 +470,6 @@ mod tests {
         let s: SharerSet = [CoreId::new(2), CoreId::new(4)].into_iter().collect();
         assert_eq!(s.to_string(), "{2,4}");
         assert_eq!(SharerSet::empty().to_string(), "{}");
-    }
-
-    #[test]
-    fn bits_roundtrip() {
-        let s = SharerSet::only(CoreId::new(3));
-        assert_eq!(s.bits(), 0b1000);
-        // Wide sets still expose their low word.
-        let mut s = s;
-        s.insert(CoreId::new(100));
-        assert_eq!(s.bits(), 0b1000);
     }
 
     #[test]

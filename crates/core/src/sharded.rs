@@ -86,7 +86,7 @@ use allarm_coherence::{
     AllocationPolicy, CoherenceEvent, CoherenceOp, CoherenceReply, CoherenceRequest,
     DirectoryController, DirectoryNodeState, DirectoryShard, RequestKind,
 };
-use allarm_engine::{merge_events, Keyed, MergeKey, PhaseBarrier, ShardPlan};
+use allarm_engine::{sort_by_unique_key, Keyed, MergeKey, PhaseBarrier, ShardPlan};
 use allarm_mem::{NumaAllocator, NumaAllocatorState, NumaPolicy};
 use allarm_noc::NocStats;
 use allarm_types::addr::{LineAddr, VirtAddr};
@@ -100,8 +100,8 @@ use crate::system::{shared_caches, shared_llc, ShardSystem};
 
 /// A touch the allocator could not resolve read-only: a first touch of a
 /// page, or a pending next-touch re-homing decision. Carried as a
-/// [`Keyed`] event and resolved centrally, in [`merge_events`] order,
-/// between the two phases of a round.
+/// [`Keyed`] event and resolved centrally, in [`MergeKey`] order, between
+/// the two phases of a round.
 #[derive(Debug, Clone, Copy)]
 struct PageFault {
     vaddr: VirtAddr,
@@ -427,8 +427,8 @@ pub(crate) struct KernelOutput {
 /// # Panics
 ///
 /// Panics if a restore state's geometry (threads, nodes, cores) does not
-/// match the machine and workload; callers validate compatibility against
-/// the snapshot header first.
+/// match the machine and workload; `Simulator::check_start` refuses every
+/// such state before a run starts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_kernel(
     config: &MachineConfig,
@@ -629,11 +629,16 @@ struct ShardWorker<'a> {
     /// here: `sys` accounts them, and [`ShardWorker::totals`] adds them.
     totals: Totals,
     // Round-local buffers, persisted across rounds so the steady state
-    // allocates nothing. The outboxes and `routed` swap with the exchange
+    // allocates nothing (the `alloc_budget` test holds it to that). The
+    // outboxes, the fault buffer and `routed` swap with the exchange
     // mailboxes; the scratch vectors are drained or cleared each round.
+    // `reply_scratch` holds the replies committed in the core phase and
+    // those the directory slice produces in the directory phase;
+    // `fault_merge` is the lead shard's merged view of every fault mailbox.
     run_order: Vec<usize>,
     outboxes: Vec<Vec<CoherenceEvent>>,
     fault_scratch: Vec<Keyed<PageFault>>,
+    fault_merge: Vec<Keyed<PageFault>>,
     inbox_scratch: Vec<CoherenceEvent>,
     reply_scratch: Vec<CoherenceReply>,
     routed_scratch: Vec<Vec<CoherenceReply>>,
@@ -693,12 +698,8 @@ impl<'a> ShardWorker<'a> {
             .map(|n| plan.shard_of_node(n))
             .collect();
         let num_shards = plan.num_shards();
-        let mut dir = DirectoryShard::hierarchical(
-            nodes.clone(),
-            &config.probe_filter,
-            policy,
-            topology.cores_per_node(),
-        );
+        let mut dir =
+            DirectoryShard::hierarchical(nodes.clone(), &config.probe_filter, policy, topology);
         let mut round_horizon = config.miss_window.horizon;
         if let Some(state) = restore {
             // Snapshot threads are sorted by thread index, so each slot's
@@ -763,6 +764,7 @@ impl<'a> ShardWorker<'a> {
             run_order: Vec::new(),
             outboxes: vec![Vec::new(); num_shards],
             fault_scratch: Vec::new(),
+            fault_merge: Vec::new(),
             inbox_scratch: Vec::new(),
             reply_scratch: Vec::new(),
             routed_scratch: vec![Vec::new(); num_shards],
@@ -936,10 +938,10 @@ impl<'a> ShardWorker<'a> {
     /// straight into its destination shard's mailbox.
     fn core_phase(&mut self) {
         let mut outboxes = mem::take(&mut self.outboxes);
+        // The lead shard drained last round's fault mailbox, so the buffer
+        // swapped back out of it is empty.
         let mut faults = mem::take(&mut self.fault_scratch);
-        // The fault mailbox is read by cloning (not drained), so the
-        // buffer we swapped back last round still holds stale entries.
-        faults.clear();
+        debug_assert!(faults.is_empty(), "the lead shard drains every fault");
         {
             let allocator = self.allocator.read().expect("allocator lock poisoned");
             self.deliver_replies(&allocator, &mut outboxes);
@@ -1008,7 +1010,7 @@ impl<'a> ShardWorker<'a> {
         // Mailbox (source-shard) order depends on the shard count; commit
         // order must not. Group by core, then replay each core's replies
         // in the key order its requests were issued in.
-        replies.sort_by_key(|reply| (reply.core.index(), reply.key));
+        sort_by_unique_key(&mut replies, |reply| (reply.core.index(), reply.key));
         for reply in &replies {
             let local = self.slot_of_core[reply.core.index()]
                 .expect("replies are routed to the shard owning the core");
@@ -1220,24 +1222,21 @@ impl<'a> ShardWorker<'a> {
     /// serial section of a round; faults are rare after the working set is
     /// mapped.
     fn apply_faults(&mut self) {
-        let faults = merge_events(self.exchange.faults.iter().map(|mailbox| {
-            mailbox
-                .lock()
-                .expect("fault mailbox poisoned")
-                .iter()
-                .cloned()
-                .collect()
-        }));
-        if faults.is_empty() {
-            return;
+        let mut faults = mem::take(&mut self.fault_merge);
+        for mailbox in &self.exchange.faults {
+            faults.append(&mut mailbox.lock().expect("fault mailbox poisoned"));
         }
-        let mut allocator = self.allocator.write().expect("allocator lock poisoned");
-        for fault in faults {
-            // The first fault in key order performs the allocation (or the
-            // next-touch re-homing); later faults on the same page are
-            // plain re-touches.
-            allocator.translate(fault.payload.vaddr, fault.payload.toucher);
+        if !faults.is_empty() {
+            sort_by_unique_key(&mut faults, |fault| fault.key);
+            let mut allocator = self.allocator.write().expect("allocator lock poisoned");
+            for fault in faults.drain(..) {
+                // The first fault in key order performs the allocation (or
+                // the next-touch re-homing); later faults on the same page
+                // are plain re-touches.
+                allocator.translate(fault.payload.vaddr, fault.payload.toucher);
+            }
         }
+        self.fault_merge = faults;
     }
 
     /// Phase 2: drain the coherence events bound for this shard's home
@@ -1263,14 +1262,17 @@ impl<'a> ShardWorker<'a> {
             inbox.append(&mut mailbox.lock().expect("event mailbox poisoned"));
         }
         self.totals.events_merged += inbox.len() as u64;
-        let replies = self.dir.process(&mut inbox, &mut self.sys);
+        let mut replies = mem::take(&mut self.reply_scratch);
+        replies.clear();
+        self.dir.process(&mut inbox, &mut self.sys, &mut replies);
         self.inbox_scratch = inbox;
 
         let mut routed = mem::take(&mut self.routed_scratch);
-        for reply in replies {
+        for reply in replies.drain(..) {
             let node = self.topology.node_of_core(reply.core);
             routed[self.shard_of_node[node.index()]].push(reply);
         }
+        self.reply_scratch = replies;
         for (dst, bin) in routed.iter_mut().enumerate() {
             let mut mailbox = self.exchange.replies[dst][self.shard_id]
                 .lock()

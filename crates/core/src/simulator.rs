@@ -6,10 +6,12 @@ use crate::metrics::SimReport;
 use crate::scenario::SimThreads;
 use crate::sharded::{self, KernelOutput, KernelState};
 use crate::snapshot::{config_fingerprint, SimSnapshot, SnapHeader};
+use allarm_cache::SetAssocState;
 use allarm_coherence::{AllocationPolicy, DirectoryStats, PfStats};
 use allarm_energy::EnergyModel;
 use allarm_mem::NumaPolicy;
-use allarm_types::config::MachineConfig;
+use allarm_types::addr::LINE_BYTES;
+use allarm_types::config::{CacheConfig, MachineConfig};
 use allarm_types::error::ConfigError;
 use allarm_types::Nanos;
 use allarm_workloads::{AccessSource, Workload};
@@ -178,7 +180,11 @@ impl Simulator {
     /// (`snapshot.config_fingerprint`), a restore's workload differs
     /// (`snapshot.workload_checksum`), or the workload has another thread
     /// count, pins a thread to another core, or is shorter than a snapshot
-    /// cursor (`fork` for a fork, `snapshot.threads` for a restore).
+    /// cursor (`fork` for a fork, `snapshot.threads` for a restore). Both
+    /// starts also refuse a snapshot whose directories, private caches or
+    /// LLC slices do not have the machine's count and geometry, or whose
+    /// directories track a core outside the machine
+    /// (`snapshot.directories`, `snapshot.caches`, `snapshot.llc`).
     ///
     /// # Panics
     ///
@@ -289,6 +295,7 @@ impl Simulator {
                 ));
             }
         }
+        check_geometry(&self.config, state)?;
         Ok(Some(snap))
     }
 
@@ -385,6 +392,117 @@ impl Simulator {
             max_window_depth: totals.max_window,
             workload_checksum: source.checksum(),
         }
+    }
+}
+
+/// The machine-shape checks of a restore or fork, on top of the header's:
+/// the snapshot's directories, private caches and LLC slices must have the
+/// machine's count and geometry, and every core a directory names must be
+/// one of the machine's. The kernel restores all of them by index, so a
+/// crafted file that disagrees would otherwise panic the restore — or
+/// index past a probe-filter slot's sharer words.
+fn check_geometry(config: &MachineConfig, state: &KernelState) -> Result<(), ConfigError> {
+    let nodes = config.num_nodes() as usize;
+    let cores = config.num_cores as usize;
+    let dirs = |reason: String| Err(ConfigError::new("snapshot.directories", reason));
+    if state.dirs.len() != nodes {
+        return dirs(format!(
+            "the snapshot has {} directories but the machine has {nodes} nodes",
+            state.dirs.len()
+        ));
+    }
+    let pf = &config.probe_filter;
+    let slots = (pf.num_sets() * u64::from(pf.ways)) as usize;
+    for (node, dir) in state.dirs.iter().enumerate() {
+        let filter = &dir.controller.probe_filter;
+        if filter.slots.len() != slots {
+            return dirs(format!(
+                "the directory of node {node} has {} probe-filter slots but the machine's \
+                 has {slots}",
+                filter.slots.len()
+            ));
+        }
+        for entry in filter.slots.iter().flatten().map(|slot| &slot.entry) {
+            let mut tracked = std::iter::once(entry.owner).chain(entry.sharers.iter());
+            if let Some(core) = tracked.find(|core| core.index() >= cores) {
+                return dirs(format!(
+                    "the directory of node {node} tracks {core}, outside the {cores}-core machine"
+                ));
+            }
+            if entry.line.raw() > u64::MAX / LINE_BYTES {
+                return dirs(format!(
+                    "the directory of node {node} tracks line {}, past the address space",
+                    entry.line
+                ));
+            }
+        }
+    }
+    if state.caches.len() != cores {
+        return Err(ConfigError::new(
+            "snapshot.caches",
+            format!(
+                "the snapshot has {} private hierarchies but the machine has {cores} cores",
+                state.caches.len()
+            ),
+        ));
+    }
+    for (core, caches) in state.caches.iter().enumerate() {
+        let what = format!("core {core}'s");
+        check_sets("snapshot.caches", &what, "L1D", &caches.l1d, &config.l1d)?;
+        check_sets("snapshot.caches", &what, "L2", &caches.l2, &config.l2)?;
+    }
+    let slices = if config.llc.enabled { nodes } else { 0 };
+    if state.llc.len() != slices {
+        return Err(ConfigError::new(
+            "snapshot.llc",
+            format!(
+                "the snapshot has {} LLC slices but the machine has {slices}",
+                state.llc.len()
+            ),
+        ));
+    }
+    let llc = config.llc.cache_config();
+    for (node, slice) in state.llc.iter().enumerate() {
+        check_sets(
+            "snapshot.llc",
+            &format!("node {node}'s"),
+            "LLC slice",
+            slice,
+            &llc,
+        )?;
+    }
+    Ok(())
+}
+
+/// One cache array of a snapshot against the machine's geometry: the same
+/// set count, and no set holding more lines than the array has ways.
+fn check_sets(
+    field: &str,
+    owner: &str,
+    level: &str,
+    state: &SetAssocState,
+    config: &CacheConfig,
+) -> Result<(), ConfigError> {
+    let sets = config.num_sets() as usize;
+    if state.sets.len() != sets {
+        return Err(ConfigError::new(
+            field,
+            format!(
+                "{owner} {level} has {} sets but the machine's has {sets}",
+                state.sets.len()
+            ),
+        ));
+    }
+    let ways = config.ways as usize;
+    match state.sets.iter().position(|set| set.len() > ways) {
+        Some(set) => Err(ConfigError::new(
+            field,
+            format!(
+                "{owner} {level} set {set} holds {} lines but the array is {ways}-way",
+                state.sets[set].len()
+            ),
+        )),
+        None => Ok(()),
     }
 }
 
@@ -554,6 +672,45 @@ mod tests {
                 Ok(full.clone())
             );
         }
+    }
+
+    #[test]
+    fn snapshot_caches_and_slices_must_have_the_machine_geometry() {
+        let workload = small_workload();
+        let sim = SimulationBuilder::new(multicore_llc_config(true))
+            .build()
+            .expect("valid configuration");
+        let snap = warm_up(&sim, &workload, 3_000);
+        assert!(check_geometry(sim.config(), snap.state()).is_ok());
+        let refused = |edit: &dyn Fn(&mut KernelState)| {
+            let mut state = snap.state().clone();
+            edit(&mut state);
+            check_geometry(sim.config(), &state).unwrap_err()
+        };
+
+        let err = refused(&|state| {
+            state.caches.pop();
+        });
+        assert_eq!(err.field(), "snapshot.caches", "{err}");
+        let err = refused(&|state| {
+            let ways = sim.config().l2.ways as usize;
+            let sets = &mut state.caches[0].l2.sets;
+            let set = sets.iter_mut().find(|set| !set.is_empty()).unwrap();
+            let line = set[0];
+            set.resize(ways + 1, line);
+        });
+        assert_eq!(err.field(), "snapshot.caches", "{err}");
+        assert!(err.reason().contains("core 0's L2 set"), "{err}");
+
+        let err = refused(&|state| {
+            state.llc.pop();
+        });
+        assert_eq!(err.field(), "snapshot.llc", "{err}");
+        let err = refused(&|state| {
+            state.llc[0].sets.pop();
+        });
+        assert_eq!(err.field(), "snapshot.llc", "{err}");
+        assert!(err.reason().contains("sets"), "{err}");
     }
 
     /// The first checkpoint at `accesses`, taken by stopping there.

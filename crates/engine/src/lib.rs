@@ -38,4 +38,4 @@ pub mod rng;
 pub mod shard;
 
 pub use rng::StreamRng;
-pub use shard::{merge_events, Keyed, MergeKey, PhaseBarrier, ShardPlan};
+pub use shard::{merge_events, sort_by_unique_key, Keyed, MergeKey, PhaseBarrier, ShardPlan};

@@ -68,8 +68,21 @@ impl<T> Keyed<T> {
 /// that makes an N-shard run produce the same event order as a 1-shard run.
 pub fn merge_events<T>(batches: impl IntoIterator<Item = Vec<Keyed<T>>>) -> Vec<Keyed<T>> {
     let mut merged: Vec<Keyed<T>> = batches.into_iter().flatten().collect();
-    merged.sort_by_key(|e| e.key);
+    sort_by_unique_key(&mut merged, |e| e.key);
     merged
+}
+
+/// Sorts `items` ascending by `key`, which must be unique per item — as
+/// every [`MergeKey`] of a run is, since it carries its actor and that
+/// actor's sequence number. With unique keys an unstable sort produces
+/// the one order a stable sort would, without the stable sort's
+/// allocated merge buffer; debug builds check the uniqueness.
+pub fn sort_by_unique_key<T, K: Ord>(items: &mut [T], mut key: impl FnMut(&T) -> K) {
+    items.sort_unstable_by_key(&mut key);
+    debug_assert!(
+        items.windows(2).all(|pair| key(&pair[0]) < key(&pair[1])),
+        "sort keys must be unique"
+    );
 }
 
 /// The static assignment of nodes (and their pinned cores) to shards.

@@ -1044,6 +1044,7 @@ impl TraceSource {
             limit,
             base: 0,
             buf: Vec::new(),
+            bytes: Vec::new(),
         };
         if start < limit {
             feed.load_frame(start / self.header.frame_len)?;
@@ -1103,7 +1104,9 @@ impl TraceSource {
 /// A streaming cursor over one thread of a [`TraceSource`]: holds exactly
 /// one decoded frame, loading (and checksum-verifying) frames on demand as
 /// the caller indexes through the stream. Indexing is random-access —
-/// frame loads seek — but the simulator only ever walks forward.
+/// frame loads seek — but the simulator only ever walks forward. Both
+/// buffers are reused frame to frame, so a replay allocates only while
+/// they grow to the largest frame.
 #[derive(Debug)]
 pub struct FrameFeed<'a> {
     source: &'a TraceSource,
@@ -1111,7 +1114,10 @@ pub struct FrameFeed<'a> {
     file: BufReader<std::fs::File>,
     limit: u64,
     base: usize,
+    /// The loaded frame's records.
     buf: Vec<MemAccess>,
+    /// The loaded frame's encoded bytes.
+    bytes: Vec<u8>,
 }
 
 impl FrameFeed<'_> {
@@ -1156,16 +1162,16 @@ impl FrameFeed<'_> {
             .get(frame as usize)
             .ok_or_else(|| TraceError::new(format!("frame {frame} out of range")))?;
         self.file.seek(SeekFrom::Start(meta.offset))?;
-        let mut bytes = vec![0u8; meta.bytes as usize];
+        self.bytes.resize(meta.bytes as usize, 0);
         self.file
-            .read_exact(&mut bytes)
+            .read_exact(&mut self.bytes)
             .map_err(|_| TraceError::new(format!("frame {frame} cut short")))?;
-        if fnv1a(FNV1A_OFFSET, &bytes) != meta.checksum {
+        if fnv1a(FNV1A_OFFSET, &self.bytes) != meta.checksum {
             return Err(TraceError::new(format!(
                 "frame {frame} failed its checksum — corrupt trace body"
             )));
         }
-        let mut cursor: &[u8] = &bytes;
+        let mut cursor: &[u8] = &self.bytes;
         let mut addr: u64 = 0;
         self.buf.clear();
         self.buf.reserve(meta.records as usize);

@@ -8,8 +8,9 @@
 //! round trips survive, bit flips and version skews are refused with a
 //! typed error naming the section, so are threads and replies that
 //! disagree and miss windows out of issue order (resealed so every
-//! checksum passes), a restore whose threads do not fit the workload is
-//! refused as a fork is, and fork-from-warm resumption equals a cold run.
+//! checksum passes), a restore whose threads or directories do not fit
+//! the workload or the machine is refused as a fork is, and fork-from-warm
+//! resumption equals a cold run.
 
 use allarm_core::simulator::Start;
 use allarm_core::snapshot::{read_header, read_section_table};
@@ -19,7 +20,7 @@ use allarm_core::{
 use allarm_types::config::LlcConfig;
 use allarm_types::MissWindowConfig;
 use allarm_workloads::{fnv1a, Benchmark, TraceGenerator, Workload, FNV1A_OFFSET};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -287,6 +288,7 @@ fn llc_section_is_present_only_when_enabled_and_skew_is_refused_by_name() {
 }
 
 const SEC_CACHES: u16 = 1;
+const SEC_DIRS: u16 = 2;
 const SEC_CORES: u16 = 4;
 const SEC_REPLIES: u16 = 5;
 
@@ -506,4 +508,92 @@ fn a_restore_with_an_extra_thread_is_refused() {
     let err = refused_restore(&crafted);
     assert_eq!(err.field(), "snapshot.threads", "{err}");
     assert!(err.reason().contains("5 threads"), "{err}");
+}
+
+/// [`small_run`]'s first checkpoint at 400 accesses, as file bytes.
+fn directories_checkpoint() -> Vec<u8> {
+    let (sim, workload) = small_run();
+    run_until(&sim, &workload, 400).to_bytes()
+}
+
+/// One probe-filter slot of a `directories` payload: its byte range and
+/// sharer count (`None` for a free slot).
+struct PfSlot {
+    bytes: Range<usize>,
+    sharers: Option<usize>,
+}
+
+/// Node 0's probe-filter slots in a `directories` payload, and the offset
+/// of their count. Node layout: busy-until u64, 14 controller counters,
+/// slot count u32, tick u64, 7 filter counters, then per slot a presence
+/// u8 and, when present, line u64, owner u16, stamp u64, sharer count u32
+/// and one u16 per sharer.
+fn node0_slots(dirs: &[u8]) -> (usize, Vec<PfSlot>) {
+    let count_at = 4 + 8 + 14 * 8;
+    let count = u32::from_le_bytes(dirs[count_at..count_at + 4].try_into().unwrap());
+    let mut at = count_at + 4 + 8 + 7 * 8;
+    let slots = (0..count)
+        .map(|_| {
+            let start = at;
+            let sharers = (dirs[at] != 0).then(|| {
+                let count_at = at + SHARER_COUNT_AT;
+                u32::from_le_bytes(dirs[count_at..count_at + 4].try_into().unwrap()) as usize
+            });
+            at += sharers.map_or(1, |n| SHARER_COUNT_AT + 4 + 2 * n);
+            PfSlot {
+                bytes: start..at,
+                sharers,
+            }
+        })
+        .collect();
+    (count_at, slots)
+}
+
+/// Offset of a present slot's sharer count: presence, line, owner, stamp.
+const SHARER_COUNT_AT: usize = 1 + 8 + 2 + 8;
+
+/// One probe-filter entry of node 0 given an extra sharer outside the
+/// 4-core machine: the file is consistent on its own, but a restore (or a
+/// fork) would track a core the machine lacks, so it is refused by name.
+#[test]
+fn a_directory_tracking_a_core_outside_the_machine_is_refused() {
+    let bytes = directories_checkpoint();
+    for stray in [4u16, 999] {
+        let crafted = reseal(&bytes, SEC_DIRS, |dirs| {
+            let (_, slots) = node0_slots(dirs);
+            let (bytes, sharers) = slots
+                .into_iter()
+                .find_map(|slot| slot.sharers.map(|n| (slot.bytes, n)))
+                .expect("node 0 tracks a line");
+            let count_at = bytes.start + SHARER_COUNT_AT;
+            dirs[count_at..count_at + 4].copy_from_slice(&(sharers as u32 + 1).to_le_bytes());
+            dirs.splice(bytes.end..bytes.end, stray.to_le_bytes());
+        });
+        assert!(SimSnapshot::from_bytes(&crafted).is_ok());
+        let err = refused_restore(&crafted);
+        assert_eq!(err.field(), "snapshot.directories", "{err}");
+        assert!(
+            err.reason().contains(&format!("core{stray}, outside")),
+            "{err}"
+        );
+    }
+}
+
+/// Node 0's probe filter one slot short, count and bytes: the file parses,
+/// but the machine's filter has one slot more, so the restore is refused
+/// by name.
+#[test]
+fn a_directory_with_another_slot_count_is_refused() {
+    let bytes = directories_checkpoint();
+    let crafted = reseal(&bytes, SEC_DIRS, |dirs| {
+        let (count_at, slots) = node0_slots(dirs);
+        let last = slots.last().expect("node 0 has slots").bytes.clone();
+        dirs.drain(last);
+        let count = slots.len() as u32 - 1;
+        dirs[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    });
+    assert!(SimSnapshot::from_bytes(&crafted).is_ok());
+    let err = refused_restore(&crafted);
+    assert_eq!(err.field(), "snapshot.directories", "{err}");
+    assert!(err.reason().contains("probe-filter slots"), "{err}");
 }
