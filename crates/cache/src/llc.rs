@@ -79,8 +79,9 @@ impl LlcSlice {
 
     /// Removes `line` on a directory-initiated invalidation (ownership
     /// transfer or probe-filter eviction). Returns whether the line was
-    /// resident. Mutates only commutative counters besides the removal, so
-    /// concurrent cross-shard invalidations of different lines commute.
+    /// resident. Besides the removal it bumps only commutative counters, so
+    /// concurrent invalidations of different lines commute up to the set's
+    /// storage order, which lookups ignore and checkpoints do not record.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         self.array.invalidate(line).is_some()
     }

@@ -39,7 +39,8 @@ struct Way {
 /// `set * ways + way` — one allocation, cache-friendly walks — with a
 /// per-set occupancy count. Within a set the occupied prefix behaves
 /// like a `Vec` (push appends at `len`, removal is a `swap_remove`), and
-/// iteration and snapshots follow that storage order.
+/// iteration follows that storage order. Snapshots list each set's ways
+/// by recency instead (see [`SetAssocCache::export_state`]).
 ///
 /// A full set evicts its least recently touched line. Every lookup and
 /// insert stamps the way it touches with a fresh tick, so no two resident
@@ -250,23 +251,33 @@ impl SetAssocCache {
         (0..self.num_sets).flat_map(|set| self.set_ways(set).iter().map(|w| (w.addr, w.state)))
     }
 
-    /// Exports the complete dynamic state of the array — every occupied way
-    /// in storage order, the per-set occupancy counts, the recency clock and
-    /// the statistics — for checkpointing. [`SetAssocCache::restore_state`]
-    /// of the export onto a fresh same-geometry cache reproduces the array
-    /// bit-for-bit.
+    /// Exports the complete dynamic state of the array — every occupied way,
+    /// least recently touched first, the recency clock and the statistics —
+    /// for checkpointing. [`SetAssocCache::restore_state`] of the export
+    /// onto a fresh same-geometry cache reproduces every lookup, victim and
+    /// statistic of the array.
+    ///
+    /// Ways are listed by recency stamp, not storage order, because storage
+    /// order is not a function of the lines' history: two invalidations in
+    /// one set leave a different order depending on which ran first, and
+    /// directory work on different threads invalidates lines of one set
+    /// concurrently. Stamps are unique among resident ways, so the export
+    /// is canonical.
     pub fn export_state(&self) -> SetAssocState {
         SetAssocState {
             sets: (0..self.num_sets)
                 .map(|set| {
-                    self.set_ways(set)
+                    let mut ways: Vec<WayState> = self
+                        .set_ways(set)
                         .iter()
                         .map(|w| WayState {
                             addr: w.addr,
                             state: w.state,
                             last_touch: w.last_touch,
                         })
-                        .collect()
+                        .collect();
+                    ways.sort_by_key(|w| w.last_touch);
+                    ways
                 })
                 .collect(),
             tick: self.tick,
@@ -322,7 +333,7 @@ pub struct WayState {
 /// [`SetAssocCache::export_state`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocState {
-    /// Occupied ways per set, in storage order.
+    /// Occupied ways per set, least recently touched first.
     pub sets: Vec<Vec<WayState>>,
     /// The recency clock.
     pub tick: u64,
@@ -433,6 +444,28 @@ mod tests {
         assert!(c.set_state(LineAddr::new(0), CoherenceState::Owned));
         assert_eq!(c.probe(LineAddr::new(0)), Some(CoherenceState::Owned));
         assert!(!c.set_state(LineAddr::new(2), CoherenceState::Shared));
+    }
+
+    /// Two invalidations in one set leave the same export whichever runs
+    /// first, though they leave the ways in different storage orders.
+    #[test]
+    fn export_does_not_depend_on_invalidation_order() {
+        // One set of four ways, full.
+        let mut a = SetAssocCache::new(&CacheConfig::new(4 * 64, 4, 1));
+        for line in 0..4 {
+            a.insert(LineAddr::new(line), CoherenceState::Shared);
+        }
+        let mut b = a.clone();
+        a.invalidate(LineAddr::new(0));
+        a.invalidate(LineAddr::new(1));
+        b.invalidate(LineAddr::new(1));
+        b.invalidate(LineAddr::new(0));
+        assert_ne!(
+            a.iter().collect::<Vec<_>>(),
+            b.iter().collect::<Vec<_>>(),
+            "the two orders must reach different storage orders"
+        );
+        assert_eq!(a.export_state(), b.export_state());
     }
 
     #[test]

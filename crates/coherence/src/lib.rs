@@ -56,5 +56,5 @@ pub use controller::{
 pub use policy::AllocationPolicy;
 pub use probe_filter::{PfEntry, PfEntryView, PfSlotState, PfStats, ProbeFilter, ProbeFilterState};
 pub use request::{CoherenceRequest, RequestKind};
-pub use shard::{CoherenceEvent, CoherenceOp, CoherenceReply, DirectoryNodeState, DirectoryShard};
+pub use shard::{CoherenceEvent, CoherenceOp, CoherenceReply, DirectoryNode, DirectoryNodeState};
 pub use sharers::{NodeSet, SharerSet, SharerView};

@@ -1,35 +1,33 @@
-//! Per-shard directory slices and the cross-shard coherence message
-//! boundary.
+//! Per-node directories and the cross-thread coherence message boundary.
 //!
-//! The parallel simulation kernel partitions the machine by home node. A
-//! [`DirectoryShard`] owns the directory controllers (and their probe
-//! filters and occupancy clocks) of one contiguous block of home nodes;
-//! everything a core wants from a directory crosses the shard boundary as
-//! an explicit, timestamped [`CoherenceEvent`]. Each shard drains its
-//! event queue in the deterministic `(timestamp, source core, sequence)`
-//! order defined by [`allarm_engine::MergeKey`], so the protocol-visible
-//! order of transactions at every directory — and therefore every counter
-//! and latency in the final report — is independent of how many shards
-//! (OS threads) the simulation runs on.
+//! Everything a core wants from a directory crosses from the core phase to
+//! the directory phase of the parallel simulation kernel as an explicit,
+//! timestamped [`CoherenceEvent`]. The kernel keeps one [`DirectoryNode`]
+//! per home node — its controller (probe filter plus counters) and its
+//! occupancy clock — and in each directory phase one shard thread claims a
+//! node and drains that node's events in the deterministic `(timestamp,
+//! source core, sequence)` order defined by [`allarm_engine::MergeKey`].
+//! The protocol-visible order of transactions at every directory — and
+//! therefore every counter and latency in the final report — is thus
+//! independent of how many OS threads the simulation runs on, and of
+//! which thread claims which node.
 //!
-//! Determinism across shard *counts* additionally relies on a structural
-//! property of the protocol: every cache line has exactly one home node, and
-//! a directory only ever touches cache state for lines it homes. Two shards
-//! working concurrently therefore never operate on the same line, and their
-//! per-cache side effects (line-local probe state changes plus monotonic
-//! counters) commute.
+//! Transactions of *different* homes run concurrently and still commute,
+//! because every cache line has exactly one home node and a directory only
+//! ever touches cache state for lines it homes. What two of them may share
+//! is a *set* of one core's cache or one LLC slice: each changes or removes
+//! only its own line there, and bumps commutative counters. Removals in
+//! one set do leave the set's storage order depending on which ran first;
+//! that order is invisible to lookups and victim choice, and checkpoints
+//! list ways by recency instead (`SetAssocCache::export_state`).
 
 use crate::controller::{DirectoryController, SystemAccess};
-use crate::policy::AllocationPolicy;
 use crate::request::CoherenceRequest;
 use allarm_cache::CoherenceState;
 use allarm_engine::{sort_by_unique_key, MergeKey};
 use allarm_types::addr::LineAddr;
-use allarm_types::config::ProbeFilterConfig;
 use allarm_types::ids::{CoreId, NodeId};
-use allarm_types::topology::Topology;
 use allarm_types::Nanos;
-use std::ops::Range;
 
 /// Time a directory controller is occupied by one coherence transaction
 /// (tag pipeline, protocol state machine and response scheduling), excluding
@@ -45,11 +43,11 @@ pub const EVICTION_MESSAGE_TIME: Nanos = Nanos(4);
 /// messages (victim selection and entry teardown).
 pub const EVICTION_BASE_TIME: Nanos = Nanos(8);
 
-/// One unit of work crossing the shard boundary toward a home directory.
+/// One unit of work crossing the phase boundary toward a home directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceOp {
     /// A core's coherence request (miss or upgrade) for a line homed on the
-    /// destination shard.
+    /// destination node.
     Request {
         /// The request itself (line, kind, requester).
         request: CoherenceRequest,
@@ -109,131 +107,86 @@ pub struct DirectoryNodeState {
     pub busy_until: Nanos,
 }
 
-/// The directory slice of one shard: the controllers, probe filters and
-/// occupancy clocks of a contiguous block of home nodes.
+/// One home node's directory: its controller (probe filter and counters)
+/// and its occupancy clock.
 ///
 /// # Examples
 ///
 /// ```
-/// use allarm_coherence::{AllocationPolicy, DirectoryShard};
+/// use allarm_coherence::{AllocationPolicy, DirectoryController, DirectoryNode};
 /// use allarm_types::config::ProbeFilterConfig;
 /// use allarm_types::ids::NodeId;
 ///
-/// let shard = DirectoryShard::new(
-///     4..8,
+/// let home = NodeId::new(5);
+/// let node = DirectoryNode::new(DirectoryController::new(
+///     home,
 ///     &ProbeFilterConfig::new(4096, 4),
 ///     AllocationPolicy::Allarm,
-/// );
-/// assert!(shard.owns(NodeId::new(5)));
-/// assert!(!shard.owns(NodeId::new(3)));
-/// assert_eq!(shard.controllers().len(), 4);
+/// ));
+/// assert_eq!(node.controller().home(), home);
+/// assert_eq!(node.export_state().busy_until.as_u64(), 0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct DirectoryShard {
-    first_node: usize,
-    controllers: Vec<DirectoryController>,
-    /// Per-home-node controller occupancy: a request arriving while the
-    /// controller is still working on earlier transactions (including
-    /// probe-filter eviction back-invalidations) queues behind them.
-    busy_until: Vec<Nanos>,
+pub struct DirectoryNode {
+    controller: DirectoryController,
+    /// Controller occupancy: a request arriving while the controller is
+    /// still working on earlier transactions (including probe-filter
+    /// eviction back-invalidations) queues behind them.
+    busy_until: Nanos,
 }
 
-impl DirectoryShard {
-    /// Creates the directory slice for home nodes `nodes`, all using the
-    /// same probe-filter configuration and allocation policy, on a
-    /// one-core-per-node machine of at least `nodes.end` nodes (the probe
-    /// filters widen for any core beyond).
-    pub fn new(nodes: Range<usize>, config: &ProbeFilterConfig, policy: AllocationPolicy) -> Self {
-        let topology = Topology::flat(nodes.end.max(1) as u32);
-        DirectoryShard::hierarchical(nodes, config, policy, topology)
-    }
-
-    /// Creates the directory slice for home nodes `nodes` of a machine of
-    /// shape `topology`: two-level probe filters on multi-core nodes, each
-    /// sized for the machine's core count (see
-    /// [`DirectoryController::hierarchical`]).
-    pub fn hierarchical(
-        nodes: Range<usize>,
-        config: &ProbeFilterConfig,
-        policy: AllocationPolicy,
-        topology: Topology,
-    ) -> Self {
-        DirectoryShard {
-            first_node: nodes.start,
-            busy_until: vec![Nanos::ZERO; nodes.len()],
-            controllers: nodes
-                .map(|n| {
-                    let home = NodeId::new(n as u16);
-                    DirectoryController::hierarchical(home, config, policy, topology)
-                })
-                .collect(),
+impl DirectoryNode {
+    /// An idle directory around `controller`.
+    pub fn new(controller: DirectoryController) -> Self {
+        DirectoryNode {
+            controller,
+            busy_until: Nanos::ZERO,
         }
     }
 
-    /// True if this shard's slice contains `node`'s directory.
-    pub fn owns(&self, node: NodeId) -> bool {
-        let n = node.index();
-        n >= self.first_node && n < self.first_node + self.controllers.len()
+    /// The node's controller.
+    pub fn controller(&self) -> &DirectoryController {
+        &self.controller
     }
 
-    /// The controllers of this slice, in home-node order.
-    pub fn controllers(&self) -> &[DirectoryController] {
-        &self.controllers
+    /// Consumes the directory, returning its controller (for end-of-run
+    /// statistics merging).
+    pub fn into_controller(self) -> DirectoryController {
+        self.controller
     }
 
-    /// Consumes the shard, returning its controllers in home-node order
-    /// (for end-of-run statistics merging).
-    pub fn into_controllers(self) -> Vec<DirectoryController> {
-        self.controllers
+    /// Exports the complete dynamic state of the directory: the controller
+    /// (probe filter + counters) and its occupancy clock.
+    pub fn export_state(&self) -> DirectoryNodeState {
+        DirectoryNodeState {
+            controller: self.controller.export_state(),
+            busy_until: self.busy_until,
+        }
     }
 
-    /// Exports the complete dynamic state of this slice: each controller
-    /// (probe filter + counters) and its occupancy clock, in home-node
-    /// order starting at the slice's first node.
-    pub fn export_state(&self) -> Vec<DirectoryNodeState> {
-        self.controllers
-            .iter()
-            .zip(&self.busy_until)
-            .map(|(c, &busy)| DirectoryNodeState {
-                controller: c.export_state(),
-                busy_until: busy,
-            })
-            .collect()
-    }
-
-    /// Restores the state of the directory homed on `node`, which must be
-    /// owned by this slice.
+    /// Restores state captured with [`DirectoryNode::export_state`].
     ///
     /// # Panics
     ///
-    /// Panics if `node` is outside this slice or the probe-filter geometry
-    /// does not match.
-    pub fn restore_node_state(&mut self, node: NodeId, state: &DirectoryNodeState) {
-        assert!(
-            self.owns(node),
-            "restore for node {} routed to shard {}..{}",
-            node.index(),
-            self.first_node,
-            self.first_node + self.controllers.len(),
-        );
-        let idx = node.index() - self.first_node;
-        self.controllers[idx].restore_state(&state.controller);
-        self.busy_until[idx] = state.busy_until;
+    /// Panics if the probe-filter geometry does not match.
+    pub fn restore_state(&mut self, state: &DirectoryNodeState) {
+        self.controller.restore_state(&state.controller);
+        self.busy_until = state.busy_until;
     }
 
-    /// Drains a batch of events through this shard's directories, in
+    /// Drains a batch of this node's events through its controller, in
     /// deterministic [`MergeKey`] order, and appends the replies owed to
     /// requesting cores to `replies` (in the same order) — a buffer the
     /// caller reuses from round to round.
     ///
     /// The batch may arrive unsorted (it is typically concatenated from
-    /// several source shards); sorting happens here so no caller can
+    /// several producing threads); sorting happens here so no caller can
     /// accidentally feed a nondeterministic order. Every key is unique
     /// (each carries its core and that core's sequence number).
     ///
     /// # Panics
     ///
-    /// Panics if an event's home node is outside this shard's slice.
+    /// Panics if an event is homed on another node.
     pub fn process(
         &mut self,
         events: &mut [CoherenceEvent],
@@ -241,23 +194,23 @@ impl DirectoryShard {
         replies: &mut Vec<CoherenceReply>,
     ) {
         sort_by_unique_key(events, |e| e.key);
+        let home = self.controller.home();
         for &event in events.iter() {
-            assert!(
-                self.owns(event.home),
-                "event for node {} routed to shard {}..{}",
+            assert_eq!(
+                event.home,
+                home,
+                "event for node {} routed to the directory of node {}",
                 event.home.index(),
-                self.first_node,
-                self.first_node + self.controllers.len(),
+                home.index()
             );
-            let idx = event.home.index() - self.first_node;
             match event.op {
                 CoherenceOp::Request { request, arrival } => {
-                    replies.push(self.handle_request(idx, request, arrival, event.key, sys));
+                    replies.push(self.handle_request(request, arrival, event.key, sys));
                 }
                 CoherenceOp::EvictNotice { line, core, dirty } => {
                     // Writebacks retire in the background; their latency is
                     // not on any core's critical path.
-                    self.controllers[idx].note_cache_eviction(line, core, dirty, sys);
+                    self.controller.note_cache_eviction(line, core, dirty, sys);
                 }
             }
         }
@@ -270,23 +223,22 @@ impl DirectoryShard {
     /// request to the same directory.
     fn handle_request(
         &mut self,
-        idx: usize,
         request: CoherenceRequest,
         arrival: Nanos,
         key: MergeKey,
         sys: &mut dyn SystemAccess,
     ) -> CoherenceReply {
-        let dir = &mut self.controllers[idx];
+        let dir = &mut self.controller;
         let evictions_before = dir.stats().pf_evictions.get();
         let messages_before = dir.stats().eviction_messages.get();
         let response = dir.handle_request(request, sys);
 
-        let queue_delay = self.busy_until[idx].saturating_sub(arrival);
+        let queue_delay = self.busy_until.saturating_sub(arrival);
         let eviction_work = EVICTION_MESSAGE_TIME
             * (dir.stats().eviction_messages.get() - messages_before)
             + EVICTION_BASE_TIME * (dir.stats().pf_evictions.get() - evictions_before);
         let service = DIRECTORY_SERVICE_TIME + eviction_work;
-        self.busy_until[idx] = arrival + queue_delay + service;
+        self.busy_until = arrival + queue_delay + service;
 
         CoherenceReply {
             core: request.requester,
@@ -301,12 +253,14 @@ impl DirectoryShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::AllocationPolicy;
     use crate::request::RequestKind;
     use allarm_cache::{CoreCaches, ProbeOutcome};
     use allarm_noc::{MessageClass, Network};
+    use allarm_types::config::ProbeFilterConfig;
     use allarm_types::config::{MachineConfig, NocConfig};
 
-    /// A miniature 4-core machine backing the shard under test.
+    /// A miniature 4-core machine backing the directory under test.
     struct MiniSystem {
         caches: Vec<CoreCaches>,
         network: Network,
@@ -378,22 +332,22 @@ mod tests {
         }
     }
 
-    fn shard(nodes: Range<usize>) -> DirectoryShard {
-        DirectoryShard::new(
-            nodes,
+    fn directory(home: u16) -> DirectoryNode {
+        DirectoryNode::new(DirectoryController::new(
+            NodeId::new(home),
             &ProbeFilterConfig::new(4096, 4),
             AllocationPolicy::Baseline,
-        )
+        ))
     }
 
-    /// Drains `events` through `shard` into a fresh reply buffer.
+    /// Drains `events` through `dir` into a fresh reply buffer.
     fn process(
-        shard: &mut DirectoryShard,
+        dir: &mut DirectoryNode,
         events: &mut [CoherenceEvent],
         sys: &mut MiniSystem,
     ) -> Vec<CoherenceReply> {
         let mut replies = Vec::new();
-        shard.process(events, sys, &mut replies);
+        dir.process(events, sys, &mut replies);
         replies
     }
 
@@ -402,26 +356,25 @@ mod tests {
         // Two orderings of the same batch must leave identical state.
         let mut batch = vec![
             request_event(0, 100, 2, 50, 0),
-            request_event(1, 201, 3, 10, 0),
+            request_event(0, 201, 3, 10, 0),
             request_event(0, 100, 1, 10, 1),
-            request_event(1, 201, 1, 10, 0),
+            request_event(0, 201, 1, 10, 0),
         ];
         let mut reversed = batch.clone();
         reversed.reverse();
 
         let mut sys_a = MiniSystem::new();
-        let mut shard_a = shard(0..2);
-        let replies_a = process(&mut shard_a, &mut batch, &mut sys_a);
+        let mut dir_a = directory(0);
+        let replies_a = process(&mut dir_a, &mut batch, &mut sys_a);
 
         let mut sys_b = MiniSystem::new();
-        let mut shard_b = shard(0..2);
-        let replies_b = process(&mut shard_b, &mut reversed, &mut sys_b);
+        let mut dir_b = directory(0);
+        let replies_b = process(&mut dir_b, &mut reversed, &mut sys_b);
 
         assert_eq!(replies_a, replies_b);
         assert_eq!(sys_a.dram_accesses, sys_b.dram_accesses);
-        for (a, b) in shard_a.controllers().iter().zip(shard_b.controllers()) {
-            assert_eq!(a.stats(), b.stats());
-        }
+        assert_eq!(dir_a.controller().stats(), dir_b.controller().stats());
+        assert_eq!(dir_a.export_state(), dir_b.export_state());
         // (time, core, seq) orders core 1's time-10 events first, so core
         // 2's identical-line request at time 50 sees the allocated entry.
         assert_eq!(replies_a[0].core, CoreId::new(1));
@@ -435,7 +388,7 @@ mod tests {
         // spaces the arrivals far apart, so the latency difference between
         // the two runs is exactly the queueing delay.
         let mut sys = MiniSystem::new();
-        let mut s = shard(0..1);
+        let mut s = directory(0);
         let queued = process(
             &mut s,
             &mut [
@@ -446,7 +399,7 @@ mod tests {
         );
 
         let mut sys = MiniSystem::new();
-        let mut s = shard(0..1);
+        let mut s = directory(0);
         let spaced = process(
             &mut s,
             &mut [
@@ -468,10 +421,11 @@ mod tests {
     #[test]
     fn evict_notices_free_directory_entries_without_replies() {
         let mut sys = MiniSystem::new();
-        let mut s = shard(0..1);
+        let mut s = directory(0);
         let replies = process(&mut s, &mut [request_event(0, 100, 1, 10, 0)], &mut sys);
         assert_eq!(replies.len(), 1);
-        assert!(s.controllers()[0]
+        assert!(s
+            .controller()
             .probe_filter()
             .peek(LineAddr::new(100))
             .is_some());
@@ -487,18 +441,19 @@ mod tests {
         };
         let replies = process(&mut s, &mut [notice], &mut sys);
         assert!(replies.is_empty());
-        assert!(s.controllers()[0]
+        assert!(s
+            .controller()
             .probe_filter()
             .peek(LineAddr::new(100))
             .is_none());
     }
 
     #[test]
-    #[should_panic(expected = "routed to shard")]
+    #[should_panic(expected = "event for node 3 routed to the directory of node 1")]
     fn misrouted_events_are_rejected() {
         let mut sys = MiniSystem::new();
         process(
-            &mut shard(0..2),
+            &mut directory(1),
             &mut [request_event(3, 1, 1, 0, 0)],
             &mut sys,
         );

@@ -79,7 +79,7 @@ pub struct SimReport {
     /// invariant, like every other field.
     #[serde(default)]
     pub rounds_executed: u64,
-    /// Coherence events drained through the directory slices, summed over
+    /// Coherence events drained through the home directories, summed over
     /// rounds (requests plus eviction notices).
     #[serde(default)]
     pub events_merged: u64,

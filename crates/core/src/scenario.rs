@@ -77,7 +77,7 @@ pub struct Scenario {
 }
 
 /// The intra-run parallelism knob of a [`Scenario`]: how many worker
-/// threads one simulation shards its home nodes across.
+/// threads one simulation runs on.
 ///
 /// `1` (the default) runs serially; `0` means one worker per available
 /// hardware thread. The sharded kernel guarantees byte-identical reports

@@ -1,13 +1,17 @@
 //! The deterministic sharded execution kernel behind [`crate::Simulator`].
 //!
-//! The machine is partitioned by home node ([`ShardPlan`]): each shard owns
-//! a contiguous block of nodes — their directory slices and probe filters
-//! ([`DirectoryShard`]), their DRAM channels, and the cores pinned to those
-//! nodes (a node's whole core block, on multi-core-node topologies) — and
-//! runs on its own OS thread. Cross-shard events travel through
-//! per-destination mailboxes ([`Exchange`]), so each consumer drains
-//! exactly what it owns. Execution proceeds in *rounds*, each a pair of
-//! barrier-separated phases:
+//! A run executes on one or more OS threads, its *shards*. The cores are
+//! partitioned by node ([`ShardPlan`]): each shard replays the cores pinned
+//! to one contiguous block of nodes (a node's whole core block, on
+//! multi-core-node topologies). The directories are not partitioned: each
+//! home node has one [`DirectoryNode`] record — controller, probe filter
+//! and occupancy clock — behind its own lock, and the shards share the
+//! directory work of every round by claiming nodes, so it splits by load
+//! rather than by node index. Events travel through per-destination
+//! mailboxes ([`Exchange`]) — per home node for directory events, per
+//! shard for replies — so each consumer drains exactly what it owns.
+//! Execution proceeds in *rounds*, each a pair of barrier-separated
+//! phases:
 //!
 //! 1. **Core phase** (parallel, shard-local state only): every shard first
 //!    commits the directory replies its cores received last round (fills,
@@ -22,9 +26,14 @@
 //!    its trace.
 //! 2. **Directory phase** (parallel by home node): pending page faults are
 //!    applied to the allocator in deterministic `(time, core, seq)` order
-//!    by the lead shard; concurrently every shard drains the coherence
-//!    events bound for its home nodes — sorted by the same key — through
-//!    its directory slice, probing remote caches through per-core locks.
+//!    by the lead shard; concurrently every shard claims the next
+//!    unprocessed home node from one atomic cursor, in ascending node
+//!    order, and drains that node's coherence events — sorted by the same
+//!    key — through the node's directory, probing remote caches through
+//!    per-core locks, until every node of the round is done. The lead shard
+//!    joins the claiming once its faults are applied. It resets the cursor
+//!    during the core phase: every claim falls between the round's two
+//!    barriers, and the reset falls outside them.
 //!
 //! **Run order.** A shard runs its unfinished cores in `(local clock, slot
 //! index)` order, laggard first: one sort per core phase. Every run ends
@@ -56,15 +65,25 @@
 //! horizon itself is a fold (min) over all cores' round-start clocks —
 //! shard-count-invariant because the clocks are. The directory phase
 //! orders each home node's events by a total order ([`MergeKey`]) that
-//! does not mention shards or rounds, and transactions of *different*
-//! homes never touch the same cache line (a line has exactly one home), so
-//! their line-local cache mutations and counter increments commute.
+//! does not mention shards or rounds, and all of a node's events go
+//! through its one record, so which shard claims the node does not matter.
+//! Transactions of *different* homes never touch the same cache line (a
+//! line has exactly one home), so they commute: where two share a set of
+//! one core's cache or one LLC slice, each changes or removes only its own
+//! line and bumps commutative counters. (Two removals in one set leave its
+//! storage order depending on which ran first; lookups and victim choice
+//! ignore that order, and checkpoints list ways by recency instead.)
 //! Replies commit to each core in the same key order the requests were
 //! issued in, so the core-side cache mutations replay identically too.
 //! Every merged statistic is a sum, a max, or per-shard-identical. Hence
 //! `sim_threads = N` produces byte-identical reports to `sim_threads = 1`
 //! — the batch-level guarantee of the runner, extended down into a single
 //! simulation.
+//!
+//! **Failure.** A shard that panics aborts the phase barrier, which unwinds
+//! every peer waiting at it, and [`run_kernel`] re-raises the failed
+//! shard's own panic: a run fails the same way at every `sim_threads`
+//! instead of leaving the other shards waiting forever.
 //!
 //! With `miss_window.depth = 1` (see [`MissWindowConfig::serial`]) every
 //! window holds at most one miss and the horizon never engages, which
@@ -75,6 +94,7 @@
 
 use std::mem;
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
@@ -84,9 +104,9 @@ use allarm_cache::{
 };
 use allarm_coherence::{
     AllocationPolicy, CoherenceEvent, CoherenceOp, CoherenceReply, CoherenceRequest,
-    DirectoryController, DirectoryNodeState, DirectoryShard, RequestKind,
+    DirectoryController, DirectoryNode, DirectoryNodeState, RequestKind,
 };
-use allarm_engine::{sort_by_unique_key, Keyed, MergeKey, PhaseBarrier, ShardPlan};
+use allarm_engine::{sort_by_unique_key, BarrierAborted, Keyed, MergeKey, PhaseBarrier, ShardPlan};
 use allarm_mem::{NumaAllocator, NumaAllocatorState, NumaPolicy};
 use allarm_noc::NocStats;
 use allarm_types::addr::{LineAddr, VirtAddr};
@@ -96,7 +116,7 @@ use allarm_types::topology::Topology;
 use allarm_types::Nanos;
 use allarm_workloads::{AccessSource, ThreadFeed};
 
-use crate::system::{shared_caches, shared_llc, ShardSystem};
+use crate::system::ShardSystem;
 
 /// A touch the allocator could not resolve read-only: a first touch of a
 /// page, or a pending next-touch re-homing decision. Carried as a
@@ -109,20 +129,20 @@ struct PageFault {
 }
 
 /// The cross-shard mailboxes. Events and replies are routed **per
-/// destination**: `events[dst][src]` holds what shard `src` produced for
-/// shard `dst` this round, so a consumer drains exactly its own column —
-/// O(events) per round — instead of scanning every shard's outbox for the
-/// pieces it owns (O(shards × events), the scheme this replaced). Page
-/// faults keep a single slot per source because they have a single
-/// consumer (the lead shard).
+/// destination**: `events[node][src]` holds what shard `src` produced for
+/// home node `node` this round, and `replies[dst][src]` what it produced
+/// for the cores of shard `dst`, so a consumer drains exactly its own
+/// column — O(events) per round — instead of scanning every shard's outbox
+/// for the pieces it owns. Page faults keep a single slot per source
+/// because they have a single consumer (the lead shard).
 ///
 /// Each mailbox is written by its source shard in one phase and read by
-/// its destination shard in the next; the phase barriers guarantee the
-/// accesses never overlap, the mutexes make that safe in the type system.
+/// its consumer in the next; the phase barriers guarantee the accesses
+/// never overlap, the mutexes make that safe in the type system.
 /// Producers swap their filled buffer with the drained-but-allocated one
 /// left in the mailbox, so in steady state no mailbox traffic allocates.
 struct Exchange {
-    /// `events[dst][src]`: coherence events homed on shard `dst`'s nodes.
+    /// `events[node][src]`: coherence events homed on `node`.
     events: Vec<Vec<Mutex<Vec<CoherenceEvent>>>>,
     /// `replies[dst][src]`: directory replies for cores pinned to `dst`.
     replies: Vec<Vec<Mutex<Vec<CoherenceReply>>>>,
@@ -132,20 +152,25 @@ struct Exchange {
     /// every shard in the directory phase into next round's time horizon.
     /// Written before and read after a barrier, so never racy.
     min_clock: Vec<AtomicU64>,
+    /// The next home node to claim in this round's directory phase. Claims
+    /// fall between the round's two barriers; the lead shard resets it to
+    /// 0 in the core phase, which the barriers order before every claim.
+    next_node: AtomicUsize,
 }
 
 impl Exchange {
-    fn new(num_shards: usize) -> Self {
-        fn matrix<T>(n: usize) -> Vec<Vec<Mutex<Vec<T>>>> {
-            (0..n)
-                .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+    fn new(num_nodes: usize, num_shards: usize) -> Self {
+        fn matrix<T>(rows: usize, columns: usize) -> Vec<Vec<Mutex<Vec<T>>>> {
+            (0..rows)
+                .map(|_| (0..columns).map(|_| Mutex::new(Vec::new())).collect())
                 .collect()
         }
         Exchange {
-            events: matrix(num_shards),
-            replies: matrix(num_shards),
+            events: matrix(num_nodes, num_shards),
+            replies: matrix(num_shards, num_shards),
             faults: (0..num_shards).map(|_| Mutex::new(Vec::new())).collect(),
             min_clock: (0..num_shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            next_node: AtomicUsize::new(0),
         }
     }
 }
@@ -218,7 +243,6 @@ impl Slot<'_> {
         filled: LineAddr,
         completed: Nanos,
         allocator: &NumaAllocator,
-        shard_of_node: &[usize],
         outboxes: &mut [Vec<CoherenceEvent>],
     ) {
         for victim in caches.take_capacity_victims() {
@@ -236,7 +260,7 @@ impl Slot<'_> {
                         dirty: true,
                     },
                 };
-                outboxes[shard_of_node[home.index()]].push(event);
+                outboxes[home.index()].push(event);
             }
         }
     }
@@ -308,7 +332,7 @@ pub(crate) struct Totals {
     /// Barrier-to-barrier rounds. Every shard crosses the same barriers,
     /// so only the lead shard counts them.
     pub(crate) rounds: u64,
-    /// Coherence events drained through directory slices.
+    /// Coherence events drained through the home directories.
     pub(crate) events_merged: u64,
     /// Deepest miss window any core accumulated in a single round.
     pub(crate) max_window: u32,
@@ -338,7 +362,6 @@ impl Totals {
 /// frozen point and assembled into a [`KernelState`] by shard 0.
 struct ShardPart {
     threads: Vec<ThreadState>,
-    dirs: Vec<DirectoryNodeState>,
     totals: Totals,
 }
 
@@ -394,7 +417,6 @@ fn next_multiple(total: u64, every: u64) -> u64 {
 
 /// Everything one shard accumulates that the final report needs.
 struct ShardOutput {
-    controllers: Vec<DirectoryController>,
     /// The largest local clock among the shard's cores.
     makespan: Nanos,
     totals: Totals,
@@ -428,7 +450,9 @@ pub(crate) struct KernelOutput {
 ///
 /// Panics if a restore state's geometry (threads, nodes, cores) does not
 /// match the machine and workload; `Simulator::check_start` refuses every
-/// such state before a run starts.
+/// such state before a run starts. A panic on any shard — a trace frame
+/// that fails verification mid-replay, say — ends every shard and is
+/// re-raised here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_kernel(
     config: &MachineConfig,
@@ -441,12 +465,12 @@ pub(crate) fn run_kernel(
     emit: &mut Emit<'_>,
 ) -> KernelOutput {
     let num_nodes = config.num_nodes() as usize;
+    let num_cores = config.num_cores as usize;
     let topology = config.topology();
     let plan = ShardPlan::new(num_nodes, num_shards);
     let num_shards = plan.num_shards();
+    let num_slices = if config.llc.enabled { num_nodes } else { 0 };
 
-    let caches = shared_caches(config);
-    let llc = shared_llc(config);
     let mut numa = NumaAllocator::new(num_nodes, config.dram, numa_policy);
     let mut live = source.num_threads();
     let mut base = Totals::default();
@@ -458,7 +482,7 @@ pub(crate) fn run_kernel(
         );
         assert_eq!(
             state.caches.len(),
-            caches.len(),
+            num_cores,
             "snapshot core count does not match the machine"
         );
         assert_eq!(
@@ -468,27 +492,44 @@ pub(crate) fn run_kernel(
         );
         assert_eq!(
             state.llc.len(),
-            llc.len(),
+            num_slices,
             "snapshot LLC slice count does not match the machine"
         );
         numa.restore_state(&state.allocator);
-        for (cache, cache_state) in caches.iter().zip(&state.caches) {
-            cache
-                .lock()
-                .expect("cache lock poisoned")
-                .restore_state(cache_state);
-        }
-        for (slice, slice_state) in llc.iter().zip(&state.llc) {
-            slice
-                .lock()
-                .expect("LLC slice lock poisoned")
-                .restore_state(slice_state);
-        }
         live = state.threads.iter().filter(|t| !t.finished).count();
         base = state.totals.clone();
     }
+    // The shared structures are built, and restored, across the run's
+    // threads: at 256 cores their slabs take over 100 MB of writes.
+    let caches = build_parallel(num_cores, num_shards, |core| {
+        let mut caches = CoreCaches::new(&config.l1d, &config.l2);
+        if let Some(state) = restore {
+            caches.restore_state(&state.caches[core]);
+        }
+        Mutex::new(caches)
+    });
+    let llc = build_parallel(num_slices, num_shards, |node| {
+        let mut slice = LlcSlice::new(&config.llc);
+        if let Some(state) = restore {
+            slice.restore_state(&state.llc[node]);
+        }
+        Mutex::new(slice)
+    });
+    let dirs = build_parallel(num_nodes, num_shards, |node| {
+        let home = NodeId::new(node as u16);
+        let mut dir = DirectoryNode::new(DirectoryController::hierarchical(
+            home,
+            &config.probe_filter,
+            policy,
+            topology,
+        ));
+        if let Some(state) = restore {
+            dir.restore_state(&state.dirs[node]);
+        }
+        Mutex::new(dir)
+    });
     let allocator = RwLock::new(numa);
-    let exchange = Exchange::new(num_shards);
+    let exchange = Exchange::new(num_nodes, num_shards);
     if let Some(state) = restore {
         // The checkpoint round's un-committed replies go back into the
         // mailboxes of the shards owning their cores. All into source
@@ -510,26 +551,34 @@ pub(crate) fn run_kernel(
     outputs.resize_with(num_shards, || None);
     let outputs = Mutex::new(outputs);
 
-    std::thread::scope(|scope| {
+    let failures = std::thread::scope(|scope| {
+        // A shard that panics aborts the barrier, so its peers unwind
+        // instead of waiting for it forever.
         let run_shard = |shard_id: usize, emit: Option<&mut Emit<'_>>| {
-            let mut worker = ShardWorker::new(
-                shard_id,
-                &plan,
-                config,
-                policy,
-                source,
-                &caches,
-                &llc,
-                &allocator,
-                &exchange,
-                &barrier,
-                &live_slots,
-                &ctl,
-                restore,
-            );
-            worker.run(emit);
-            outputs.lock().expect("output collection poisoned")[shard_id] =
-                Some(worker.into_output());
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut worker = ShardWorker::new(
+                    shard_id,
+                    &plan,
+                    config,
+                    source,
+                    &caches,
+                    &llc,
+                    &dirs,
+                    &allocator,
+                    &exchange,
+                    &barrier,
+                    &live_slots,
+                    &ctl,
+                    restore,
+                );
+                worker.run(emit);
+                outputs.lock().expect("output collection poisoned")[shard_id] =
+                    Some(worker.into_output());
+            }));
+            if result.is_err() {
+                barrier.abort();
+            }
+            result
         };
         // Shard 0 (the fault and checkpoint leader) runs on the calling
         // thread — which is why it alone gets the emit callback — and a
@@ -537,40 +586,89 @@ pub(crate) fn run_kernel(
         let handles: Vec<_> = (1..num_shards)
             .map(|shard_id| scope.spawn(move || run_shard(shard_id, None)))
             .collect();
-        run_shard(0, Some(emit));
-        for handle in handles {
-            handle.join().expect("a shard worker panicked");
-        }
+        let mut results = vec![run_shard(0, Some(emit))];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("shard panics are caught")),
+        );
+        results
+            .into_iter()
+            .filter_map(Result::err)
+            .collect::<Vec<_>>()
     });
+    // Re-raise the panic that failed the run, not a peer's abort.
+    if let Some(payload) = failures
+        .into_iter()
+        .min_by_key(|payload| payload.is::<BarrierAborted>())
+    {
+        panic::resume_unwind(payload);
+    }
 
     merge(
         caches,
         llc,
+        dirs,
         outputs.into_inner().expect("outputs poisoned"),
         &ctl.base,
     )
 }
 
-/// Folds the per-shard outputs (in shard order, which is node order) into
-/// the single-machine view, on top of the totals the run started from, so
-/// a restored run reports whole-run totals.
+/// Builds `len` items in index order, `build(index)` each, on up to
+/// `threads` threads: one contiguous block of indices each, the first
+/// block on the calling thread.
+fn build_parallel<T: Send>(
+    len: usize,
+    threads: usize,
+    build: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let threads = threads.clamp(1, len.max(1));
+    let block = len.div_ceil(threads);
+    let build_block =
+        |start: usize| -> Vec<T> { (start..len.min(start + block)).map(&build).collect() };
+    let build_block = &build_block;
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = (1..threads)
+            .map(|t| scope.spawn(move || build_block(t * block)))
+            .collect();
+        let mut items = build_block(0);
+        for handle in rest {
+            items.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+            );
+        }
+        items
+    })
+}
+
+/// Folds the per-shard outputs into the single-machine view, on top of the
+/// totals the run started from, so a restored run reports whole-run
+/// totals. Controllers come out in node order.
 fn merge(
     caches: Vec<Mutex<CoreCaches>>,
     llc: Vec<Mutex<LlcSlice>>,
+    dirs: Vec<Mutex<DirectoryNode>>,
     outputs: Vec<Option<ShardOutput>>,
     base: &Totals,
 ) -> KernelOutput {
-    let mut controllers = Vec::new();
     let mut makespan = Nanos::ZERO;
     let mut totals = base.clone();
     for output in outputs {
         let output = output.expect("every shard reports an output");
-        controllers.extend(output.controllers);
         makespan = makespan.max(output.makespan);
         totals.absorb(&output.totals);
     }
     KernelOutput {
-        controllers,
+        controllers: dirs
+            .into_iter()
+            .map(|d| {
+                d.into_inner()
+                    .expect("directory lock poisoned")
+                    .into_controller()
+            })
+            .collect(),
         caches: caches
             .into_iter()
             .map(|c| c.into_inner().expect("cache lock poisoned"))
@@ -588,18 +686,20 @@ fn merge(
 struct ShardWorker<'a> {
     shard_id: usize,
     topology: Topology,
-    /// Node index -> owning shard, for per-destination event routing.
+    /// Node index -> the shard replaying its cores, for reply routing.
     shard_of_node: Vec<usize>,
     slots: Vec<Slot<'a>>,
     /// Global core index -> local slot index, for reply delivery.
     slot_of_core: Vec<Option<usize>>,
-    dir: DirectoryShard,
     sys: ShardSystem<'a>,
     caches: &'a [Mutex<CoreCaches>],
     /// Per-node shared LLC slices (empty when disabled). The core phase
-    /// only ever locks this shard's own nodes' slices; remote shards reach
-    /// them through [`ShardSystem::probe_llc`] in the directory phase.
+    /// only ever locks this shard's own nodes' slices; the directory phase
+    /// reaches any node's through [`ShardSystem::probe_llc`].
     llc: &'a [Mutex<LlcSlice>],
+    /// Per-home-node directories, claimed one at a time in the directory
+    /// phase by whichever shard takes the node off the cursor.
+    dirs: &'a [Mutex<DirectoryNode>],
     allocator: &'a RwLock<NumaAllocator>,
     exchange: &'a Exchange,
     barrier: &'a PhaseBarrier,
@@ -630,11 +730,12 @@ struct ShardWorker<'a> {
     totals: Totals,
     // Round-local buffers, persisted across rounds so the steady state
     // allocates nothing (the `alloc_budget` test holds it to that). The
-    // outboxes, the fault buffer and `routed` swap with the exchange
-    // mailboxes; the scratch vectors are drained or cleared each round.
-    // `reply_scratch` holds the replies committed in the core phase and
-    // those the directory slice produces in the directory phase;
-    // `fault_merge` is the lead shard's merged view of every fault mailbox.
+    // outboxes (one per home node), the fault buffer and `routed` (one per
+    // shard) swap with the exchange mailboxes; the scratch vectors are
+    // drained or cleared each round. `reply_scratch` holds the replies
+    // committed in the core phase and those the claimed directories
+    // produce in the directory phase; `fault_merge` is the lead shard's
+    // merged view of every fault mailbox.
     run_order: Vec<usize>,
     outboxes: Vec<Vec<CoherenceEvent>>,
     fault_scratch: Vec<Keyed<PageFault>>,
@@ -650,10 +751,10 @@ impl<'a> ShardWorker<'a> {
         shard_id: usize,
         plan: &ShardPlan,
         config: &MachineConfig,
-        policy: AllocationPolicy,
         source: AccessSource<'a>,
         caches: &'a [Mutex<CoreCaches>],
         llc: &'a [Mutex<LlcSlice>],
+        dirs: &'a [Mutex<DirectoryNode>],
         allocator: &'a RwLock<NumaAllocator>,
         exchange: &'a Exchange,
         barrier: &'a PhaseBarrier,
@@ -698,8 +799,6 @@ impl<'a> ShardWorker<'a> {
             .map(|n| plan.shard_of_node(n))
             .collect();
         let num_shards = plan.num_shards();
-        let mut dir =
-            DirectoryShard::hierarchical(nodes.clone(), &config.probe_filter, policy, topology);
         let mut round_horizon = config.miss_window.horizon;
         if let Some(state) = restore {
             // Snapshot threads are sorted by thread index, so each slot's
@@ -721,9 +820,6 @@ impl<'a> ShardWorker<'a> {
                 slot.finished = thread.finished;
                 slot.faulted = thread.faulted;
             }
-            for node in nodes {
-                dir.restore_node_state(NodeId::new(node as u16), &state.dirs[node]);
-            }
             round_horizon = state.round_horizon;
         }
         for slot in &mut slots {
@@ -743,10 +839,10 @@ impl<'a> ShardWorker<'a> {
             shard_of_node,
             slots,
             slot_of_core,
-            dir,
             sys: ShardSystem::new(caches, llc, config),
             caches,
             llc,
+            dirs,
             allocator,
             exchange,
             barrier,
@@ -762,7 +858,7 @@ impl<'a> ShardWorker<'a> {
             round_horizon,
             totals: Totals::default(),
             run_order: Vec::new(),
-            outboxes: vec![Vec::new(); num_shards],
+            outboxes: vec![Vec::new(); plan.num_nodes()],
             fault_scratch: Vec::new(),
             fault_merge: Vec::new(),
             inbox_scratch: Vec::new(),
@@ -836,8 +932,7 @@ impl<'a> ShardWorker<'a> {
         self.ckpt.stop.load(Ordering::Acquire)
     }
 
-    /// This shard's slice of a checkpoint: its threads, its home nodes'
-    /// directory state, and its totals.
+    /// This shard's slice of a checkpoint: its threads and its totals.
     fn capture_part(&self) -> ShardPart {
         let threads = self
             .slots
@@ -855,7 +950,6 @@ impl<'a> ShardWorker<'a> {
             .collect();
         ShardPart {
             threads,
-            dirs: self.dir.export_state(),
             totals: self.totals(),
         }
     }
@@ -873,13 +967,12 @@ impl<'a> ShardWorker<'a> {
     }
 
     /// Shard 0 only: folds the deposited parts and the shared state into
-    /// the canonical [`KernelState`]. Parts concatenate in shard order,
-    /// which is node order; threads are re-sorted by thread index; replies
-    /// are cloned out of the mailboxes (not drained — the next core phase
-    /// still commits them) and sorted by the order they commit in.
+    /// the canonical [`KernelState`]. Threads are re-sorted by thread
+    /// index; directories, caches and slices are read in index order;
+    /// replies are cloned out of the mailboxes (not drained — the next core
+    /// phase still commits them) and sorted by the order they commit in.
     fn assemble(&self) -> KernelState {
         let mut threads: Vec<ThreadState> = Vec::new();
-        let mut dirs = Vec::new();
         let mut totals = self.ckpt.base.clone();
         for part in &self.ckpt.parts {
             let part = part
@@ -888,10 +981,14 @@ impl<'a> ShardWorker<'a> {
                 .take()
                 .expect("every shard deposits a part before the barrier");
             threads.extend(part.threads);
-            dirs.extend(part.dirs);
             totals.absorb(&part.totals);
         }
         threads.sort_by_key(|t| t.thread);
+        let dirs = self
+            .dirs
+            .iter()
+            .map(|d| d.lock().expect("directory lock poisoned").export_state())
+            .collect();
         let caches = self
             .caches
             .iter()
@@ -935,8 +1032,14 @@ impl<'a> ShardWorker<'a> {
     /// Phase 1: commit last round's replies to this shard's cores, then
     /// replay each unfinished core forward until it blocks, laggard first
     /// (see the module docs on run order). Every emitted event goes
-    /// straight into its destination shard's mailbox.
+    /// straight into its home node's mailbox.
     fn core_phase(&mut self) {
+        if self.shard_id == 0 {
+            // Every claim of the last directory phase happened before the
+            // last barrier, and every claim of the next one happens after
+            // the next: nobody reads the cursor now.
+            self.exchange.next_node.store(0, Ordering::Relaxed);
+        }
         let mut outboxes = mem::take(&mut self.outboxes);
         // The lead shard drained last round's fault mailbox, so the buffer
         // swapped back out of it is empty.
@@ -954,11 +1057,15 @@ impl<'a> ShardWorker<'a> {
             }
             self.run_order = order;
         }
-        for (dst, outbox) in outboxes.iter_mut().enumerate() {
-            // Swap rather than assign: the consumer drained the mailbox
+        for (node, outbox) in outboxes.iter_mut().enumerate() {
+            // Swap rather than assign: the claimer drained the mailbox
             // with `append`, leaving an empty vector whose capacity we
-            // inherit for next round.
-            let mut mailbox = self.exchange.events[dst][self.shard_id]
+            // inherit for next round. An empty outbox has nothing to
+            // deliver, and the drained mailbox is empty already.
+            if outbox.is_empty() {
+                continue;
+            }
+            let mut mailbox = self.exchange.events[node][self.shard_id]
                 .lock()
                 .expect("event mailbox poisoned");
             mem::swap(&mut *mailbox, outbox);
@@ -1063,14 +1170,7 @@ impl<'a> ShardWorker<'a> {
                 // bookkeeping consistent.
                 caches.fill(pending.line, CoherenceState::Modified);
             }
-            slot.notify_dirty_victims(
-                &mut caches,
-                pending.line,
-                completed,
-                allocator,
-                &self.shard_of_node,
-                outboxes,
-            );
+            slot.notify_dirty_victims(&mut caches, pending.line, completed, allocator, outboxes);
         }
         self.reply_scratch = replies;
     }
@@ -1187,7 +1287,6 @@ impl<'a> ShardWorker<'a> {
                         line,
                         base + elapsed,
                         allocator,
-                        &self.shard_of_node,
                         outboxes,
                     );
                     continue;
@@ -1205,7 +1304,7 @@ impl<'a> ShardWorker<'a> {
                     arrival,
                 },
             };
-            outboxes[self.shard_of_node[frame.home.index()]].push(event);
+            outboxes[frame.home.index()].push(event);
             slot.window.push(Pending { key, line });
             self.totals.max_window = self.totals.max_window.max(slot.window.len() as u32);
             if slot.window.len() >= self.depth {
@@ -1239,9 +1338,9 @@ impl<'a> ShardWorker<'a> {
         self.fault_merge = faults;
     }
 
-    /// Phase 2: drain the coherence events bound for this shard's home
-    /// nodes through its directory slice and route each reply to the shard
-    /// owning the requesting core.
+    /// Phase 2: claim home nodes off the shared cursor until none is
+    /// left, drain each claimed node's events through its directory, and
+    /// route every reply to the shard owning the requesting core.
     fn directory_phase(&mut self) {
         // Fold next round's horizon from the per-shard minima published at
         // the end of the core phase (the barrier between the phases orders
@@ -1253,18 +1352,27 @@ impl<'a> ShardWorker<'a> {
         }
         self.round_horizon = Nanos::new(min.saturating_add(self.horizon_ns.as_u64()));
 
-        // Drain this shard's own mailbox column: every event here is
-        // already known to be ours, so the round costs O(own events), not
-        // a scan of every shard's outbox.
         let mut inbox = mem::take(&mut self.inbox_scratch);
-        inbox.clear();
-        for mailbox in &self.exchange.events[self.shard_id] {
-            inbox.append(&mut mailbox.lock().expect("event mailbox poisoned"));
-        }
-        self.totals.events_merged += inbox.len() as u64;
         let mut replies = mem::take(&mut self.reply_scratch);
         replies.clear();
-        self.dir.process(&mut inbox, &mut self.sys, &mut replies);
+        loop {
+            let node = self.exchange.next_node.fetch_add(1, Ordering::Relaxed);
+            let Some(mailboxes) = self.exchange.events.get(node) else {
+                break;
+            };
+            inbox.clear();
+            for mailbox in mailboxes {
+                inbox.append(&mut mailbox.lock().expect("event mailbox poisoned"));
+            }
+            if inbox.is_empty() {
+                continue;
+            }
+            self.totals.events_merged += inbox.len() as u64;
+            self.dirs[node]
+                .lock()
+                .expect("directory lock poisoned")
+                .process(&mut inbox, &mut self.sys, &mut replies);
+        }
         self.inbox_scratch = inbox;
 
         let mut routed = mem::take(&mut self.routed_scratch);
@@ -1292,7 +1400,6 @@ impl<'a> ShardWorker<'a> {
                 .map(|slot| slot.clock)
                 .max()
                 .unwrap_or(Nanos::ZERO),
-            controllers: self.dir.into_controllers(),
         }
     }
 }

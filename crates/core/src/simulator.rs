@@ -48,9 +48,10 @@ pub enum Start<'a> {
 /// cores' caches, the mesh and DRAM. The simulated execution time is the
 /// largest per-core accumulated latency.
 ///
-/// Execution runs on the crate's sharded kernel: the machine is
-/// partitioned by home node across `sim_threads` worker threads, and
-/// cross-shard coherence traffic is merged in a deterministic order — so
+/// Execution runs on the crate's sharded kernel: the cores are partitioned
+/// by node across `sim_threads` worker threads, which share the directory
+/// work by claiming home nodes, and coherence traffic is merged in a
+/// deterministic order — so
 /// the report is **byte-identical for every thread count**. `sim_threads`
 /// is purely a host-performance knob.
 ///

@@ -18,43 +18,23 @@ use allarm_types::ids::{CoreId, NodeId};
 use allarm_types::topology::Topology;
 use allarm_types::Nanos;
 
-/// Builds the lock-guarded per-core cache hierarchies the shards of one
-/// simulation share.
-pub(crate) fn shared_caches(config: &MachineConfig) -> Vec<Mutex<CoreCaches>> {
-    (0..config.num_cores)
-        .map(|_| Mutex::new(CoreCaches::new(&config.l1d, &config.l2)))
-        .collect()
-}
-
-/// Builds the lock-guarded per-node LLC slices the shards of one simulation
-/// share — one slice per node when the LLC is enabled, empty otherwise.
-///
-/// A slice is node-pinned: the core phase only ever touches a shard's own
-/// nodes' slices, and the directory phase reaches remote slices through the
-/// pure/commutative [`LlcSlice::probe`]/[`LlcSlice::invalidate`] paths, so
-/// shard count cannot change what any slice observes.
-pub(crate) fn shared_llc(config: &MachineConfig) -> Vec<Mutex<LlcSlice>> {
-    if !config.llc.enabled {
-        return Vec::new();
-    }
-    (0..config.num_nodes())
-        .map(|_| Mutex::new(LlcSlice::new(&config.llc)))
-        .collect()
-}
-
 /// One shard's machine access in the parallel kernel.
 ///
-/// The per-core caches are shared across shards (a directory transaction
-/// probes whichever cores hold its line, wherever they live), so they sit
-/// behind per-core locks. The network and DRAM accounting is shard-private:
-/// message latencies are pure functions of the immutable topology, traffic
-/// counters are summed across shards at report time, and each DRAM channel
-/// is only ever touched by the shard owning its home node.
+/// The per-core caches and per-node LLC slices are shared across shards (a
+/// directory transaction probes whichever cores and slices hold its line,
+/// wherever they live), so they sit behind per-core and per-slice locks.
+/// The network and DRAM accounting is shard-private: message latencies
+/// are pure functions of the immutable topology and DRAM's fixed latency,
+/// and the traffic and access counters are sums, added across shards at
+/// report time whichever shard claimed the directory that caused them.
 ///
-/// Cross-shard determinism rests on the disjointness argument spelled out
-/// in [`allarm_coherence::shard`]: concurrent shards touch the same *cache*
-/// but never the same *line*, and the cache's probe-path mutations are
-/// line-local, so their effects commute.
+/// Cross-shard determinism rests on the argument spelled out in
+/// [`allarm_coherence::shard`]: concurrent directory transactions may
+/// touch the same set of one cache, but never the same *line*; each
+/// changes or removes only its own line and bumps commutative counters.
+/// The one interleaving-dependent effect — a set's storage order after two
+/// removals — is invisible to lookups and victim choice, and checkpoints
+/// list ways by recency instead.
 #[derive(Debug)]
 pub(crate) struct ShardSystem<'a> {
     caches: &'a [Mutex<CoreCaches>],
@@ -158,6 +138,20 @@ impl SystemAccess for ShardSystem<'_> {
 mod tests {
     use super::*;
     use allarm_cache::CoherenceState;
+
+    fn shared_caches(cfg: &MachineConfig) -> Vec<Mutex<CoreCaches>> {
+        (0..cfg.num_cores)
+            .map(|_| Mutex::new(CoreCaches::new(&cfg.l1d, &cfg.l2)))
+            .collect()
+    }
+
+    /// One slice per node when the LLC is enabled, none otherwise.
+    fn shared_llc(cfg: &MachineConfig) -> Vec<Mutex<LlcSlice>> {
+        let slices = if cfg.llc.enabled { cfg.num_nodes() } else { 0 };
+        (0..slices)
+            .map(|_| Mutex::new(LlcSlice::new(&cfg.llc)))
+            .collect()
+    }
 
     #[test]
     fn shard_system_reaches_shared_caches_and_private_accounting() {

@@ -3,9 +3,9 @@
 //! Two pieces the standard library does not provide directly:
 //!
 //! * a **sharding layer** ([`ShardPlan`], [`MergeKey`], [`merge_events`],
-//!   [`PhaseBarrier`]) that partitions the machine by home node and defines
-//!   the deterministic `(time, actor, seq)` order in which cross-shard
-//!   events are merged at epoch barriers — what lets the kernel in
+//!   [`PhaseBarrier`]) that partitions the machine's cores by node and
+//!   defines the deterministic `(time, actor, seq)` order in which
+//!   cross-shard events are merged at epoch barriers — what lets the kernel in
 //!   `allarm-core` make an N-shard run byte-identical to a serial one; and
 //! * **seeded random-number streams** ([`rng::StreamRng`]): independent,
 //!   reproducible, named sub-streams of one seed. The randomized tests draw
@@ -38,4 +38,6 @@ pub mod rng;
 pub mod shard;
 
 pub use rng::StreamRng;
-pub use shard::{merge_events, sort_by_unique_key, Keyed, MergeKey, PhaseBarrier, ShardPlan};
+pub use shard::{
+    merge_events, sort_by_unique_key, BarrierAborted, Keyed, MergeKey, PhaseBarrier, ShardPlan,
+};

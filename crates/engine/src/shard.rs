@@ -1,16 +1,19 @@
 //! Sharding and deterministic cross-shard event merging.
 //!
-//! The parallel simulation kernel partitions the machine by home node: each
-//! *shard* owns a contiguous block of nodes — their directory slices, DRAM
-//! channels, and the cores pinned to those nodes — and runs on its own OS
-//! thread. Shards interact only at epoch barriers, by exchanging timestamped
-//! events (coherence requests, eviction notices, page faults). For the
-//! parallel run to be byte-identical to the serial one, every consumer must
-//! process its incoming events in an order that does not depend on how many
-//! shards produced them; [`MergeKey`] defines that order — `(timestamp,
-//! source actor, per-actor sequence number)` — and [`merge_events`] applies
-//! it to [`Keyed`] event batches (consumers with richer event types, like
-//! the coherence `DirectoryShard`, sort by the same key themselves).
+//! The parallel simulation kernel runs each simulation on several OS
+//! threads (*shards*). [`ShardPlan`] partitions the machine's nodes into
+//! contiguous blocks, and a shard replays the cores pinned to its block —
+//! a node's whole core block stays on one shard. Directory work is not
+//! partitioned: in each directory phase the shards claim home nodes from
+//! a shared cursor. Shards interact only at epoch barriers
+//! ([`PhaseBarrier`]), by exchanging timestamped events (coherence
+//! requests, eviction notices, page faults). For the parallel run to be
+//! byte-identical to the serial one, every consumer must process its
+//! incoming events in an order that does not depend on how many shards
+//! produced them; [`MergeKey`] defines that order — `(timestamp, source
+//! actor, per-actor sequence number)` — and [`merge_events`] applies it to
+//! [`Keyed`] event batches (consumers with richer event types, like the
+//! coherence `DirectoryNode`, sort by the same key themselves).
 //!
 //! The key is a *total* order as long as each source actor stamps its events
 //! with a monotonically increasing sequence number: two events from the same
@@ -19,7 +22,7 @@
 //! which is exactly the property the epoch-barrier scheme needs.
 
 use allarm_types::Nanos;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The deterministic ordering key of one cross-shard event.
 ///
@@ -85,15 +88,15 @@ pub fn sort_by_unique_key<T, K: Ord>(items: &mut [T], mut key: impl FnMut(&T) ->
     );
 }
 
-/// The static assignment of nodes (and their pinned cores) to shards.
+/// The static assignment of cores to shards, by node.
 ///
 /// Nodes are split into `num_shards` contiguous blocks of (almost) equal
-/// size. The plan is pure data over *nodes*: a node moves to a shard with
-/// everything it hosts — its directory slice, DRAM channel, and **all** of
-/// its cores. With one core per affinity domain (the paper's machine) the
-/// node partition is also the core partition; on multi-core-node
-/// topologies a node's whole core block stays together, which is what
-/// keeps the sharded kernel's determinism argument intact.
+/// size, and a shard replays **all** the cores pinned to its block's nodes.
+/// With one core per affinity domain (the paper's machine) the node
+/// partition is also the core partition; on multi-core-node topologies a
+/// node's whole core block stays together, so the cores that share a
+/// node's LLC slice run on one shard, in a fixed order, which keeps the
+/// sharded kernel's determinism argument intact.
 ///
 /// # Examples
 ///
@@ -146,7 +149,7 @@ impl ShardPlan {
         self.num_nodes
     }
 
-    /// The shard that owns `node`.
+    /// The shard that replays `node`'s cores.
     ///
     /// # Panics
     ///
@@ -159,7 +162,7 @@ impl ShardPlan {
             .expect("bounds cover every node")
     }
 
-    /// The half-open range of nodes owned by `shard`.
+    /// The half-open range of nodes whose cores `shard` replays.
     ///
     /// # Panics
     ///
@@ -180,6 +183,10 @@ impl ShardPlan {
 /// when every shard has its own core — and then falls back to
 /// [`std::thread::yield_now`], which degrades gracefully into cooperative
 /// scheduling on oversubscribed hosts.
+///
+/// A participant that will never arrive — it panicked — calls
+/// [`PhaseBarrier::abort`], and every waiter then unwinds instead of
+/// waiting for it forever.
 ///
 /// # Examples
 ///
@@ -205,7 +212,14 @@ pub struct PhaseBarrier {
     participants: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
+    aborted: AtomicBool,
 }
+
+/// The payload a [`PhaseBarrier`] waiter unwinds with once the barrier is
+/// aborted. It is raised with [`std::panic::resume_unwind`], which prints
+/// nothing: the participant that aborted reports its own failure.
+#[derive(Debug)]
+pub struct BarrierAborted;
 
 impl PhaseBarrier {
     /// Iterations of busy-spinning before falling back to yielding.
@@ -222,6 +236,7 @@ impl PhaseBarrier {
             participants,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
         }
     }
 
@@ -230,8 +245,20 @@ impl PhaseBarrier {
         self.participants
     }
 
+    /// Releases every waiter for good: a participant that will never arrive
+    /// calls this, and each thread waiting in [`PhaseBarrier::wait`], now or
+    /// later, unwinds with a [`BarrierAborted`] payload instead of blocking.
+    pub fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+    }
+
     /// Blocks until all participants have arrived. Reusable: the next
     /// `wait` starts a new generation.
+    ///
+    /// # Panics
+    ///
+    /// Unwinds with a [`BarrierAborted`] payload if the barrier is aborted
+    /// while this thread waits.
     pub fn wait(&self) {
         if self.participants == 1 {
             return;
@@ -247,6 +274,9 @@ impl PhaseBarrier {
         }
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == generation {
+            if self.aborted.load(Ordering::Acquire) {
+                std::panic::resume_unwind(Box::new(BarrierAborted));
+            }
             spins += 1;
             if spins < Self::SPINS {
                 std::hint::spin_loop();
@@ -300,6 +330,19 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), threads * rounds);
+    }
+
+    /// A participant that never arrives aborts the barrier; the waiting
+    /// participant unwinds with the abort payload instead of hanging.
+    #[test]
+    fn an_aborted_barrier_releases_its_waiters() {
+        let barrier = PhaseBarrier::new(2);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| barrier.wait());
+            barrier.abort();
+            let payload = waiter.join().expect_err("the waiter unwinds");
+            assert!(payload.is::<BarrierAborted>());
+        });
     }
 
     #[test]

@@ -10,8 +10,16 @@
 //! not of the trace length. The CI determinism gate complements this by
 //! diffing `scenario_run --sim-threads 4` output on the *full* fig3 grid.
 
-use allarm_core::{BatchRunner, JsonlSink, Scenario};
+use std::ops::ControlFlow;
+
+use allarm_core::simulator::Start;
+use allarm_core::{
+    AllocationPolicy, BatchRunner, JsonlSink, MachineConfig, NumaPolicy, Scenario, SimSnapshot,
+    SimulationBuilder,
+};
 use allarm_tests::{load_grid, scenarios_dir, shortened};
+use allarm_types::ids::NodeId;
+use allarm_workloads::{Benchmark, TraceGenerator};
 
 /// How each checked-in document is scaled down: its per-thread trace
 /// length (`None`: the full length) and the stride its expansion is
@@ -172,4 +180,92 @@ fn rendered_jsonl_is_identical_across_shard_counts() {
     }
     assert_eq!(renderings[0], renderings[1]);
     assert_eq!(renderings[0].lines().count(), scenarios.len());
+}
+
+/// Skewed homes. With every page homed on the machine's last node (until
+/// its DRAM fills, which these short runs never do), that node's directory
+/// receives nearly every event, and it is the last node the shard threads
+/// claim in each directory phase. Reports and mid-run snapshot bytes must
+/// still not depend on the thread count, and the serial run's checkpoint
+/// must restore at four threads to the uninterrupted report. Runs a scale64
+/// raytrace and a kv-store on the scale256 machine with its LLC slices on.
+#[test]
+fn skewed_homes_stay_byte_identical_and_restorable_at_every_shard_count() {
+    let scale256 = load_grid("scale256_comparison.toml").base.machine;
+    assert!(scale256.llc.enabled);
+    let cases = [
+        (
+            MachineConfig::scale64(),
+            TraceGenerator::new(64, 300, 2014).generate(Benchmark::Raytrace),
+        ),
+        (
+            scale256,
+            TraceGenerator::new(256, 60, 2014).generate(Benchmark::KvStore),
+        ),
+    ];
+    for (machine, workload) in cases {
+        let last = NodeId::new(machine.num_nodes() as u16 - 1);
+        let simulator = |sim_threads: usize| {
+            SimulationBuilder::new(machine)
+                .policy(AllocationPolicy::Allarm)
+                .numa_policy(NumaPolicy::Fixed(last))
+                .sim_threads(sim_threads)
+                .build()
+                .expect("the machine is valid")
+        };
+        // One run per thread count yields both the report and the
+        // snapshot taken at half way: checkpointing does not change the
+        // report.
+        let half = workload.total_accesses() as u64 / 2;
+        let run = |sim_threads: usize| {
+            let mut snapshot = None;
+            let report = simulator(sim_threads)
+                .replay((&workload).into(), Start::Cold, half, |snap| {
+                    snapshot.get_or_insert_with(|| snap.to_bytes());
+                    ControlFlow::Continue(())
+                })
+                .expect("a cold start checks no snapshot");
+            (
+                report,
+                snapshot.expect("the workload outlasts the checkpoint"),
+            )
+        };
+
+        let (reference, reference_snapshot) = run(1);
+        // Only the last node's own cores make local requests.
+        assert!(
+            reference.local_requests * 10 < reference.directory_requests,
+            "{} of {} requests were local: the homes are not skewed",
+            reference.local_requests,
+            reference.directory_requests
+        );
+        for sim_threads in [2usize, 4] {
+            let (report, snapshot) = run(sim_threads);
+            assert_eq!(
+                serde_json::to_string(&report),
+                serde_json::to_string(&reference),
+                "{} cores, sim_threads={sim_threads}: the report diverged",
+                machine.num_cores
+            );
+            assert!(
+                snapshot == reference_snapshot,
+                "{} cores, sim_threads={sim_threads}: the snapshot bytes diverged",
+                machine.num_cores
+            );
+        }
+
+        let snapshot =
+            SimSnapshot::from_bytes(&reference_snapshot).expect("a just-written snapshot parses");
+        let resumed = simulator(4)
+            .replay((&workload).into(), Start::Restore(&snapshot), 0, |_| {
+                ControlFlow::Continue(())
+            })
+            .expect("the snapshot fits");
+        assert_eq!(
+            serde_json::to_string(&resumed),
+            serde_json::to_string(&reference),
+            "{} cores: the restore at sim_threads 4 diverged",
+            machine.num_cores
+        );
+    }
 }

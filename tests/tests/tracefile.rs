@@ -7,10 +7,14 @@
 use allarm_core::{
     AllocationPolicy, BatchRunner, JsonlSink, MachineConfig, Scenario, TraceFormat, WorkloadSpec,
 };
+use allarm_tests::{load_grid, scenarios_dir};
 use allarm_types::ids::CoreId;
 use allarm_workloads::tracefile::{self, TraceHeader};
 use allarm_workloads::Benchmark;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("allarm-it-{tag}-{}", std::process::id()));
@@ -275,5 +279,43 @@ fn hand_written_adversarial_trace_runs_end_to_end() {
     // the second core's requests are remote.
     assert!(report.remote_requests > 0);
     assert_eq!(report.workload_checksum, scenario.workload().checksum());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A frame that fails its checksum mid-replay fails a sharded run the way
+/// it fails a serial one: the shard that reads it panics naming the frame,
+/// and the other shard, instead of waiting at the phase barrier forever,
+/// unwinds too. The run is on its own thread so that a hang fails the test
+/// after a minute rather than stalling the suite.
+#[test]
+fn a_corrupt_frame_fails_a_sharded_replay_instead_of_hanging() {
+    let dir = temp_dir("corrupt-frame");
+    let mut bytes = std::fs::read(scenarios_dir().join("tracefile_sample_v2.btrace")).unwrap();
+    // Inside frame 1's body: the trace opens, and the replay meets it.
+    bytes[10_200] ^= 0xff;
+    let path = dir.join("corrupt.btrace");
+    std::fs::write(&path, bytes).unwrap();
+    let scenario = Scenario {
+        workload: WorkloadSpec::trace_file(path.to_string_lossy(), TraceFormat::BinaryV2),
+        ..load_grid("tracefile_v2_comparison.toml").base
+    }
+    .with_sim_threads(2);
+
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(panic::catch_unwind(AssertUnwindSafe(|| scenario.run())));
+    });
+    let payload = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the sim_threads 2 replay of a corrupt frame hung")
+        .expect_err("a corrupt frame must fail the run");
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(
+        message.contains("frame 1 failed its checksum"),
+        "the panic must name the frame: {message:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
