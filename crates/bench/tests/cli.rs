@@ -1,13 +1,15 @@
 //! The command-line front ends, driven as a user drives them: a trace-length
 //! override shortens a trace replay of any format (and one that cannot take
-//! effect fails), a snapshot that does not fit its row is refused with the
-//! output untouched, and `figures` must refuse incomplete input.
+//! effect fails), a snapshot that does not fit its row, or holds a page
+//! table no run could write, is refused with the output untouched, and
+//! `figures` must refuse incomplete input.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use allarm_core::{ScenarioGrid, TraceFormat, WorkloadSpec};
 use allarm_workloads::tracefile::write_trace_file;
+use allarm_workloads::{fnv1a, FNV1A_OFFSET};
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -90,10 +92,16 @@ fn scenario_run_shortens_a_text_trace_replay() {
 /// Checkpoints a one-row copy of `scenarios/streamcluster_comparison.toml`
 /// at 2,000 accesses/thread, then restores its snapshot into an output
 /// holding only the interrupted row's truncated first bytes, under
-/// `--accesses restore_accesses` and with `edit` (from, to) applied to the
-/// document. Returns the restore's stderr after checking it exited with
-/// status exactly 1 (a panic exits 101) and left the output byte-identical.
-fn refused_restore(tag: &str, restore_accesses: &str, edit: Option<(&str, &str)>) -> String {
+/// `--accesses restore_accesses`, with `edit` (from, to) applied to the
+/// document and `edit_pages` to the snapshot's `allocator` section.
+/// Returns the restore's stderr after checking it exited with status
+/// exactly 1 (a panic exits 101) and left the output byte-identical.
+fn refused_restore(
+    tag: &str,
+    restore_accesses: &str,
+    edit: Option<(&str, &str)>,
+    edit_pages: Option<fn(&mut Vec<u8>)>,
+) -> String {
     let dir = temp_dir(tag);
     let doc = std::fs::read_to_string(scenarios_dir().join("streamcluster_comparison.toml"))
         .unwrap()
@@ -119,6 +127,9 @@ fn refused_restore(tag: &str, restore_accesses: &str, edit: Option<(&str, &str)>
     );
     assert!(out.status.success(), "{}", stderr(&out));
     let snap = dir.join("full.jsonl.snap");
+    if let Some(edit_pages) = edit_pages {
+        reseal_allocator(&snap, edit_pages);
+    }
 
     let edited = dir.join("edited.toml");
     let edited_doc = match edit {
@@ -159,7 +170,7 @@ fn refused_restore(tag: &str, restore_accesses: &str, edit: Option<(&str, &str)>
 
 #[test]
 fn scenario_run_refuses_to_restore_into_another_workload() {
-    let err = refused_restore("restore-accesses", "1000", None);
+    let err = refused_restore("restore-accesses", "1000", None, None);
     assert!(err.contains("`snapshot.workload_checksum`"), "{err}");
     assert!(err.contains("nothing was written"), "{err}");
 }
@@ -170,9 +181,56 @@ fn scenario_run_refuses_to_restore_onto_an_edited_machine() {
         "restore-machine",
         "2000",
         Some(("coverage_bytes = 524288", "coverage_bytes = 262144")),
+        None,
     );
     assert!(err.contains("`snapshot.config_fingerprint`"), "{err}");
     assert!(err.contains("nothing was written"), "{err}");
+}
+
+/// Rewrites the `allocator` section (id 3) of the snapshot at `path` with
+/// `edit` applied to its payload, resealing the section's length and FNV-1a
+/// checksum so that only the restore checks can refuse the file. Frame
+/// layout after the 12-byte file head: id u16, version u16, length u64,
+/// payload, checksum u64.
+fn reseal_allocator(path: &Path, edit: fn(&mut Vec<u8>)) {
+    let bytes = std::fs::read(path).unwrap();
+    let mut out = bytes[..12].to_vec();
+    let mut at = 12;
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        let mut payload = bytes[at + 12..at + 12 + len].to_vec();
+        if bytes[at..at + 2] == 3u16.to_le_bytes() {
+            edit(&mut payload);
+        }
+        out.extend_from_slice(&bytes[at..at + 4]);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&fnv1a(FNV1A_OFFSET, &payload).to_le_bytes());
+        at += 12 + len + 8;
+    }
+    std::fs::write(path, out).unwrap();
+}
+
+/// Two page tables the allocator could not have written: its first page
+/// homed on node 999 (the parent build panicked indexing past the nodes),
+/// and its second page given the first's virtual page (the parent build
+/// restored one of the two and wrote a wrong row). A page entry is virtual
+/// page u64, frame u64, home u16, first toucher u16, touches u32, after
+/// the u64 page count.
+#[test]
+fn scenario_run_refuses_to_restore_a_crafted_page_table() {
+    let shapes: [fn(&mut Vec<u8>); 2] = [
+        |pages| pages[8 + 16..8 + 18].copy_from_slice(&999u16.to_le_bytes()),
+        |pages| {
+            let vpage = pages[8..16].to_vec();
+            pages[8 + 24..8 + 32].copy_from_slice(&vpage);
+        },
+    ];
+    for (i, shape) in shapes.into_iter().enumerate() {
+        let err = refused_restore(&format!("restore-pages-{i}"), "2000", None, Some(shape));
+        assert!(err.contains("`snapshot.allocator`"), "{err}");
+        assert!(err.contains("nothing was written"), "{err}");
+    }
 }
 
 #[test]

@@ -243,12 +243,8 @@ impl CoreCaches {
         }
     }
 
-    /// Restores state previously captured with [`CoreCaches::export_state`]
-    /// onto a hierarchy of the same geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either level's geometry does not match the export.
+    /// Restores state captured with [`CoreCaches::export_state`] whose
+    /// levels each passed [`SetAssocCache::check_state`] for this hierarchy.
     pub fn restore_state(&mut self, state: &CoreCachesState) {
         self.l1d.restore_state(&state.l1d);
         self.l2.restore_state(&state.l2);

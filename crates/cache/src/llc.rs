@@ -106,11 +106,8 @@ impl LlcSlice {
         self.array.export_state()
     }
 
-    /// Restores state previously captured with [`LlcSlice::export_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the export's geometry does not fit this slice.
+    /// Restores state captured with [`LlcSlice::export_state`] that passed
+    /// [`SetAssocCache::check_state`] for [`LlcConfig::cache_config`].
     pub fn restore_state(&mut self, state: &SetAssocState) {
         self.array.restore_state(state);
     }

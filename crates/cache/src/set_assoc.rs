@@ -285,25 +285,35 @@ impl SetAssocCache {
         }
     }
 
-    /// Restores state previously captured with [`SetAssocCache::export_state`].
+    /// Checks that `state` fits an array of `config`'s geometry, as
+    /// [`SetAssocCache::restore_state`] assumes: the same set count, and no
+    /// set holding more lines than the array has ways.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the export's geometry (set count, per-set occupancy vs.
-    /// associativity) does not fit this cache.
+    /// The reason, with the array as its subject (`has 3 sets but ...`).
+    pub fn check_state(config: &CacheConfig, state: &SetAssocState) -> Result<(), String> {
+        let sets = config.num_sets() as usize;
+        if state.sets.len() != sets {
+            return Err(format!(
+                "has {} sets but the machine's has {sets}",
+                state.sets.len()
+            ));
+        }
+        let ways = config.ways as usize;
+        match state.sets.iter().position(|set| set.len() > ways) {
+            Some(set) => Err(format!(
+                "set {set} holds {} lines but the array is {ways}-way",
+                state.sets[set].len()
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// Restores state captured with [`SetAssocCache::export_state`] that
+    /// passed [`SetAssocCache::check_state`] for this cache's configuration.
     pub fn restore_state(&mut self, state: &SetAssocState) {
-        assert_eq!(
-            state.sets.len(),
-            self.num_sets,
-            "snapshot set count does not match cache geometry"
-        );
-        self.slab.fill(EMPTY_WAY);
         for (set, ways) in state.sets.iter().enumerate() {
-            assert!(
-                ways.len() <= self.ways,
-                "snapshot set {set} overfills {}-way cache",
-                self.ways
-            );
             self.lens[set] = ways.len() as u32;
             for (pos, w) in ways.iter().enumerate() {
                 self.slab[set * self.ways + pos] = Way {

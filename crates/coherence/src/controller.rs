@@ -277,11 +277,7 @@ impl DirectoryController {
     }
 
     /// Restores state captured with [`DirectoryController::export_state`]
-    /// onto a controller built with the same configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the export's probe-filter geometry does not match.
+    /// whose filter passed [`ProbeFilter::check_state`] for this controller.
     pub fn restore_state(&mut self, state: &DirectoryControllerState) {
         self.probe_filter.restore_state(&state.probe_filter);
         self.stats = state.stats;

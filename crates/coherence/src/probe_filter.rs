@@ -24,7 +24,7 @@
 //! entries without touching the host heap.
 
 use crate::sharers::{words_for, NodeSet, SharerSet, SharerView, WORD_BITS};
-use allarm_types::addr::LineAddr;
+use allarm_types::addr::{LineAddr, LINE_BYTES};
 use allarm_types::config::{PfReplacement, ProbeFilterConfig};
 use allarm_types::ids::CoreId;
 use allarm_types::stats::Counter;
@@ -511,18 +511,45 @@ impl ProbeFilter {
         }
     }
 
-    /// Restores state previously captured with [`ProbeFilter::export_state`].
+    /// Checks that `state` fits the filter of one node of `topology` under
+    /// `config`, as [`ProbeFilter::restore_state`] assumes: the same slot
+    /// count, every owner and sharer one of the machine's cores, and every
+    /// line inside the address space (a larger one would read as free).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the export's slot count does not match this filter's
-    /// geometry.
+    /// The reason, with the filter as its subject (`tracks core4, ...`).
+    pub fn check_state(
+        config: &ProbeFilterConfig,
+        topology: Topology,
+        state: &ProbeFilterState,
+    ) -> Result<(), String> {
+        let slots = (config.num_sets() * u64::from(config.ways)) as usize;
+        if state.slots.len() != slots {
+            return Err(format!(
+                "has {} probe-filter slots but the machine's has {slots}",
+                state.slots.len()
+            ));
+        }
+        let cores = topology.num_cores() as usize;
+        for entry in state.slots.iter().flatten().map(|slot| &slot.entry) {
+            let mut tracked = std::iter::once(entry.owner).chain(entry.sharers.iter());
+            if let Some(core) = tracked.find(|core| core.index() >= cores) {
+                return Err(format!("tracks {core}, outside the {cores}-core machine"));
+            }
+            if entry.line.raw() > u64::MAX / LINE_BYTES {
+                return Err(format!(
+                    "tracks line {}, past the address space",
+                    entry.line
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores state captured with [`ProbeFilter::export_state`] that
+    /// passed [`ProbeFilter::check_state`] for this filter's configuration.
     pub fn restore_state(&mut self, state: &ProbeFilterState) {
-        assert_eq!(
-            state.slots.len(),
-            self.capacity(),
-            "snapshot slot count does not match probe-filter geometry"
-        );
         for restored in state.slots.iter().flatten() {
             if let Some(core) = restored.entry.sharers.iter().last() {
                 self.fit(core);

@@ -164,11 +164,8 @@ impl DirectoryNode {
         }
     }
 
-    /// Restores state captured with [`DirectoryNode::export_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probe-filter geometry does not match.
+    /// Restores state captured with [`DirectoryNode::export_state`] whose
+    /// filter passed [`crate::ProbeFilter::check_state`] for this node.
     pub fn restore_state(&mut self, state: &DirectoryNodeState) {
         self.controller.restore_state(&state.controller);
         self.busy_until = state.busy_until;

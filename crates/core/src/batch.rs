@@ -30,6 +30,7 @@
 
 use std::collections::HashSet;
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -899,6 +900,10 @@ impl BatchRunner {
     /// not touched unless validation passes — or a `checkpoint`
     /// [`ConfigError`] when a snapshot write failed (the sweep stops at
     /// that row, unrecorded).
+    ///
+    /// # Panics
+    ///
+    /// With a row's own panic, after the rows before it are recorded.
     pub fn run_with_sink(
         &self,
         scenarios: &[Scenario],
@@ -979,7 +984,7 @@ impl BatchRunner {
         }
 
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<SimReport, ConfigError>)>();
+        let (tx, rx) = mpsc::channel();
         let recorded = std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
@@ -999,10 +1004,17 @@ impl BatchRunner {
                     let Some(workload) = &workloads[index] else {
                         continue; // already completed by the resumed sweep
                     };
-                    let report =
-                        self.run_row(index, &scenarios[index], workload, warm[index].as_deref());
+                    // A row's panic travels to the flushing loop as its error
+                    // does, and either moves the cursor past the end, so no
+                    // row after a failure is claimed.
+                    let report = panic::catch_unwind(AssertUnwindSafe(|| {
+                        self.run_row(index, &scenarios[index], workload, warm[index].as_deref())
+                    }));
+                    if !matches!(report, Ok(Ok(_))) {
+                        cursor.store(scenarios.len(), Ordering::Relaxed);
+                    }
                     // The receiver is gone only once the main thread
-                    // stopped on a failed row (or panicked): stop too.
+                    // stopped on a failed row: stop too.
                     if tx.send((index, report)).is_err() {
                         return;
                     }
@@ -1015,9 +1027,9 @@ impl BatchRunner {
             // flush as no-ops. On cancellation an out-of-order straggler
             // whose predecessors never ran stays buffered and is dropped —
             // the sink only ever sees the gap-free prefix. A failed row
-            // ends the batch there, like the serial loop.
-            let mut pending: Vec<Option<Result<SimReport, ConfigError>>> =
-                vec![None; scenarios.len()];
+            // ends the batch there, with its error or its panic, like the
+            // serial loop.
+            let mut pending: Vec<Option<_>> = (0..scenarios.len()).map(|_| None).collect();
             let mut next_to_flush = 0;
             let mut recorded = 0usize;
             for (index, report) in rx {
@@ -1033,7 +1045,7 @@ impl BatchRunner {
                     sink.record(&BatchEntry {
                         index: next_to_flush,
                         scenario: scenarios[next_to_flush].clone(),
-                        report: report?,
+                        report: report.unwrap_or_else(|payload| panic::resume_unwind(payload))?,
                     });
                     recorded += 1;
                     next_to_flush += 1;

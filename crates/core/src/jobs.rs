@@ -21,8 +21,10 @@
 //! The scheduler is `Arc`-shared and fully thread-safe; the HTTP layer in
 //! `crates/server` is one front door, in-process embedding is another.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -468,21 +470,39 @@ fn worker_loop(shared: &Shared, runner_threads: usize) {
         let runner =
             BatchRunner::with_threads(SimThreads(runner_threads).resolve()).with_cancel(cancel);
         let mut sink = JobSink { shared, index };
-        let result = runner.run_with_sink(&scenarios, &mut sink);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            runner
+                .run_with_sink(&scenarios, &mut sink)
+                .map_err(|e| e.to_string())
+        }))
+        .unwrap_or_else(|payload| Err(panic_message(payload)));
 
         let mut inner = shared.inner.lock().unwrap();
         let job = &mut inner.jobs[index];
         match result {
             Ok(RunOutcome::Completed) => job.state = JobState::Done,
             Ok(RunOutcome::Cancelled) => job.state = JobState::Cancelled,
-            // submit() validated everything, so this only fires if e.g. a
-            // trace file vanished between admission and execution.
+            // The run panicked (a trace frame failing its checksum, say), or
+            // failed: submit() validated everything, so that only happens
+            // if e.g. a trace file vanished since admission.
             Err(e) => {
                 job.state = JobState::Failed;
-                job.error = Some(e.to_string());
+                job.error = Some(e);
             }
         }
         shared.progress.notify_all();
+    }
+}
+
+/// A panic payload's message: the `String` of a formatted `panic!` or the
+/// `&str` of a literal one.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("the run panicked", |s| s)
+            .into(),
     }
 }
 

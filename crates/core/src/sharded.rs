@@ -441,18 +441,16 @@ pub(crate) struct KernelOutput {
 /// identical per-thread record streams, identical whether the source is a
 /// materialized workload or a streaming v2 trace.
 ///
-/// It optionally restores a mid-run state, and hands a checkpoint to
-/// `emit` whenever the access total crosses a multiple of `every`
-/// (0 = never). When `emit` breaks, every shard stops at that round
+/// It optionally restores a mid-run state, which must have passed
+/// `Simulator::check_start` for this machine and source, and hands a
+/// checkpoint to `emit` whenever the access total crosses a multiple of
+/// `every` (0 = never). When `emit` breaks, every shard stops at that round
 /// boundary and the output covers the run so far.
 ///
 /// # Panics
 ///
-/// Panics if a restore state's geometry (threads, nodes, cores) does not
-/// match the machine and workload; `Simulator::check_start` refuses every
-/// such state before a run starts. A panic on any shard — a trace frame
-/// that fails verification mid-replay, say — ends every shard and is
-/// re-raised here.
+/// A panic on any shard — a trace frame that fails verification
+/// mid-replay, say — ends every shard and is re-raised here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_kernel(
     config: &MachineConfig,
@@ -475,26 +473,6 @@ pub(crate) fn run_kernel(
     let mut live = source.num_threads();
     let mut base = Totals::default();
     if let Some(state) = restore {
-        assert_eq!(
-            state.threads.len(),
-            source.num_threads(),
-            "snapshot thread count does not match the workload"
-        );
-        assert_eq!(
-            state.caches.len(),
-            num_cores,
-            "snapshot core count does not match the machine"
-        );
-        assert_eq!(
-            state.dirs.len(),
-            num_nodes,
-            "snapshot node count does not match the machine"
-        );
-        assert_eq!(
-            state.llc.len(),
-            num_slices,
-            "snapshot LLC slice count does not match the machine"
-        );
         numa.restore_state(&state.allocator);
         live = state.threads.iter().filter(|t| !t.finished).count();
         base = state.totals.clone();
@@ -805,14 +783,6 @@ impl<'a> ShardWorker<'a> {
             // state is at its own index.
             for slot in &mut slots {
                 let thread = &state.threads[slot.thread];
-                assert_eq!(
-                    thread.thread, slot.thread,
-                    "snapshot threads are sorted by thread index"
-                );
-                assert_eq!(
-                    thread.core, slot.core,
-                    "snapshot thread is pinned to a different core"
-                );
                 slot.cursor = thread.cursor;
                 slot.seq = thread.seq;
                 slot.window = thread.window.clone();

@@ -6,12 +6,11 @@ use crate::metrics::SimReport;
 use crate::scenario::SimThreads;
 use crate::sharded::{self, KernelOutput, KernelState};
 use crate::snapshot::{config_fingerprint, SimSnapshot, SnapHeader};
-use allarm_cache::SetAssocState;
-use allarm_coherence::{AllocationPolicy, DirectoryStats, PfStats};
+use allarm_cache::SetAssocCache;
+use allarm_coherence::{AllocationPolicy, DirectoryStats, PfStats, ProbeFilter};
 use allarm_energy::EnergyModel;
-use allarm_mem::NumaPolicy;
-use allarm_types::addr::LINE_BYTES;
-use allarm_types::config::{CacheConfig, MachineConfig};
+use allarm_mem::{NumaAllocator, NumaPolicy};
+use allarm_types::config::MachineConfig;
 use allarm_types::error::ConfigError;
 use allarm_types::Nanos;
 use allarm_workloads::{AccessSource, Workload};
@@ -182,10 +181,16 @@ impl Simulator {
     /// (`snapshot.workload_checksum`), or the workload has another thread
     /// count, pins a thread to another core, or is shorter than a snapshot
     /// cursor (`fork` for a fork, `snapshot.threads` for a restore). Both
-    /// starts also refuse a snapshot whose directories, private caches or
-    /// LLC slices do not have the machine's count and geometry, or whose
-    /// directories track a core outside the machine
-    /// (`snapshot.directories`, `snapshot.caches`, `snapshot.llc`).
+    /// starts also refuse a snapshot without one directory per node, one
+    /// private hierarchy per core and, with the LLC on, one slice per node,
+    /// or whose parts fail their component's check: a probe filter with
+    /// another slot count, or tracking a core outside the machine or a line
+    /// past the address space (`snapshot.directories`, see
+    /// [`allarm_coherence::ProbeFilter::check_state`]); a cache array with
+    /// another set count or a set over its ways (`snapshot.caches`,
+    /// `snapshot.llc`, see [`allarm_cache::SetAssocCache::check_state`]);
+    /// a page table the allocator could not have written
+    /// (`snapshot.allocator`, see [`allarm_mem::NumaAllocator::check_state`]).
     ///
     /// # Panics
     ///
@@ -397,114 +402,41 @@ impl Simulator {
 }
 
 /// The machine-shape checks of a restore or fork, on top of the header's:
-/// the snapshot's directories, private caches and LLC slices must have the
-/// machine's count and geometry, and every core a directory names must be
-/// one of the machine's. The kernel restores all of them by index, so a
-/// crafted file that disagrees would otherwise panic the restore — or
-/// index past a probe-filter slot's sharer words.
+/// one directory per node, one private hierarchy per core and, with the LLC
+/// on, one slice per node, each passing its component's `check_state`, as
+/// the page table must. The kernel restores them by index, unchecked.
 fn check_geometry(config: &MachineConfig, state: &KernelState) -> Result<(), ConfigError> {
     let nodes = config.num_nodes() as usize;
     let cores = config.num_cores as usize;
-    let dirs = |reason: String| Err(ConfigError::new("snapshot.directories", reason));
-    if state.dirs.len() != nodes {
-        return dirs(format!(
-            "the snapshot has {} directories but the machine has {nodes} nodes",
-            state.dirs.len()
-        ));
+    let slices = if config.llc.enabled { nodes } else { 0 };
+    let counts = [
+        ("snapshot.directories", "nodes", state.dirs.len(), nodes),
+        ("snapshot.caches", "cores", state.caches.len(), cores),
+        ("snapshot.llc", "LLC slices", state.llc.len(), slices),
+    ];
+    if let Some((field, what, found, count)) = counts.into_iter().find(|c| c.2 != c.3) {
+        let reason = format!("the snapshot has {found} entries but the machine has {count} {what}");
+        return Err(ConfigError::new(field, reason));
     }
-    let pf = &config.probe_filter;
-    let slots = (pf.num_sets() * u64::from(pf.ways)) as usize;
     for (node, dir) in state.dirs.iter().enumerate() {
         let filter = &dir.controller.probe_filter;
-        if filter.slots.len() != slots {
-            return dirs(format!(
-                "the directory of node {node} has {} probe-filter slots but the machine's \
-                 has {slots}",
-                filter.slots.len()
-            ));
-        }
-        for entry in filter.slots.iter().flatten().map(|slot| &slot.entry) {
-            let mut tracked = std::iter::once(entry.owner).chain(entry.sharers.iter());
-            if let Some(core) = tracked.find(|core| core.index() >= cores) {
-                return dirs(format!(
-                    "the directory of node {node} tracks {core}, outside the {cores}-core machine"
-                ));
-            }
-            if entry.line.raw() > u64::MAX / LINE_BYTES {
-                return dirs(format!(
-                    "the directory of node {node} tracks line {}, past the address space",
-                    entry.line
-                ));
-            }
-        }
-    }
-    if state.caches.len() != cores {
-        return Err(ConfigError::new(
-            "snapshot.caches",
-            format!(
-                "the snapshot has {} private hierarchies but the machine has {cores} cores",
-                state.caches.len()
-            ),
-        ));
+        ProbeFilter::check_state(&config.probe_filter, config.topology(), filter)
+            .map_err(|e| ConfigError::new("snapshot.directories", format!("node {node} {e}")))?;
     }
     for (core, caches) in state.caches.iter().enumerate() {
-        let what = format!("core {core}'s");
-        check_sets("snapshot.caches", &what, "L1D", &caches.l1d, &config.l1d)?;
-        check_sets("snapshot.caches", &what, "L2", &caches.l2, &config.l2)?;
-    }
-    let slices = if config.llc.enabled { nodes } else { 0 };
-    if state.llc.len() != slices {
-        return Err(ConfigError::new(
-            "snapshot.llc",
-            format!(
-                "the snapshot has {} LLC slices but the machine has {slices}",
-                state.llc.len()
-            ),
-        ));
+        SetAssocCache::check_state(&config.l1d, &caches.l1d)
+            .map_err(|e| ConfigError::new("snapshot.caches", format!("core {core}'s L1D {e}")))?;
+        SetAssocCache::check_state(&config.l2, &caches.l2)
+            .map_err(|e| ConfigError::new("snapshot.caches", format!("core {core}'s L2 {e}")))?;
     }
     let llc = config.llc.cache_config();
     for (node, slice) in state.llc.iter().enumerate() {
-        check_sets(
-            "snapshot.llc",
-            &format!("node {node}'s"),
-            "LLC slice",
-            slice,
-            &llc,
-        )?;
+        SetAssocCache::check_state(&llc, slice).map_err(|e| {
+            ConfigError::new("snapshot.llc", format!("node {node}'s LLC slice {e}"))
+        })?;
     }
-    Ok(())
-}
-
-/// One cache array of a snapshot against the machine's geometry: the same
-/// set count, and no set holding more lines than the array has ways.
-fn check_sets(
-    field: &str,
-    owner: &str,
-    level: &str,
-    state: &SetAssocState,
-    config: &CacheConfig,
-) -> Result<(), ConfigError> {
-    let sets = config.num_sets() as usize;
-    if state.sets.len() != sets {
-        return Err(ConfigError::new(
-            field,
-            format!(
-                "{owner} {level} has {} sets but the machine's has {sets}",
-                state.sets.len()
-            ),
-        ));
-    }
-    let ways = config.ways as usize;
-    match state.sets.iter().position(|set| set.len() > ways) {
-        Some(set) => Err(ConfigError::new(
-            field,
-            format!(
-                "{owner} {level} set {set} holds {} lines but the array is {ways}-way",
-                state.sets[set].len()
-            ),
-        )),
-        None => Ok(()),
-    }
+    NumaAllocator::check_state(nodes, config.dram, &state.allocator)
+        .map_err(|e| ConfigError::new("snapshot.allocator", format!("the page table {e}")))
 }
 
 #[cfg(test)]

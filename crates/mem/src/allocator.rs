@@ -256,18 +256,59 @@ impl NumaAllocator {
         }
     }
 
-    /// Restores state captured with [`NumaAllocator::export_state`] onto an
-    /// allocator built with the same node count and DRAM geometry.
+    /// Checks that `state` is a page table an allocator for `num_nodes`
+    /// nodes of `dram` could have written, as [`NumaAllocator::restore_state`]
+    /// and later translations assume: one next-slot cursor per node, and
+    /// each virtual page listed once, in order, first touched on a node, and
+    /// homed on the node its frame number encodes, below that node's next
+    /// free slot, in a frame of its own (found with the one allocation here,
+    /// a sorted list of the frames).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the export's node count does not match.
+    /// The reason, with the page table as its subject (`maps two ...`).
+    pub fn check_state(
+        num_nodes: usize,
+        dram: DramConfig,
+        state: &NumaAllocatorState,
+    ) -> Result<(), String> {
+        if state.next_slot.len() != num_nodes {
+            let cursors = state.next_slot.len();
+            return Err(format!(
+                "has {cursors} next-slot cursors for {num_nodes} nodes"
+            ));
+        }
+        let pages_per_node = dram.pages_per_node();
+        for (i, page) in state.pages.iter().enumerate() {
+            let (vpage, frame) = (page.vpage.raw(), page.phys_page.raw());
+            let node = frame / pages_per_node;
+            let next = state.next_slot.get(node as usize);
+            let why = if i > 0 && state.pages[i - 1].vpage.raw() >= vpage {
+                "lists the page twice or out of order".to_string()
+            } else if u64::from(page.home.raw()) != node {
+                format!("homes the page on {}", page.home)
+            } else if next.is_none_or(|&next| frame % pages_per_node >= next) {
+                "its node has not allocated that frame".to_string()
+            } else if page.first_toucher.index() >= num_nodes {
+                format!("has it first touched on {}", page.first_toucher)
+            } else {
+                continue;
+            };
+            return Err(format!(
+                "maps virtual page {vpage:#x} to frame {frame:#x} of node {node}, but {why}"
+            ));
+        }
+        let mut frames: Vec<u64> = state.pages.iter().map(|p| p.phys_page.raw()).collect();
+        frames.sort_unstable();
+        match frames.windows(2).find(|pair| pair[0] == pair[1]) {
+            Some(pair) => Err(format!("maps two virtual pages to frame {:#x}", pair[0])),
+            None => Ok(()),
+        }
+    }
+
+    /// Restores state captured with [`NumaAllocator::export_state`] that
+    /// passed [`NumaAllocator::check_state`] for this allocator's geometry.
     pub fn restore_state(&mut self, state: &NumaAllocatorState) {
-        assert_eq!(
-            state.next_slot.len(),
-            self.num_nodes,
-            "snapshot node count does not match allocator geometry"
-        );
         self.page_table = state
             .pages
             .iter()

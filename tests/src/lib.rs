@@ -7,7 +7,9 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use allarm_core::doc::override_accesses;
-use allarm_core::{load_scenario_doc, Scenario, ScenarioDoc, ScenarioGrid};
+use allarm_core::{
+    load_scenario_doc, Scenario, ScenarioDoc, ScenarioGrid, TraceFormat, WorkloadSpec,
+};
 
 /// The directory of the checked-in scenario documents.
 pub fn scenarios_dir() -> PathBuf {
@@ -42,6 +44,24 @@ pub fn shortened(name: &str, accesses: usize) -> Vec<Scenario> {
         NonZeroUsize::new(accesses).expect("a positive trace length"),
     );
     scenarios
+}
+
+/// `tracefile_v2_comparison.toml`'s grid replaying a copy of the committed
+/// v2 sample trace, written to `dir`, with one byte flipped inside frame
+/// 1's body: the trace opens, and the replay meets the bad frame. The grid
+/// names the copy by its path as given in `dir`.
+///
+/// # Panics
+///
+/// When the sample is unreadable or the copy cannot be written.
+pub fn corrupt_frame_grid(dir: &Path) -> ScenarioGrid {
+    let mut bytes = std::fs::read(scenarios_dir().join("tracefile_sample_v2.btrace")).unwrap();
+    bytes[10_200] ^= 0xff;
+    let path = dir.join("corrupt.btrace");
+    std::fs::write(&path, bytes).unwrap();
+    let mut grid = load_grid("tracefile_v2_comparison.toml");
+    grid.base.workload = WorkloadSpec::trace_file(path.to_string_lossy(), TraceFormat::BinaryV2);
+    grid
 }
 
 /// The shapes the figures, the comparisons and the trace round trip rely

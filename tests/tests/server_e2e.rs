@@ -9,14 +9,18 @@
 //!   with a typed 429;
 //! * `DELETE` cancels a running job between grid rows and the server
 //!   stays healthy for the next job;
+//! * a job whose run panics ends `failed` with the panic's message, and
+//!   its worker goes on to the next job;
 //! * malformed documents and unknown routes answer 400/404 through the
 //!   shared loader's error text.
 
 use allarm_core::{AllocationPolicy, BatchRunner, Benchmark, JsonlSink, Scenario, ScenarioGrid};
 use allarm_server::http::decode_chunked;
 use allarm_server::{HttpLimits, Server, ServerConfig};
+use allarm_tests::corrupt_frame_grid;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 fn comparison_grid(accesses: usize) -> ScenarioGrid {
     ScenarioGrid::new(
@@ -281,4 +285,52 @@ fn bad_documents_and_routes_get_typed_errors() {
     let oversized = "x".repeat(4_096);
     let (head, _) = post_job(addr, &oversized, "");
     assert!(head.starts_with("HTTP/1.1 413 Payload Too Large"), "{head}");
+}
+
+/// Polls `GET /v1/jobs/<id>` until the job is terminal and returns its
+/// status, failing after a minute rather than waiting on a job that never
+/// ends.
+fn poll_terminal(addr: SocketAddr, id: u64) -> String {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, status) = get(addr, &format!("/v1/jobs/{id}"));
+        if ["done", "failed", "cancelled"]
+            .iter()
+            .any(|state| status.contains(&format!("\"state\":\"{state}\"")))
+        {
+            return status;
+        }
+        assert!(Instant::now() < deadline, "job {id} never ended: {status}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[test]
+fn a_panicking_job_fails_and_its_worker_runs_the_next() {
+    // One worker: the follow-up job runs only if the worker survived.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            scheduler: allarm_core::SchedulerConfig {
+                workers: 1,
+                ..allarm_core::SchedulerConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let dir = std::env::temp_dir().join(format!("allarm-it-serve-fail-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let (head, body) = post_job(addr, &corrupt_frame_grid(&dir).to_toml().unwrap(), "");
+    assert!(head.starts_with("HTTP/1.1 201 Created"), "{head}");
+    let status = poll_terminal(addr, job_id(&body));
+    assert!(status.contains("\"state\":\"failed\""), "{status}");
+    assert!(status.contains("frame 1 failed its checksum"), "{status}");
+
+    let (_, body) = post_job(addr, &comparison_grid(300).to_toml().unwrap(), "");
+    let status = poll_terminal(addr, job_id(&body));
+    assert!(status.contains("\"state\":\"done\""), "{status}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,8 +9,9 @@
 //! typed error naming the section, so are threads and replies that
 //! disagree and miss windows out of issue order (resealed so every
 //! checksum passes), a restore whose threads or directories do not fit
-//! the workload or the machine is refused as a fork is, and fork-from-warm
-//! resumption equals a cold run.
+//! the workload or the machine is refused as a fork is, so is a page table
+//! the allocator could not have written, and fork-from-warm resumption
+//! equals a cold run.
 
 use allarm_core::simulator::Start;
 use allarm_core::snapshot::{read_header, read_section_table};
@@ -289,6 +290,7 @@ fn llc_section_is_present_only_when_enabled_and_skew_is_refused_by_name() {
 
 const SEC_CACHES: u16 = 1;
 const SEC_DIRS: u16 = 2;
+const SEC_ALLOC: u16 = 3;
 const SEC_CORES: u16 = 4;
 const SEC_REPLIES: u16 = 5;
 
@@ -596,4 +598,82 @@ fn a_directory_with_another_slot_count_is_refused() {
     let err = refused_restore(&crafted);
     assert_eq!(err.field(), "snapshot.directories", "{err}");
     assert!(err.reason().contains("probe-filter slots"), "{err}");
+}
+
+/// One page-table entry of an `allocator` payload, after its u64 count:
+/// virtual page u64, frame u64, home u16, first toucher u16, touches u32.
+/// The entries are followed by the u32 count of next-slot cursors and one
+/// u64 cursor per node.
+const PAGE: usize = 24;
+
+fn page_entry(alloc: &mut [u8], i: usize) -> &mut [u8] {
+    &mut alloc[8 + PAGE * i..8 + PAGE * (i + 1)]
+}
+
+/// Page entry `i`'s home node.
+fn home(alloc: &mut [u8], i: usize) -> &mut [u8] {
+    &mut page_entry(alloc, i)[16..18]
+}
+
+/// The offset of node `node`'s next-slot cursor, past the u32 count.
+fn cursor_at(alloc: &[u8], node: usize) -> usize {
+    8 + PAGE * u64::from_le_bytes(alloc[..8].try_into().unwrap()) as usize + 4 + 8 * node
+}
+
+/// A crafted page table: the refusal it must get, and the edit of an
+/// `allocator` payload that crafts it.
+type PageTableShape = (&'static str, fn(&mut Vec<u8>));
+
+/// Page tables the allocator could not have written, each resealed into
+/// [`small_run`]'s checkpoint at 400 accesses: the file parses, but the
+/// restore would index past the machine's nodes, or replay a placement no
+/// run reaches, so it is refused by name before anything runs.
+#[test]
+fn a_page_table_the_allocator_could_not_have_written_is_refused() {
+    let bytes = directories_checkpoint();
+    let (sim, workload) = small_run();
+    let snap = SimSnapshot::from_bytes(&bytes).unwrap();
+    assert_eq!(
+        finish(&sim, &workload, Start::Restore(&snap)),
+        sim.run(&workload)
+    );
+    let shapes: [PageTableShape; 7] = [
+        ("homes the page on node999", |alloc| {
+            home(alloc, 0).copy_from_slice(&999u16.to_le_bytes())
+        }),
+        // The cursor list one node short of the machine's four.
+        ("has 3 next-slot cursors for 4 nodes", |alloc| {
+            let at = cursor_at(alloc, 0);
+            alloc[at - 4..at].copy_from_slice(&3u32.to_le_bytes());
+            alloc.drain(at + 3 * 8..at + 4 * 8);
+        }),
+        // Re-homed to another node of the machine, frame unchanged.
+        ("homes the page on node", |alloc| {
+            let node = u16::from_le_bytes(home(alloc, 0).try_into().unwrap());
+            home(alloc, 0).copy_from_slice(&((node + 1) % 4).to_le_bytes());
+        }),
+        ("lists the page twice", |alloc| {
+            let vpage = page_entry(alloc, 0)[..8].to_vec();
+            page_entry(alloc, 1)[..8].copy_from_slice(&vpage);
+        }),
+        // Page 1 backed by page 0's frame, homed where that frame is.
+        ("maps two virtual pages to frame", |alloc| {
+            let frame_and_home = page_entry(alloc, 0)[8..18].to_vec();
+            page_entry(alloc, 1)[8..18].copy_from_slice(&frame_and_home);
+        }),
+        // Page 0's node has allocated nothing yet.
+        ("has not allocated that frame", |alloc| {
+            let node = u16::from_le_bytes(home(alloc, 0).try_into().unwrap());
+            let at = cursor_at(alloc, usize::from(node));
+            alloc[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        }),
+        ("has it first touched on node999", |alloc| {
+            page_entry(alloc, 0)[18..20].copy_from_slice(&999u16.to_le_bytes())
+        }),
+    ];
+    for (reason, edit) in shapes {
+        let err = refused_restore(&reseal(&bytes, SEC_ALLOC, edit));
+        assert_eq!(err.field(), "snapshot.allocator", "{err}");
+        assert!(err.reason().contains(reason), "{err}");
+    }
 }

@@ -7,7 +7,7 @@
 use allarm_core::{
     AllocationPolicy, BatchRunner, JsonlSink, MachineConfig, Scenario, TraceFormat, WorkloadSpec,
 };
-use allarm_tests::{load_grid, scenarios_dir};
+use allarm_tests::corrupt_frame_grid;
 use allarm_types::ids::CoreId;
 use allarm_workloads::tracefile::{self, TraceHeader};
 use allarm_workloads::Benchmark;
@@ -290,16 +290,7 @@ fn hand_written_adversarial_trace_runs_end_to_end() {
 #[test]
 fn a_corrupt_frame_fails_a_sharded_replay_instead_of_hanging() {
     let dir = temp_dir("corrupt-frame");
-    let mut bytes = std::fs::read(scenarios_dir().join("tracefile_sample_v2.btrace")).unwrap();
-    // Inside frame 1's body: the trace opens, and the replay meets it.
-    bytes[10_200] ^= 0xff;
-    let path = dir.join("corrupt.btrace");
-    std::fs::write(&path, bytes).unwrap();
-    let scenario = Scenario {
-        workload: WorkloadSpec::trace_file(path.to_string_lossy(), TraceFormat::BinaryV2),
-        ..load_grid("tracefile_v2_comparison.toml").base
-    }
-    .with_sim_threads(2);
+    let scenario = corrupt_frame_grid(&dir).base.with_sim_threads(2);
 
     let (done, outcome) = mpsc::channel();
     std::thread::spawn(move || {
@@ -312,6 +303,30 @@ fn a_corrupt_frame_fails_a_sharded_replay_instead_of_hanging() {
     let message = payload
         .downcast_ref::<String>()
         .map(String::as_str)
+        .unwrap_or_default();
+    assert!(
+        message.contains("frame 1 failed its checksum"),
+        "the panic must name the frame: {message:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Both rows of the corrupt-frame grid on two batch workers: the batch
+/// ends with the failed row's own panic, naming the frame, as the serial
+/// loop does, not with the worker scope's generic one.
+#[test]
+fn a_corrupt_frame_fails_a_parallel_batch_with_the_rows_own_panic() {
+    let dir = temp_dir("corrupt-batch");
+    let scenarios = corrupt_frame_grid(&dir).expand();
+    assert_eq!(scenarios.len(), 2);
+    let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+        BatchRunner::with_threads(2).run(&scenarios)
+    }))
+    .expect_err("a corrupt frame must fail the batch");
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
         .unwrap_or_default();
     assert!(
         message.contains("frame 1 failed its checksum"),
