@@ -13,30 +13,24 @@ use crate::stats::CacheStats;
 use allarm_types::addr::LineAddr;
 use allarm_types::config::CacheConfig;
 
-/// Where a data access was satisfied, before any coherence action.
+/// Where a data access found its line, before any coherence action.
+/// `RequestKind::for_access` (in `allarm-coherence`) turns it into the
+/// request the access needs from the line's home directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// Hit in the L1 data cache.
-    L1Hit,
+    L1Hit {
+        /// A store found the line in a state that cannot be written.
+        upgrade: bool,
+    },
     /// Missed L1 but hit the private L2; the line is promoted back to L1
     /// (exclusive hierarchy).
-    L2Hit,
+    L2Hit {
+        /// A store found the line in a state that cannot be written.
+        upgrade: bool,
+    },
     /// Missed the whole private hierarchy; the directory must be consulted.
     Miss,
-}
-
-/// The coherence action a write requires when the line is present but not
-/// writable, or absent entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoherenceNeed {
-    /// Line absent: issue a read request (GetS) to the home directory.
-    ReadMiss,
-    /// Line absent and the access is a store: issue a read-for-ownership
-    /// (GetX) to the home directory.
-    WriteMiss,
-    /// Line present in a read-only state and the access is a store: issue an
-    /// upgrade (GetX without data) to the home directory.
-    Upgrade,
 }
 
 /// Result of a directory probe of this core's hierarchy.
@@ -59,18 +53,20 @@ pub enum ProbeOutcome {
 /// # Examples
 ///
 /// ```
-/// use allarm_cache::{CoreCaches, CoherenceState, AccessOutcome, CoherenceNeed};
+/// use allarm_cache::{CoreCaches, CoherenceState, AccessOutcome};
 /// use allarm_types::{config::MachineConfig, addr::LineAddr};
 ///
 /// let cfg = MachineConfig::small_test();
 /// let mut caches = CoreCaches::new(&cfg.l1d, &cfg.l2);
 /// let line = LineAddr::new(100);
 ///
-/// // A store to an uncached line needs a GetX.
-/// assert_eq!(caches.coherence_need(line, true), Some(CoherenceNeed::WriteMiss));
-/// caches.access(line, true);
-/// caches.fill(line, CoherenceState::Modified);
-/// assert_eq!(caches.access(line, true), AccessOutcome::L1Hit);
+/// // A load misses and is filled Shared; a store then hits a read-only
+/// // copy and needs an upgrade, after which it hits a writable one.
+/// assert_eq!(caches.access(line, false), AccessOutcome::Miss);
+/// caches.fill(line, CoherenceState::Shared);
+/// assert_eq!(caches.access(line, true), AccessOutcome::L1Hit { upgrade: true });
+/// assert!(caches.grant_write(line));
+/// assert_eq!(caches.access(line, true), AccessOutcome::L1Hit { upgrade: false });
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoreCaches {
@@ -91,49 +87,27 @@ impl CoreCaches {
         }
     }
 
-    /// Performs a load (`write == false`) or store (`write == true`) lookup.
-    ///
-    /// This only models presence: permission checking is done separately via
-    /// [`CoreCaches::coherence_need`] so the simulator can decide whether a
-    /// directory transaction is required before committing the access.
+    /// Performs a load (`write == false`) or store (`write == true`),
+    /// walking each level's set once; an L2 hit moves back up to L1
+    /// (exclusive hierarchy). The line keeps the state it was found in:
+    /// write permission arrives by [`CoreCaches::grant_write`] or
+    /// [`CoreCaches::fill`], so a store hit on an Exclusive line leaves it
+    /// Exclusive (MOESI's silent E→M transition is not modelled).
     pub fn access(&mut self, line: LineAddr, write: bool) -> AccessOutcome {
-        match self.l1d.lookup(line) {
-            Some(state) => {
-                if write && !state.can_write() {
-                    // The store will be granted ownership by the directory;
-                    // presence-wise this is still an L1 hit.
-                }
-                AccessOutcome::L1Hit
-            }
-            None => match self.l2.lookup(line) {
-                Some(state) => {
-                    // Exclusive hierarchy: promote to L1, removing from L2.
-                    self.l2.remove_silently(line);
-                    self.install_l1(line, state);
-                    AccessOutcome::L2Hit
-                }
-                None => AccessOutcome::Miss,
-            },
+        let upgrade = |state: CoherenceState| write && !state.can_write();
+        if let Some(state) = self.l1d.lookup(line) {
+            return AccessOutcome::L1Hit {
+                upgrade: upgrade(state),
+            };
         }
-    }
-
-    /// Returns the coherence transaction (if any) the directory must perform
-    /// for this access, given the line's current state in this hierarchy.
-    pub fn coherence_need(&self, line: LineAddr, write: bool) -> Option<CoherenceNeed> {
-        let state = self.state_of(line);
-        match state {
-            None => Some(if write {
-                CoherenceNeed::WriteMiss
-            } else {
-                CoherenceNeed::ReadMiss
-            }),
-            Some(s) => {
-                if write && !s.can_write() {
-                    Some(CoherenceNeed::Upgrade)
-                } else {
-                    None
+        match self.l2.take(line) {
+            Some(state) => {
+                self.install_l1(line, state);
+                AccessOutcome::L2Hit {
+                    upgrade: upgrade(state),
                 }
             }
+            None => AccessOutcome::Miss,
         }
     }
 
@@ -159,35 +133,37 @@ impl CoreCaches {
 
     /// Directory probe: reports whether the line is cached here and in what
     /// state. If `downgrade` is true the copy is demoted to a shared state
-    /// (remote GetS); if `invalidate` is true it is removed (remote GetX).
+    /// (remote GetS); if `invalidate` is true it is removed (remote GetX)
+    /// through [`CoreCaches::invalidate`].
     pub fn probe(&mut self, line: LineAddr, downgrade: bool, invalidate: bool) -> ProbeOutcome {
-        let state = self.state_of(line);
-        match state {
-            None => ProbeOutcome::Miss,
-            Some(s) => {
-                if invalidate {
-                    self.l1d.invalidate(line);
-                    self.l2.invalidate(line);
-                } else if downgrade {
-                    let next = s.after_remote_read();
-                    if !self.l1d.set_state(line, next) {
-                        self.l2.set_state(line, next);
-                    }
-                }
-                ProbeOutcome::Hit {
-                    state: s,
-                    dirty: s.is_dirty(),
-                }
+        let state = if invalidate {
+            self.invalidate(line)
+        } else {
+            self.state_of(line)
+        };
+        let Some(state) = state else {
+            return ProbeOutcome::Miss;
+        };
+        if downgrade && !invalidate {
+            let next = state.after_remote_read();
+            if !self.l1d.set_state(line, next) {
+                self.l2.set_state(line, next);
             }
+        }
+        ProbeOutcome::Hit {
+            state,
+            dirty: state.is_dirty(),
         }
     }
 
-    /// Directory-initiated invalidation (probe-filter eviction back-
-    /// invalidate). Returns the state the line was in, if present.
+    /// Removes the line from the level that holds it, returning the state
+    /// it was in; the hierarchy is exclusive, so L2 is walked only if L1
+    /// missed. Every invalidating directory probe, for ownership or for a
+    /// probe-filter eviction, reaches this through [`CoreCaches::probe`].
     pub fn invalidate(&mut self, line: LineAddr) -> Option<CoherenceState> {
-        let in_l1 = self.l1d.invalidate(line);
-        let in_l2 = self.l2.invalidate(line);
-        in_l1.or(in_l2)
+        self.l1d
+            .invalidate(line)
+            .or_else(|| self.l2.invalidate(line))
     }
 
     /// The line's state anywhere in the private hierarchy, without touching
@@ -280,7 +256,10 @@ mod tests {
         let line = LineAddr::new(10);
         assert_eq!(c.access(line, false), AccessOutcome::Miss);
         c.fill(line, CoherenceState::Exclusive);
-        assert_eq!(c.access(line, false), AccessOutcome::L1Hit);
+        assert_eq!(
+            c.access(line, false),
+            AccessOutcome::L1Hit { upgrade: false }
+        );
         assert!(c.contains(line));
     }
 
@@ -298,22 +277,31 @@ mod tests {
         // Line 0 must have been displaced from L1 into L2.
         assert!(c.contains(LineAddr::new(0)));
         let outcome = c.access(LineAddr::new(0), false);
-        assert_eq!(outcome, AccessOutcome::L2Hit);
+        assert_eq!(outcome, AccessOutcome::L2Hit { upgrade: false });
         // After promotion it hits in L1.
-        assert_eq!(c.access(LineAddr::new(0), false), AccessOutcome::L1Hit);
+        assert_eq!(
+            c.access(LineAddr::new(0), false),
+            AccessOutcome::L1Hit { upgrade: false }
+        );
     }
 
     #[test]
-    fn coherence_need_read_write_upgrade() {
+    fn access_read_write_upgrade() {
         let mut c = caches();
         let line = LineAddr::new(77);
-        assert_eq!(c.coherence_need(line, false), Some(CoherenceNeed::ReadMiss));
-        assert_eq!(c.coherence_need(line, true), Some(CoherenceNeed::WriteMiss));
+        assert_eq!(c.access(line, false), AccessOutcome::Miss);
+        assert_eq!(c.access(line, true), AccessOutcome::Miss);
         c.fill(line, CoherenceState::Shared);
-        assert_eq!(c.coherence_need(line, false), None);
-        assert_eq!(c.coherence_need(line, true), Some(CoherenceNeed::Upgrade));
+        assert_eq!(
+            c.access(line, false),
+            AccessOutcome::L1Hit { upgrade: false }
+        );
+        assert_eq!(c.access(line, true), AccessOutcome::L1Hit { upgrade: true });
         assert!(c.grant_write(line));
-        assert_eq!(c.coherence_need(line, true), None);
+        assert_eq!(
+            c.access(line, true),
+            AccessOutcome::L1Hit { upgrade: false }
+        );
         assert_eq!(c.state_of(line), Some(CoherenceState::Modified));
     }
 
@@ -413,6 +401,48 @@ mod tests {
         let mut c = caches();
         let line = LineAddr::new(3);
         c.fill(line, CoherenceState::Shared);
-        assert_eq!(c.access(line, true), AccessOutcome::L1Hit);
+        assert_eq!(c.access(line, true), AccessOutcome::L1Hit { upgrade: true });
+    }
+
+    /// Every resident state × load/store × level, and both kinds of miss,
+    /// map to the expected outcome. `RequestKind::for_access`'s own table
+    /// (in `allarm-coherence`) maps each outcome to its request.
+    #[test]
+    fn access_outcome_table() {
+        use CoherenceState::{Exclusive, Modified, Owned, Shared};
+        // (state, store, upgrade): a store needs an upgrade exactly when
+        // the state cannot be written.
+        let rows = [
+            (Modified, false, false),
+            (Modified, true, false),
+            (Owned, false, false),
+            (Owned, true, true),
+            (Exclusive, false, false),
+            (Exclusive, true, false),
+            (Shared, false, false),
+            (Shared, true, true),
+        ];
+        let l1_sets = MachineConfig::small_test().l1d.num_sets();
+        let line = LineAddr::new(7);
+        for (state, write, upgrade) in rows {
+            let mut c = caches();
+            c.fill(line, state);
+            let outcome = c.access(line, write);
+            assert_eq!(outcome, AccessOutcome::L1Hit { upgrade }, "{state} in L1");
+            assert_eq!(c.state_of(line), Some(state));
+
+            // Two fills into the line's 2-way L1 set push it down to L2.
+            let mut c = caches();
+            c.fill(line, state);
+            for k in 1..=2 {
+                c.fill(LineAddr::new(7 + k * l1_sets), Shared);
+            }
+            let outcome = c.access(line, write);
+            assert_eq!(outcome, AccessOutcome::L2Hit { upgrade }, "{state} in L2");
+            assert_eq!(c.state_of(line), Some(state));
+        }
+        for write in [false, true] {
+            assert_eq!(caches().access(line, write), AccessOutcome::Miss);
+        }
     }
 }

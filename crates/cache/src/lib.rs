@@ -23,9 +23,9 @@
 //!
 //! // First access misses everywhere and must go to the directory.
 //! assert_eq!(caches.access(line, false), AccessOutcome::Miss);
-//! // After the fill, the line hits in L1.
+//! // After an Exclusive fill it hits in L1, and a store needs no upgrade.
 //! caches.fill(line, CoherenceState::Exclusive);
-//! assert_eq!(caches.access(line, false), AccessOutcome::L1Hit);
+//! assert_eq!(caches.access(line, true), AccessOutcome::L1Hit { upgrade: false });
 //! ```
 
 #![warn(missing_docs)]
@@ -37,7 +37,7 @@ pub mod set_assoc;
 pub mod state;
 pub mod stats;
 
-pub use hierarchy::{AccessOutcome, CoherenceNeed, CoreCaches, CoreCachesState, ProbeOutcome};
+pub use hierarchy::{AccessOutcome, CoreCaches, CoreCachesState, ProbeOutcome};
 pub use llc::LlcSlice;
 pub use set_assoc::{EvictedLine, SetAssocCache, SetAssocState, WayState};
 pub use state::CoherenceState;

@@ -124,20 +124,33 @@ impl SetAssocCache {
         removed
     }
 
+    /// [`SetAssocCache::find`] for a demand access: advances the recency
+    /// clock and counts the hit or miss.
+    fn find_counted(&mut self, line: LineAddr) -> (usize, Option<usize>) {
+        self.tick += 1;
+        let found = self.find(line);
+        if found.1.is_some() {
+            self.stats.hits.incr();
+        } else {
+            self.stats.misses.incr();
+        }
+        found
+    }
+
     /// Looks up `line`, updating recency and hit/miss statistics.
     pub fn lookup(&mut self, line: LineAddr) -> Option<CoherenceState> {
-        self.tick += 1;
-        match self.find(line).1 {
-            Some(at) => {
-                self.slab[at].last_touch = self.tick;
-                self.stats.hits.incr();
-                Some(self.slab[at].state)
-            }
-            None => {
-                self.stats.misses.incr();
-                None
-            }
-        }
+        let at = self.find_counted(line).1?;
+        self.slab[at].last_touch = self.tick;
+        Some(self.slab[at].state)
+    }
+
+    /// A [`SetAssocCache::lookup`] that removes a hit line in the same walk
+    /// and returns its state: the exclusive L2's promotion of a hit back to
+    /// the L1. It advances the clock and counts the hit or miss exactly as
+    /// `lookup` does.
+    pub fn take(&mut self, line: LineAddr) -> Option<CoherenceState> {
+        let (set, at) = self.find_counted(line);
+        Some(self.swap_remove_way(set, at?).state)
     }
 
     /// Checks whether `line` is present without updating recency or
@@ -209,8 +222,8 @@ impl SetAssocCache {
         }
     }
 
-    /// Removes `line` without counting it as an invalidation (used when a
-    /// line migrates between levels of the same core's hierarchy).
+    /// Removes `line` without counting it as an invalidation or advancing
+    /// the recency clock.
     pub fn remove_silently(&mut self, line: LineAddr) -> Option<CoherenceState> {
         let (set, at) = self.find(line);
         Some(self.swap_remove_way(set, at?).state)

@@ -376,15 +376,13 @@ impl DirectoryController {
                     let probe = sys.send(self.home, owner_node, MessageClass::Probe);
                     let outcome = sys.probe_cache(owner, req.line, true, false);
                     match outcome {
-                        ProbeOutcome::Hit { dirty, .. } => {
+                        ProbeOutcome::Hit { .. } => {
                             self.stats.cache_transfers.incr();
                             let transfer =
                                 sys.send(owner_node, req.requester_node, MessageClass::ProbeData);
+                            // A dirty owner keeps the line in Owned state and
+                            // remains the owner of record.
                             self.probe_filter.add_sharer(req.line, req.requester);
-                            if dirty {
-                                // The owner keeps the line in Owned state and
-                                // remains the owner of record.
-                            }
                             return DirectoryResponse {
                                 latency: probe + sys.cache_access_latency() + transfer,
                                 fill_state: CoherenceState::Shared,

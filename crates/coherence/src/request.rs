@@ -1,5 +1,6 @@
 //! Coherence requests arriving at a home directory.
 
+use allarm_cache::AccessOutcome;
 use allarm_types::addr::LineAddr;
 use allarm_types::ids::{CoreId, NodeId};
 use std::fmt;
@@ -18,6 +19,20 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
+    /// The request an access needs from the line's home directory, given
+    /// where [`allarm_cache::CoreCaches::access`] found the line: an
+    /// upgrade for a store that hit a read-only copy, nothing for any other
+    /// hit, and a GetX or GetS for a store or load miss.
+    pub fn for_access(outcome: AccessOutcome, write: bool) -> Option<RequestKind> {
+        match outcome {
+            AccessOutcome::L1Hit { upgrade } | AccessOutcome::L2Hit { upgrade } => {
+                upgrade.then_some(RequestKind::Upgrade)
+            }
+            AccessOutcome::Miss if write => Some(RequestKind::GetX),
+            AccessOutcome::Miss => Some(RequestKind::GetS),
+        }
+    }
+
     /// True if the transaction grants write permission.
     pub fn is_write(self) -> bool {
         matches!(self, RequestKind::GetX | RequestKind::Upgrade)
@@ -102,6 +117,33 @@ mod tests {
         assert!(RequestKind::GetS.needs_data());
         assert!(RequestKind::GetX.needs_data());
         assert!(!RequestKind::Upgrade.needs_data());
+    }
+
+    /// Every outcome × load/store maps to its request. The hierarchy's own
+    /// table (`allarm_cache::hierarchy`) maps each resident state and
+    /// level to its outcome.
+    #[test]
+    fn for_access_table() {
+        use AccessOutcome::{L1Hit, L2Hit, Miss};
+        use RequestKind::{GetS, GetX, Upgrade};
+        // (outcome, store, request); a load never finds `upgrade` set.
+        let rows = [
+            (L1Hit { upgrade: false }, false, None),
+            (L1Hit { upgrade: false }, true, None),
+            (L1Hit { upgrade: true }, true, Some(Upgrade)),
+            (L2Hit { upgrade: false }, false, None),
+            (L2Hit { upgrade: false }, true, None),
+            (L2Hit { upgrade: true }, true, Some(Upgrade)),
+            (Miss, false, Some(GetS)),
+            (Miss, true, Some(GetX)),
+        ];
+        for (outcome, write, request) in rows {
+            assert_eq!(
+                RequestKind::for_access(outcome, write),
+                request,
+                "{outcome:?}, store {write}"
+            );
+        }
     }
 
     #[test]

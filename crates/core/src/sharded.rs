@@ -99,8 +99,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use allarm_cache::{
-    AccessOutcome, CoherenceNeed, CoherenceState, CoreCaches, CoreCachesState, LlcSlice,
-    SetAssocState,
+    AccessOutcome, CoherenceState, CoreCaches, CoreCachesState, LlcSlice, SetAssocState,
 };
 use allarm_coherence::{
     AllocationPolicy, CoherenceEvent, CoherenceOp, CoherenceReply, CoherenceRequest,
@@ -1213,23 +1212,17 @@ impl<'a> ShardWorker<'a> {
             }
 
             // Walk the private hierarchy.
-            let need = caches.coherence_need(line, access.write);
             let outcome = caches.access(line, access.write);
             slot.cursor += 1;
             self.totals.accesses += 1;
             let mut latency = self.l1_latency;
-            if outcome != AccessOutcome::L1Hit {
+            if !matches!(outcome, AccessOutcome::L1Hit { .. }) {
                 latency += self.l2_latency;
             }
             elapsed += latency;
 
-            let Some(need) = need else {
+            let Some(kind) = RequestKind::for_access(outcome, access.write) else {
                 continue;
-            };
-            let kind = match need {
-                CoherenceNeed::ReadMiss => RequestKind::GetS,
-                CoherenceNeed::WriteMiss => RequestKind::GetX,
-                CoherenceNeed::Upgrade => RequestKind::Upgrade,
             };
             // A read miss consults the node's shared LLC slice before the
             // home directory. The slice is node-pinned and a node's whole

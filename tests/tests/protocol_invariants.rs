@@ -108,14 +108,8 @@ fn run_steps(policy: AllocationPolicy, steps: &[Step]) {
         let node = NodeId::new(step.core);
         let line = LineAddr::new(step.line);
 
-        let need = machine.caches[core.index()].coherence_need(line, step.write);
-        machine.caches[core.index()].access(line, step.write);
-        if let Some(need) = need {
-            let kind = match need {
-                allarm_cache::CoherenceNeed::ReadMiss => RequestKind::GetS,
-                allarm_cache::CoherenceNeed::WriteMiss => RequestKind::GetX,
-                allarm_cache::CoherenceNeed::Upgrade => RequestKind::Upgrade,
-            };
+        let outcome = machine.caches[core.index()].access(line, step.write);
+        if let Some(kind) = RequestKind::for_access(outcome, step.write) {
             let response =
                 dir.handle_request(CoherenceRequest::new(line, kind, core, node), &mut machine);
             if kind.needs_data() {
