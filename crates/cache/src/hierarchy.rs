@@ -127,29 +127,25 @@ impl CoreCaches {
     /// concurrent writer won ownership first), so the grantee must refetch
     /// the data instead.
     pub fn grant_write(&mut self, line: LineAddr) -> bool {
-        self.l1d.set_state(line, CoherenceState::Modified)
-            || self.l2.set_state(line, CoherenceState::Modified)
+        self.map_state(line, |_| CoherenceState::Modified).is_some()
     }
 
     /// Directory probe: reports whether the line is cached here and in what
     /// state. If `downgrade` is true the copy is demoted to a shared state
     /// (remote GetS); if `invalidate` is true it is removed (remote GetX)
-    /// through [`CoreCaches::invalidate`].
+    /// through [`CoreCaches::invalidate`]. Either way each level is walked
+    /// at most once.
     pub fn probe(&mut self, line: LineAddr, downgrade: bool, invalidate: bool) -> ProbeOutcome {
         let state = if invalidate {
             self.invalidate(line)
+        } else if downgrade {
+            self.map_state(line, CoherenceState::after_remote_read)
         } else {
             self.state_of(line)
         };
         let Some(state) = state else {
             return ProbeOutcome::Miss;
         };
-        if downgrade && !invalidate {
-            let next = state.after_remote_read();
-            if !self.l1d.set_state(line, next) {
-                self.l2.set_state(line, next);
-            }
-        }
         ProbeOutcome::Hit {
             state,
             dirty: state.is_dirty(),
@@ -172,9 +168,16 @@ impl CoreCaches {
         self.l1d.probe(line).or_else(|| self.l2.probe(line))
     }
 
-    /// True if the line is present anywhere in the private hierarchy.
-    pub fn contains(&self, line: LineAddr) -> bool {
-        self.state_of(line).is_some()
+    /// Maps the line's state through `f` in the level that holds it and
+    /// returns the state it found; L2 is walked only if L1 missed.
+    fn map_state(
+        &mut self,
+        line: LineAddr,
+        f: impl Fn(CoherenceState) -> CoherenceState,
+    ) -> Option<CoherenceState> {
+        self.l1d
+            .map_state(line, &f)
+            .or_else(|| self.l2.map_state(line, f))
     }
 
     /// Drains the lines that have been displaced entirely out of the
@@ -193,11 +196,6 @@ impl CoreCaches {
     /// L2 statistics.
     pub fn l2_stats(&self) -> &CacheStats {
         self.l2.stats()
-    }
-
-    /// Number of lines resident across both levels.
-    pub fn resident_lines(&self) -> usize {
-        self.l1d.len() + self.l2.len()
     }
 
     fn install_l1(&mut self, line: LineAddr, state: CoherenceState) {
@@ -260,7 +258,7 @@ mod tests {
             c.access(line, false),
             AccessOutcome::L1Hit { upgrade: false }
         );
-        assert!(c.contains(line));
+        assert!(c.state_of(line).is_some());
     }
 
     #[test]
@@ -275,7 +273,7 @@ mod tests {
             c.fill(line, CoherenceState::Exclusive);
         }
         // Line 0 must have been displaced from L1 into L2.
-        assert!(c.contains(LineAddr::new(0)));
+        assert!(c.state_of(LineAddr::new(0)).is_some());
         let outcome = c.access(LineAddr::new(0), false);
         assert_eq!(outcome, AccessOutcome::L2Hit { upgrade: false });
         // After promotion it hits in L1.
@@ -315,7 +313,7 @@ mod tests {
         // so the grantee can refetch instead of losing the write.
         c.probe(line, false, true);
         assert!(!c.grant_write(line));
-        assert!(!c.contains(line));
+        assert_eq!(c.state_of(line), None);
     }
 
     #[test]
@@ -355,7 +353,7 @@ mod tests {
         let line = LineAddr::new(5);
         c.fill(line, CoherenceState::Shared);
         c.probe(line, false, true);
-        assert!(!c.contains(line));
+        assert_eq!(c.state_of(line), None);
     }
 
     #[test]
@@ -371,7 +369,7 @@ mod tests {
             c.invalidate(LineAddr::new(0)),
             Some(CoherenceState::Exclusive)
         );
-        assert!(!c.contains(LineAddr::new(0)));
+        assert_eq!(c.state_of(LineAddr::new(0)), None);
         assert_eq!(c.invalidate(LineAddr::new(9999)), None);
     }
 
@@ -388,12 +386,18 @@ mod tests {
         assert!(!victims.is_empty());
         // Victims are gone from the hierarchy.
         for v in &victims {
-            assert!(!c.contains(v.addr));
+            assert_eq!(c.state_of(v.addr), None);
         }
         // Draining twice yields nothing new.
         assert_eq!(c.take_capacity_victims().len(), 0);
         // The hierarchy never holds more than its capacity.
-        assert!(c.resident_lines() <= total as usize);
+        let state = c.export_state();
+        let resident: usize = [state.l1d, state.l2]
+            .iter()
+            .flat_map(|level| &level.sets)
+            .map(Vec::len)
+            .sum();
+        assert!(resident <= total as usize);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! `Shared` copies: it fills when a core on the node receives a `Shared`
 //! data reply, and a later read miss from any core on the same node can be
 //! served from the slice without consulting the home directory. Writable
-//! (`Exclusive`/`Modified`) fills never enter the slice — a resident copy
-//! could otherwise go stale through a silent E→M upgrade that no directory
-//! message announces.
+//! (`Exclusive`/`Modified`) fills never enter the slice: a store hits a
+//! writable copy without any directory message
+//! (`CoherenceState::can_write`), so a slice copy of such a line could go
+//! stale unannounced. (After such a store an `Exclusive` line stays
+//! `Exclusive`: `CoreCaches::access` does not model the E→M transition.)
 //!
 //! Coherence invariant: *slice-resident ⇒ probe-filter-tracked*. Every
 //! `Shared` fill is tracked by the home directory, and the directory keeps

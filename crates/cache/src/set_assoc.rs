@@ -210,16 +210,20 @@ impl SetAssocCache {
         Some(state)
     }
 
-    /// Changes the state of a resident line. Returns false if the line is
-    /// not present.
-    pub fn set_state(&mut self, line: LineAddr, state: CoherenceState) -> bool {
-        match self.find(line).1 {
-            Some(at) => {
-                self.slab[at].state = state;
-                true
-            }
-            None => false,
-        }
+    /// Maps the state of a resident line through `f` in one walk and
+    /// returns the state it found, without updating recency or statistics
+    /// (a directory downgrade or a write grant). `None`, and no change, if
+    /// the line is not present.
+    pub fn map_state(
+        &mut self,
+        line: LineAddr,
+        f: impl FnOnce(CoherenceState) -> CoherenceState,
+    ) -> Option<CoherenceState> {
+        let at = self.find(line).1?;
+        let way = &mut self.slab[at];
+        let found = way.state;
+        way.state = f(found);
+        Some(found)
     }
 
     /// Removes `line` without counting it as an invalidation or advancing
@@ -464,9 +468,20 @@ mod tests {
     fn set_state_changes_resident_lines_only() {
         let mut c = tiny();
         c.insert(LineAddr::new(0), CoherenceState::Exclusive);
-        assert!(c.set_state(LineAddr::new(0), CoherenceState::Owned));
-        assert_eq!(c.probe(LineAddr::new(0)), Some(CoherenceState::Owned));
-        assert!(!c.set_state(LineAddr::new(2), CoherenceState::Shared));
+        let before = c.export_state();
+        assert_eq!(
+            c.map_state(LineAddr::new(0), CoherenceState::after_remote_read),
+            Some(CoherenceState::Exclusive)
+        );
+        assert_eq!(c.probe(LineAddr::new(0)), Some(CoherenceState::Shared));
+        assert_eq!(
+            c.map_state(LineAddr::new(2), |_| CoherenceState::Modified),
+            None
+        );
+        assert_eq!(c.len(), 1);
+        // Neither call touched the clock or the statistics.
+        let after = c.export_state();
+        assert_eq!((after.tick, after.stats), (before.tick, before.stats));
     }
 
     /// Two invalidations in one set leave the same export whichever runs

@@ -9,7 +9,7 @@
 //! [`AllocationPolicy`].
 
 use crate::policy::AllocationPolicy;
-use crate::probe_filter::ProbeFilter;
+use crate::probe_filter::{PfSlot, ProbeFilter};
 use crate::request::{CoherenceRequest, RequestKind};
 use crate::sharers::SharerView;
 use allarm_cache::{CoherenceState, ProbeOutcome};
@@ -213,8 +213,9 @@ pub struct DirectoryController {
 
 impl DirectoryController {
     /// Creates a controller for the directory homed on `home`, on a
-    /// one-core-per-node machine of at least `home + 1` nodes (the probe
-    /// filter widens for any core beyond).
+    /// one-core-per-node machine of `home + 1` nodes. Its probe filter's
+    /// sharer words hold that many cores rounded up to a whole word (at
+    /// least 64); a larger machine needs [`Self::hierarchical`].
     pub fn new(home: NodeId, config: &ProbeFilterConfig, policy: AllocationPolicy) -> Self {
         let topology = Topology::flat(home.index() as u32 + 1);
         DirectoryController::hierarchical(home, config, policy, topology)
@@ -305,15 +306,18 @@ impl DirectoryController {
         let mut latency = sys.send(req.requester_node, self.home, MessageClass::Request);
         latency += self.pf_latency;
 
+        // The lookup is the request's one walk of the line's set.
         let response = match self.probe_filter.lookup(req.line) {
-            Some(entry) => {
+            Some(slot) => {
                 // Copy the entry out of the filter, so the flow can update
-                // it; the sharer words go into the reused buffer.
+                // it through its slot; the sharer words go into the reused
+                // buffer.
+                let entry = self.probe_filter.entry(slot);
                 let owner = entry.owner;
                 let mut sharers = mem::take(&mut self.sharers);
                 sharers.clear();
                 sharers.extend_from_slice(entry.sharers.words());
-                let response = self.handle_hit(req, owner, SharerView::new(&sharers), sys);
+                let response = self.handle_hit(req, slot, owner, SharerView::new(&sharers), sys);
                 self.sharers = sharers;
                 response
             }
@@ -352,14 +356,19 @@ impl DirectoryController {
         // the core tracked so ownership invalidations and back-invalidations
         // keep reaching the slice (slice-resident ⇒ probe-filter-tracked).
         if !sys.probe_llc(src, line, false) {
-            self.probe_filter.remove_sharer(line, core);
+            if let Some(slot) = self.probe_filter.find(line) {
+                self.probe_filter.remove_sharer(slot, core);
+            }
         }
         latency
     }
 
+    /// Serves a request whose line has an entry, in `slot`: `owner` and
+    /// `sharers` are the entry as the lookup found it.
     fn handle_hit(
         &mut self,
         req: CoherenceRequest,
+        slot: PfSlot,
         owner: CoreId,
         sharers: SharerView<'_>,
         sys: &mut dyn SystemAccess,
@@ -382,7 +391,7 @@ impl DirectoryController {
                                 sys.send(owner_node, req.requester_node, MessageClass::ProbeData);
                             // A dirty owner keeps the line in Owned state and
                             // remains the owner of record.
-                            self.probe_filter.add_sharer(req.line, req.requester);
+                            self.probe_filter.add_sharer(slot, req.requester);
                             return DirectoryResponse {
                                 latency: probe + sys.cache_access_latency() + transfer,
                                 fill_state: CoherenceState::Shared,
@@ -398,33 +407,22 @@ impl DirectoryController {
                             // Same invariant as note_cache_eviction: the
                             // owner's node slice may still hold the line even
                             // though the private copy was silently dropped.
-                            if !sys.probe_llc(owner_node, req.line, false) {
-                                self.probe_filter.remove_sharer(req.line, owner);
-                            }
+                            let freed = !sys.probe_llc(owner_node, req.line, false)
+                                && self.probe_filter.remove_sharer(slot, owner);
                             let dram = sys.dram_read(self.home);
                             self.stats.dram_fills.incr();
                             let probe_path = probe + sys.cache_access_latency() + ack;
                             let data = sys.send(self.home, req.requester_node, MessageClass::Data);
-                            // Re-establish tracking for the requester. Other
-                            // sharers may remain in the entry, in which case
-                            // the requester only gets a shared copy.
-                            let others_gone = self
-                                .probe_filter
-                                .peek(req.line)
-                                .map(|remaining| remaining.sharers.is_empty());
-                            let fill_state = match others_gone {
-                                Some(others_gone) => {
-                                    self.probe_filter.add_sharer(req.line, req.requester);
-                                    if others_gone {
-                                        CoherenceState::Exclusive
-                                    } else {
-                                        CoherenceState::Shared
-                                    }
-                                }
-                                None => {
-                                    self.probe_filter.allocate(req.line, req.requester);
-                                    CoherenceState::Exclusive
-                                }
+                            // Re-establish tracking for the requester: a fresh
+                            // entry (evicting nothing, as the set has a free
+                            // slot) and an exclusive copy if the owner was the
+                            // last sharer, else a shared copy.
+                            let fill_state = if freed {
+                                self.probe_filter.allocate(req.line, req.requester);
+                                CoherenceState::Exclusive
+                            } else {
+                                self.probe_filter.add_sharer(slot, req.requester);
+                                CoherenceState::Shared
                             };
                             return DirectoryResponse {
                                 latency: probe_path.max(dram) + data,
@@ -439,7 +437,7 @@ impl DirectoryController {
                 let dram = sys.dram_read(self.home);
                 self.stats.dram_fills.incr();
                 let data = sys.send(self.home, req.requester_node, MessageClass::Data);
-                self.probe_filter.add_sharer(req.line, req.requester);
+                self.probe_filter.add_sharer(slot, req.requester);
                 let state = if sharers.count() <= 1 {
                     CoherenceState::Exclusive
                 } else {
@@ -453,7 +451,7 @@ impl DirectoryController {
             }
             RequestKind::GetX | RequestKind::Upgrade => {
                 let response = self.invalidate_for_ownership(req, sharers, sys);
-                self.probe_filter.set_owner(req.line, req.requester, true);
+                self.probe_filter.set_owner(slot, req.requester, true);
                 response
             }
         }
@@ -621,7 +619,8 @@ impl DirectoryController {
 
         // Allocate an entry (possibly displacing a victim, whose sharer
         // words are copied into the reused buffer).
-        if let Some(victim) = self.probe_filter.allocate(req.line, req.requester) {
+        let (slot, victim) = self.probe_filter.allocate(req.line, req.requester);
+        if let Some(victim) = victim {
             let line = victim.line;
             let mut sharers = mem::take(&mut self.sharers);
             sharers.clear();
@@ -634,7 +633,7 @@ impl DirectoryController {
             // Remote miss under ALLARM: the local core may hold the line
             // without a directory entry, so it must be probed. The probe and
             // the DRAM access are launched in parallel (Section II-D).
-            self.allarm_remote_miss(req, sys)
+            self.allarm_remote_miss(req, slot, sys)
         } else {
             // Baseline miss: nobody holds the line (the probe filter tracks
             // every cached line), so memory supplies it.
@@ -654,12 +653,13 @@ impl DirectoryController {
         }
     }
 
-    /// The ALLARM remote-miss flow: allocate (done by the caller), probe the
-    /// local core, fetch from DRAM in parallel, and serve from whichever
-    /// source actually holds the data.
+    /// The ALLARM remote-miss flow: allocate (done by the caller, into
+    /// `slot`), probe the local core, fetch from DRAM in parallel, and serve
+    /// from whichever source actually holds the data.
     fn allarm_remote_miss(
         &mut self,
         req: CoherenceRequest,
+        slot: PfSlot,
         sys: &mut dyn SystemAccess,
     ) -> DirectoryResponse {
         let local_core = sys.local_core_of(self.home);
@@ -683,17 +683,16 @@ impl DirectoryController {
                 // The local core supplies the line; the prefetched DRAM copy
                 // is discarded. The probe is on the critical path.
                 let transfer = sys.send(self.home, req.requester_node, MessageClass::ProbeData);
-                if is_write {
-                    // The local copy was invalidated by the probe; the
-                    // requester becomes the sole owner.
-                    self.probe_filter.set_owner(req.line, req.requester, true);
-                } else {
-                    // The local core keeps a shared/owned copy and must be
-                    // tracked alongside the requester.
-                    self.probe_filter.add_sharer(req.line, local_core);
+                // The new entry names the requester as owner and sole
+                // sharer. That is already right for a write: the probe
+                // invalidated the local copy. On a read the local core
+                // keeps a shared or owned copy and is tracked alongside the
+                // requester; a dirty one stays the owner of record.
+                if !is_write {
                     if dirty {
-                        self.probe_filter.set_owner(req.line, local_core, false);
-                        self.probe_filter.add_sharer(req.line, req.requester);
+                        self.probe_filter.set_owner(slot, local_core, false);
+                    } else {
+                        self.probe_filter.add_sharer(slot, local_core);
                     }
                 }
                 let fill_state = if is_write {
@@ -957,6 +956,33 @@ mod tests {
     }
 
     #[test]
+    fn allarm_remote_read_shares_a_clean_local_copy() {
+        let mut sys = MiniSystem::new();
+        let mut dir = big_controller(AllocationPolicy::Allarm);
+        // The local core (core 0) holds the line clean and exclusive, with
+        // no probe-filter entry.
+        let r = dir.handle_request(gets(100, 0), &mut sys);
+        sys.caches[0].fill(LineAddr::new(100), r.fill_state);
+        assert_eq!(r.fill_state, CoherenceState::Exclusive);
+        // Remote core 2 reads it: the local copy supplies the data.
+        let resp = dir.handle_request(gets(100, 2), &mut sys);
+        assert_eq!(resp.local_probe_hidden, Some(false));
+        assert_eq!(resp.fill_state, CoherenceState::Shared);
+        // The requester stays the owner of record; the local core joins
+        // the sharers with a copy demoted to Shared.
+        let entry = dir.probe_filter().peek(LineAddr::new(100)).unwrap();
+        assert_eq!(entry.owner, CoreId::new(2));
+        assert_eq!(
+            entry.sharers.iter().collect::<Vec<_>>(),
+            vec![CoreId::new(0), CoreId::new(2)]
+        );
+        assert_eq!(
+            sys.caches[0].state_of(LineAddr::new(100)),
+            Some(CoherenceState::Shared)
+        );
+    }
+
+    #[test]
     fn allarm_remote_write_invalidates_local_copy() {
         let mut sys = MiniSystem::new();
         let mut dir = big_controller(AllocationPolicy::Allarm);
@@ -998,6 +1024,33 @@ mod tests {
         let r2 = dir.handle_request(gets(200, 2), &mut sys);
         assert_eq!(r2.fill_state, CoherenceState::Exclusive);
         assert_eq!(sys.dram_reads, reads_before + 1);
+    }
+
+    #[test]
+    fn stale_owner_with_another_sharer_serves_a_shared_copy() {
+        let mut sys = MiniSystem::new();
+        let mut dir = big_controller(AllocationPolicy::Baseline);
+        let line = LineAddr::new(200);
+        // Core 1 owns the line and core 2 shares it.
+        for core in [1, 2] {
+            let r = dir.handle_request(gets(200, core), &mut sys);
+            sys.caches[core as usize].fill(line, r.fill_state);
+        }
+        // The owner drops its copy without telling the directory.
+        sys.caches[1].invalidate(line);
+        let reads_before = sys.dram_reads;
+        let r = dir.handle_request(gets(200, 3), &mut sys);
+        // Memory supplies the data, and core 2's copy keeps the
+        // requester's Shared.
+        assert_eq!(r.fill_state, CoherenceState::Shared);
+        assert_eq!(sys.dram_reads, reads_before + 1);
+        let entry = dir.probe_filter().peek(line).unwrap();
+        assert_eq!(
+            entry.sharers.iter().collect::<Vec<_>>(),
+            vec![CoreId::new(2), CoreId::new(3)]
+        );
+        // The owner of record is kept, its bit cleared.
+        assert_eq!(entry.owner, CoreId::new(1));
     }
 
     #[test]

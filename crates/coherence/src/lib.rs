@@ -5,13 +5,15 @@
 //! substrate it modifies:
 //!
 //! * [`ProbeFilter`] — a set-associative sparse directory with 2x L2
-//!   coverage, as deployed in AMD Hammer ("HT Assist") systems;
+//!   coverage, as deployed in AMD Hammer ("HT Assist") systems, its
+//!   entries' sharer words sized for the machine when it is built;
 //! * [`AllocationPolicy`] — when a directory request misses in the probe
 //!   filter, should an entry be allocated? The [`AllocationPolicy::Baseline`]
 //!   always allocates; [`AllocationPolicy::Allarm`] allocates **only on a
 //!   remote miss**, which is the whole of the paper's idea;
 //! * [`DirectoryController`] — the per-node controller that looks up the
-//!   probe filter on every request, orchestrates probes, invalidations,
+//!   probe filter once per request, updating the entry through the
+//!   [`PfSlot`] the lookup returns, orchestrates probes, invalidations,
 //!   DRAM accesses and data returns over the [`allarm_noc::Network`], and
 //!   implements the ALLARM local-probe flow (with its latency-hiding
 //!   behaviour, Section II-D of the paper) when a remote miss allocates.
@@ -30,8 +32,9 @@
 //!
 //! let mut pf = ProbeFilter::new(&ProbeFilterConfig::new(32 * 1024, 4));
 //! assert!(pf.lookup(LineAddr::new(7)).is_none());
-//! pf.allocate(LineAddr::new(7), CoreId::new(3));
-//! assert!(pf.lookup(LineAddr::new(7)).is_some());
+//! let (slot, _victim) = pf.allocate(LineAddr::new(7), CoreId::new(3));
+//! assert_eq!(pf.lookup(LineAddr::new(7)), Some(slot));
+//! assert_eq!(pf.entry(slot).owner, CoreId::new(3));
 //!
 //! // The ALLARM policy only allocates for remote requesters.
 //! let home = NodeId::new(2);
@@ -54,7 +57,9 @@ pub use controller::{
     DirectoryController, DirectoryControllerState, DirectoryResponse, DirectoryStats, SystemAccess,
 };
 pub use policy::AllocationPolicy;
-pub use probe_filter::{PfEntry, PfEntryView, PfSlotState, PfStats, ProbeFilter, ProbeFilterState};
+pub use probe_filter::{
+    PfEntry, PfEntryView, PfSlot, PfSlotState, PfStats, ProbeFilter, ProbeFilterState,
+};
 pub use request::{CoherenceRequest, RequestKind};
 pub use shard::{CoherenceEvent, CoherenceOp, CoherenceReply, DirectoryNode, DirectoryNodeState};
-pub use sharers::{NodeSet, SharerSet, SharerView};
+pub use sharers::{SharerSet, SharerView};

@@ -11,19 +11,20 @@
 //!
 //! On machines with several cores per NUMA node the filter is **two-level**
 //! ([`ProbeFilter::hierarchical`]): each entry's exact core set is fronted
-//! by a node-presence vector ([`PfEntry::node_presence`]), consulted first
-//! on every array access so probes and back-invalidations are steered at
-//! node granularity. The level-1 vector is a separate, narrower SRAM read,
-//! tracked by its own activity counter
-//! ([`PfStats::node_vector_accesses`]) so the energy model can charge it
-//! independently of the full entry read.
+//! by a node-presence vector, read first on every array access. That
+//! level-1 vector is not stored: it is a separate, narrower SRAM read,
+//! charged by its own activity counter ([`PfStats::node_vector_accesses`])
+//! so the energy model can price it apart from the full entry read, and
+//! the directory steers probes and back-invalidations at node granularity
+//! by grouping an entry's cores per node.
 //!
 //! Every entry, sharer bits included, lives in one flat slab of machine
-//! words (see [`ProbeFilter`]). Lookups hand out a borrowed
-//! [`PfEntryView`], so the directory's miss path reads, updates and evicts
-//! entries without touching the host heap.
+//! words (see [`ProbeFilter`]). A lookup walks the line's set once and
+//! hands out the entry's [`PfSlot`]; the directory reads the entry in place
+//! through it ([`PfEntryView`]) and updates it without walking the set
+//! again, and none of this touches the host heap.
 
-use crate::sharers::{words_for, NodeSet, SharerSet, SharerView, WORD_BITS};
+use crate::sharers::{SharerSet, SharerView, WORD_BITS};
 use allarm_types::addr::{LineAddr, LINE_BYTES};
 use allarm_types::config::{PfReplacement, ProbeFilterConfig};
 use allarm_types::ids::CoreId;
@@ -40,7 +41,9 @@ pub struct PfEntry {
     /// The core considered the owner (the last writer or first requester);
     /// probes for dirty data go here first.
     pub owner: CoreId,
-    /// Cores that may hold a copy (always includes the owner).
+    /// Cores that may hold a copy. Never empty, but it need not include
+    /// the owner: when the owner drops its copy while other copies remain,
+    /// the owner's bit is cleared and the owner field is kept.
     pub sharers: SharerSet,
 }
 
@@ -53,17 +56,18 @@ impl PfEntry {
             sharers: SharerSet::only(owner),
         }
     }
-
-    /// The level-1 (node-granularity) view of this entry's sharers under a
-    /// blocked assignment of `cores_per_node` cores per node — the
-    /// presence vector a hierarchical directory consults before expanding
-    /// to individual cores.
-    pub fn node_presence(&self, cores_per_node: u32) -> NodeSet {
-        self.sharers.node_set(cores_per_node)
-    }
 }
 
-/// One directory entry read in place: what [`ProbeFilter::lookup`] and
+/// Where one entry sits in a [`ProbeFilter`]'s slab, as
+/// [`ProbeFilter::lookup`] and [`ProbeFilter::allocate`] hand it out. The
+/// slab never reorders, so a slot names its entry until that entry is
+/// freed ([`ProbeFilter::remove_sharer`]) or evicted: one directory
+/// transaction reads and updates its entry through the slot without
+/// walking the set again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PfSlot(usize);
+
+/// One directory entry read in place: what [`ProbeFilter::entry`] and
 /// [`ProbeFilter::peek`] return, and what [`ProbeFilter::allocate`]
 /// returns for the victim of a full set. The sharers are the slot's own
 /// words, so reading an entry never allocates.
@@ -155,11 +159,11 @@ const FREE: u64 = u64::MAX;
 /// the grow-only `Vec` length did and every position-dependent choice —
 /// first-free reuse, LRU and random victim selection — is unchanged.
 ///
-/// [`ProbeFilter::for_machine`] sizes the stride for the machine's core
-/// count once. The other constructors guess a stride (see
-/// [`ProbeFilter::hierarchical`]) and widen every slot the first time a
-/// larger core index arrives, so any core index fits: there is no
-/// core-count ceiling.
+/// The stride is fixed when the filter is built:
+/// [`ProbeFilter::for_machine`] sizes it for the machine's core count, and
+/// the other constructors for 64 nodes, one sharer word per core of a node
+/// (see [`ProbeFilter::hierarchical`]). Tracking a core past that width is
+/// a caller bug and panics on the slab's bounds check.
 ///
 /// # Examples
 ///
@@ -170,9 +174,12 @@ const FREE: u64 = u64::MAX;
 /// let mut pf = ProbeFilter::new(&ProbeFilterConfig::new(4096, 4));
 /// let line = LineAddr::new(42);
 /// assert!(pf.lookup(line).is_none());
-/// let eviction = pf.allocate(line, CoreId::new(1));
-/// assert!(eviction.is_none());
-/// assert_eq!(pf.lookup(line).unwrap().owner, CoreId::new(1));
+/// let (slot, victim) = pf.allocate(line, CoreId::new(1));
+/// assert!(victim.is_none());
+/// pf.add_sharer(slot, CoreId::new(3));
+/// let slot = pf.lookup(line).unwrap();
+/// assert_eq!(pf.entry(slot).owner, CoreId::new(1));
+/// assert_eq!(pf.entry(slot).sharers.count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbeFilter {
@@ -209,8 +216,9 @@ impl ProbeFilter {
     /// every array access first reads the entry's node-presence vector
     /// (counted in [`PfStats::node_vector_accesses`]) before the exact
     /// per-core sharer map. Not knowing the machine's core count, the slots
-    /// start with room for 64 nodes — one sharer word per core of a node —
-    /// and widen the first time a larger core index arrives.
+    /// hold 64 nodes' cores — one sharer word per core of a node — which
+    /// fits every reference machine; [`ProbeFilter::for_machine`] sizes
+    /// them for a given machine instead.
     ///
     /// # Panics
     ///
@@ -221,7 +229,7 @@ impl ProbeFilter {
     }
 
     /// Creates the probe filter of one node of `topology`, with slots wide
-    /// enough for every core of the machine, so a run never widens them.
+    /// enough for every core of the machine.
     ///
     /// # Panics
     ///
@@ -276,32 +284,23 @@ impl ProbeFilter {
         (line.raw() % self.num_sets as u64) as usize * self.ways
     }
 
-    /// The slot index of `line`'s entry, if it has one. Every operation on
-    /// one line's entry walks its set here.
-    fn find(&self, line: LineAddr) -> Option<usize> {
+    /// The live entry in `slot`, for an update.
+    fn entry_mut(&mut self, slot: PfSlot) -> &mut [u64] {
+        let words = self.slot_mut(slot.0);
+        debug_assert_ne!(words[TAG], FREE, "slot {} holds no entry", slot.0);
+        words
+    }
+
+    /// The slot of `line`'s entry, if it has one, without touching recency
+    /// or statistics. Every directory request walks `line`'s set once,
+    /// here or through [`ProbeFilter::lookup`].
+    pub fn find(&self, line: LineAddr) -> Option<PfSlot> {
         let base = self.set_base(line);
         let len = self.slot_len();
         self.slab[base * len..(base + self.ways) * len]
             .chunks_exact(len)
             .position(|slot| slot[TAG] == line.raw())
-            .map(|way| base + way)
-    }
-
-    /// Widens every slot so `core` fits in the sharer words, keeping slot
-    /// positions and contents (the new words are clear). Never runs on a
-    /// [`ProbeFilter::for_machine`] filter fed the machine's own cores.
-    fn fit(&mut self, core: CoreId) {
-        let stride = words_for(core.index());
-        if stride <= self.stride {
-            return;
-        }
-        let (old, new) = (self.slot_len(), WORDS + stride);
-        let mut slab = vec![0; self.capacity() * new];
-        for (to, from) in slab.chunks_exact_mut(new).zip(self.slab.chunks_exact(old)) {
-            to[..old].copy_from_slice(from);
-        }
-        self.slab = slab;
-        self.stride = stride;
+            .map(|way| PfSlot(base + way))
     }
 
     /// Charges one full array access; on a hierarchical filter the level-1
@@ -313,61 +312,56 @@ impl ProbeFilter {
         }
     }
 
-    /// Looks up the entry for `line`, updating recency and hit/miss counts.
-    pub fn lookup(&mut self, line: LineAddr) -> Option<PfEntryView<'_>> {
+    /// Looks up the entry for `line`, updating recency and hit/miss counts,
+    /// and returns its slot.
+    pub fn lookup(&mut self, line: LineAddr) -> Option<PfSlot> {
         self.tick += 1;
         self.touch_array();
-        match self.find(line) {
-            Some(at) => {
-                let tick = self.tick;
-                self.slot_mut(at)[STAMP] = tick;
-                self.stats.hits.incr();
-                Some(PfEntryView::of(self.slot(at)))
-            }
-            None => {
-                self.stats.misses.incr();
-                None
-            }
-        }
+        let Some(slot) = self.find(line) else {
+            self.stats.misses.incr();
+            return None;
+        };
+        let tick = self.tick;
+        self.entry_mut(slot)[STAMP] = tick;
+        self.stats.hits.incr();
+        Some(slot)
     }
 
-    /// Checks for an entry without touching recency or statistics.
+    /// Reads the entry in `slot`, which a lookup, a [`ProbeFilter::find`]
+    /// or an allocation of the current transaction handed out.
+    pub fn entry(&self, slot: PfSlot) -> PfEntryView<'_> {
+        let words = self.slot(slot.0);
+        debug_assert_ne!(words[TAG], FREE, "slot {} holds no entry", slot.0);
+        PfEntryView::of(words)
+    }
+
+    /// Reads `line`'s entry, if it has one, without touching recency or
+    /// statistics.
     pub fn peek(&self, line: LineAddr) -> Option<PfEntryView<'_>> {
-        self.find(line).map(|at| PfEntryView::of(self.slot(at)))
+        self.find(line).map(|slot| self.entry(slot))
     }
 
-    /// The level-1 view of `line`'s entry, if present: the nodes holding at
-    /// least one copy. Statistics-free, like [`ProbeFilter::peek`].
-    pub fn node_presence(&self, line: LineAddr) -> Option<NodeSet> {
-        self.peek(line)
-            .map(|entry| entry.sharers.node_set(self.cores_per_node))
-    }
-
-    /// Allocates an entry for `line` owned by `owner`, evicting the LRU
-    /// entry of a full set.
+    /// Allocates an entry, owned and solely shared by `owner`, for `line`,
+    /// which has none (the directory allocates after a lookup miss, or
+    /// after freeing the line's entry). The set's first free slot is used;
+    /// a full set evicts a victim chosen by the replacement policy.
     ///
-    /// Returns the evicted entry the directory controller must process, if
-    /// any; it stays readable until the filter is next changed. Allocating
-    /// a line that already has an entry refreshes that entry instead (owner
-    /// unchanged, requester added as a sharer by the caller).
-    pub fn allocate(&mut self, line: LineAddr, owner: CoreId) -> Option<PfEntryView<'_>> {
+    /// Returns the new entry's slot, and the evicted entry the directory
+    /// controller must process, if any; the victim stays readable until
+    /// the filter is next changed.
+    pub fn allocate(&mut self, line: LineAddr, owner: CoreId) -> (PfSlot, Option<PfEntryView<'_>>) {
+        debug_assert!(self.find(line).is_none(), "{line} already has an entry");
         self.tick += 1;
         let tick = self.tick;
         self.touch_array();
-        if let Some(at) = self.find(line) {
-            self.slot_mut(at)[STAMP] = tick;
-            return None;
-        }
-
         self.stats.allocations.incr();
-        self.fit(owner);
         // Reuse the first free slot if the set has one (a never-used way
-        // or a deallocated entry).
+        // or a freed entry).
         let base = self.set_base(line);
         let ways = self.ways;
         if let Some(way) = (0..ways).find(|&way| self.slot(base + way)[TAG] == FREE) {
             self.install(base + way, line, owner, tick);
-            return None;
+            return (PfSlot(base + way), None);
         }
 
         // Set full: evict a victim. The eviction costs an extra array read
@@ -394,11 +388,11 @@ impl ProbeFilter {
             .extend_from_slice(&self.slab[at * len..(at + 1) * len]);
         self.install(at, line, owner, tick);
         self.stats.evictions.incr();
-        Some(PfEntryView::of(&self.victim))
+        (PfSlot(at), Some(PfEntryView::of(&self.victim)))
     }
 
     /// Writes a fresh entry for `line`, owned and solely shared by
-    /// `owner`, into slot `at`. The caller has fitted `owner`.
+    /// `owner`, into slot `at`.
     fn install(&mut self, at: usize, line: LineAddr, owner: CoreId, tick: u64) {
         let slot = self.slot_mut(at);
         slot[TAG] = line.raw();
@@ -408,67 +402,40 @@ impl ProbeFilter {
         set_bit(&mut slot[WORDS..], owner);
     }
 
-    /// Adds `core` to the sharer set of an existing entry; returns false if
-    /// no entry exists.
-    pub fn add_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
-        let Some(at) = self.find(line) else {
-            return false;
-        };
-        self.fit(core);
-        set_bit(&mut self.slot_mut(at)[WORDS..], core);
-        true
+    /// Adds `core` to the sharers of the entry in `slot`.
+    pub fn add_sharer(&mut self, slot: PfSlot, core: CoreId) {
+        set_bit(&mut self.entry_mut(slot)[WORDS..], core);
     }
 
-    /// Replaces the owner (and optionally collapses the sharer set to just
-    /// the new owner, as happens after a GetX).
-    pub fn set_owner(&mut self, line: LineAddr, owner: CoreId, exclusive: bool) -> bool {
-        let Some(at) = self.find(line) else {
-            return false;
-        };
-        self.fit(owner);
-        let slot = self.slot_mut(at);
-        slot[OWNER] = u64::from(owner.raw());
+    /// Makes `owner` the owner of the entry in `slot` and a sharer,
+    /// dropping every other sharer if `exclusive` (as after a GetX).
+    pub fn set_owner(&mut self, slot: PfSlot, owner: CoreId, exclusive: bool) {
+        let words = self.entry_mut(slot);
+        words[OWNER] = u64::from(owner.raw());
         if exclusive {
-            slot[WORDS..].fill(0);
+            words[WORDS..].fill(0);
         }
-        set_bit(&mut slot[WORDS..], owner);
-        true
+        set_bit(&mut words[WORDS..], owner);
     }
 
-    /// Removes `core` from the sharer set of `line`'s entry; if the sharer
-    /// set becomes empty the entry is deallocated. Returns true if an entry
-    /// was deallocated.
+    /// Removes `core` from the sharers of the entry in `slot`, freeing the
+    /// entry if no sharer remains. Returns true if it freed the entry.
     ///
     /// This implements the baseline's eviction-notification optimisation:
     /// when a cache tells the directory it dropped its copy, the directory
     /// can free the entry once no copies remain.
-    pub fn remove_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
-        let Some(at) = self.find(line) else {
-            return false;
-        };
-        let slot = self.slot_mut(at);
-        if let Some(word) = slot[WORDS..].get_mut(core.index() / WORD_BITS) {
-            *word &= !(1 << (core.index() % WORD_BITS));
-        }
-        let emptied = slot[WORDS..].iter().all(|&w| w == 0);
+    pub fn remove_sharer(&mut self, slot: PfSlot, core: CoreId) -> bool {
+        let words = self.entry_mut(slot);
+        words[WORDS + core.index() / WORD_BITS] &= !(1 << (core.index() % WORD_BITS));
+        let emptied = words[WORDS..].iter().all(|&w| w == 0);
         if emptied {
-            slot[TAG] = FREE;
+            words[TAG] = FREE;
         }
         self.touch_array();
         if emptied {
             self.stats.deallocations.incr();
         }
         emptied
-    }
-
-    /// Explicitly removes the entry for `line`, if present.
-    pub fn deallocate(&mut self, line: LineAddr) -> bool {
-        let Some(at) = self.find(line) else {
-            return false;
-        };
-        self.slot_mut(at)[TAG] = FREE;
-        self.stats.deallocations.incr();
-        true
     }
 
     /// Number of valid entries currently resident.
@@ -550,11 +517,6 @@ impl ProbeFilter {
     /// Restores state captured with [`ProbeFilter::export_state`] that
     /// passed [`ProbeFilter::check_state`] for this filter's configuration.
     pub fn restore_state(&mut self, state: &ProbeFilterState) {
-        for restored in state.slots.iter().flatten() {
-            if let Some(core) = restored.entry.sharers.iter().last() {
-                self.fit(core);
-            }
-        }
         for (at, restored) in state.slots.iter().enumerate() {
             let slot = self.slot_mut(at);
             slot.fill(0);
@@ -572,7 +534,7 @@ impl ProbeFilter {
     }
 }
 
-/// Sets `core`'s bit in a slot's sharer words, which the caller has fitted.
+/// Sets `core`'s bit in a slot's sharer words.
 fn set_bit(words: &mut [u64], core: CoreId) {
     words[core.index() / WORD_BITS] |= 1 << (core.index() % WORD_BITS);
 }
@@ -620,8 +582,12 @@ mod tests {
         let mut pf = tiny();
         let line = LineAddr::new(3);
         assert!(pf.lookup(line).is_none());
-        assert!(pf.allocate(line, CoreId::new(2)).is_none());
-        let entry = pf.lookup(line).unwrap();
+        let (allocated, victim) = pf.allocate(line, CoreId::new(2));
+        assert!(victim.is_none());
+        let slot = pf.lookup(line).unwrap();
+        assert_eq!(slot, allocated);
+        let entry = pf.entry(slot);
+        assert_eq!(entry.line, line);
         assert_eq!(entry.owner, CoreId::new(2));
         assert!(entry.sharers.contains(CoreId::new(2)));
         assert_eq!(pf.stats().hits.get(), 1);
@@ -634,54 +600,52 @@ mod tests {
         let mut pf = tiny();
         // Lines 0, 2, 4 map to set 0.
         pf.allocate(LineAddr::new(0), CoreId::new(0));
-        pf.allocate(LineAddr::new(2), CoreId::new(0));
+        let (lru_slot, _) = pf.allocate(LineAddr::new(2), CoreId::new(0));
         // Touch line 0 so line 2 is LRU.
         pf.lookup(LineAddr::new(0));
-        let evicted = pf.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
-        assert_eq!(evicted.line, LineAddr::new(2));
+        let (slot, evicted) = pf.allocate(LineAddr::new(4), CoreId::new(1));
+        assert_eq!(evicted.unwrap().line, LineAddr::new(2));
+        // The new entry took the victim's slot.
+        assert_eq!(slot, lru_slot);
         assert_eq!(pf.stats().evictions.get(), 1);
         assert!(pf.peek(LineAddr::new(0)).is_some());
         assert!(pf.peek(LineAddr::new(2)).is_none());
     }
 
     #[test]
-    fn reallocating_existing_line_does_not_evict() {
-        let mut pf = tiny();
-        pf.allocate(LineAddr::new(0), CoreId::new(0));
-        pf.allocate(LineAddr::new(2), CoreId::new(0));
-        assert!(pf.allocate(LineAddr::new(0), CoreId::new(5)).is_none());
-        // Owner is unchanged by a refresh.
-        assert_eq!(pf.peek(LineAddr::new(0)).unwrap().owner, CoreId::new(0));
-        assert_eq!(pf.stats().allocations.get(), 2);
-        assert_eq!(pf.stats().evictions.get(), 0);
-    }
-
-    #[test]
     fn sharer_management() {
         let mut pf = tiny();
         let line = LineAddr::new(1);
-        pf.allocate(line, CoreId::new(0));
-        assert!(pf.add_sharer(line, CoreId::new(3)));
-        let entry = pf.peek(line).unwrap();
-        assert_eq!(entry.sharers.count(), 2);
+        let (slot, _) = pf.allocate(line, CoreId::new(0));
+        pf.add_sharer(slot, CoreId::new(3));
+        assert_eq!(pf.entry(slot).sharers.count(), 2);
+        // A read-sharing owner change keeps the other sharers.
+        pf.set_owner(slot, CoreId::new(1), false);
+        let entry = pf.entry(slot);
+        assert_eq!(entry.owner, CoreId::new(1));
+        assert_eq!(entry.sharers.count(), 3);
         // GetX by core 3: owner changes and sharers collapse.
-        assert!(pf.set_owner(line, CoreId::new(3), true));
+        pf.set_owner(slot, CoreId::new(3), true);
         let entry = pf.peek(line).unwrap();
         assert_eq!(entry.owner, CoreId::new(3));
-        assert_eq!(entry.sharers.count(), 1);
-        assert!(!pf.add_sharer(LineAddr::new(999), CoreId::new(0)));
-        assert!(!pf.set_owner(LineAddr::new(999), CoreId::new(0), true));
+        assert_eq!(
+            entry.sharers.iter().collect::<Vec<_>>(),
+            vec![CoreId::new(3)]
+        );
     }
 
     #[test]
     fn remove_sharer_deallocates_when_last_copy_gone() {
         let mut pf = tiny();
         let line = LineAddr::new(1);
-        pf.allocate(line, CoreId::new(0));
-        pf.add_sharer(line, CoreId::new(1));
-        assert!(!pf.remove_sharer(line, CoreId::new(0)));
-        assert!(pf.peek(line).is_some());
-        assert!(pf.remove_sharer(line, CoreId::new(1)));
+        let (slot, _) = pf.allocate(line, CoreId::new(0));
+        pf.add_sharer(slot, CoreId::new(1));
+        assert!(!pf.remove_sharer(slot, CoreId::new(0)));
+        // The owner of record survives its own removal.
+        let entry = pf.peek(line).unwrap();
+        assert_eq!(entry.owner, CoreId::new(0));
+        assert!(!entry.sharers.contains(CoreId::new(0)));
+        assert!(pf.remove_sharer(slot, CoreId::new(1)));
         assert!(pf.peek(line).is_none());
         assert_eq!(pf.stats().deallocations.get(), 1);
         assert_eq!(pf.occupancy(), 0);
@@ -690,13 +654,15 @@ mod tests {
     #[test]
     fn deallocated_slot_is_reused_without_eviction() {
         let mut pf = tiny();
-        pf.allocate(LineAddr::new(0), CoreId::new(0));
+        let (freed, _) = pf.allocate(LineAddr::new(0), CoreId::new(0));
         pf.allocate(LineAddr::new(2), CoreId::new(0));
-        assert!(pf.deallocate(LineAddr::new(0)));
+        assert!(pf.remove_sharer(freed, CoreId::new(0)));
+        assert!(pf.find(LineAddr::new(0)).is_none());
         // Set 0 now has a free slot: allocating line 4 must not evict.
-        assert!(pf.allocate(LineAddr::new(4), CoreId::new(1)).is_none());
+        let (slot, victim) = pf.allocate(LineAddr::new(4), CoreId::new(1));
+        assert!(victim.is_none());
+        assert_eq!(slot, freed);
         assert_eq!(pf.stats().evictions.get(), 0);
-        assert!(!pf.deallocate(LineAddr::new(0)));
     }
 
     #[test]
@@ -709,7 +675,9 @@ mod tests {
         assert_eq!(pf.occupancy(), 2);
         // Over-filling never exceeds capacity.
         for i in 0..32u64 {
-            pf.allocate(LineAddr::new(i), CoreId::new(0));
+            if pf.find(LineAddr::new(i)).is_none() {
+                pf.allocate(LineAddr::new(i), CoreId::new(0));
+            }
         }
         assert_eq!(pf.occupancy(), 4);
     }
@@ -738,15 +706,13 @@ mod tests {
             pf.allocate(LineAddr::new(0), CoreId::new(0));
             pf.allocate(LineAddr::new(2), CoreId::new(0));
         }
-        let va = a.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
-        let vb = b.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
-        assert_eq!(
-            va.to_entry(),
-            vb.to_entry(),
-            "same history must evict the same victim"
-        );
+        let (slot_a, va) = a.allocate(LineAddr::new(4), CoreId::new(1));
+        let (slot_b, vb) = b.allocate(LineAddr::new(4), CoreId::new(1));
+        let (va, vb) = (va.unwrap().to_entry(), vb.unwrap().to_entry());
+        assert_eq!(va, vb, "same history must evict the same victim");
+        assert_eq!(slot_a, slot_b);
         assert!(va.line == LineAddr::new(0) || va.line == LineAddr::new(2));
-        assert!(a.peek(LineAddr::new(4)).is_some());
+        assert_eq!(a.find(LineAddr::new(4)), Some(slot_a));
     }
 
     #[test]
@@ -772,54 +738,14 @@ mod tests {
     }
 
     #[test]
-    fn node_presence_projects_sharers_onto_nodes() {
-        let mut pf = ProbeFilter::hierarchical(&ProbeFilterConfig::new(4096, 4), 2);
-        let line = LineAddr::new(9);
-        assert!(pf.node_presence(line).is_none());
-        pf.allocate(line, CoreId::new(0));
-        pf.add_sharer(line, CoreId::new(1)); // same node as core 0
-        pf.add_sharer(line, CoreId::new(5)); // node 2
-        let nodes = pf.node_presence(line).unwrap();
-        assert_eq!(nodes.count(), 2);
-        assert!(nodes.contains(allarm_types::ids::NodeId::new(0)));
-        assert!(nodes.contains(allarm_types::ids::NodeId::new(2)));
-        // The exact core set is still tracked underneath.
-        assert_eq!(pf.peek(line).unwrap().sharers.count(), 3);
-    }
-
-    #[test]
     fn peek_does_not_affect_stats() {
         let mut pf = tiny();
         pf.allocate(LineAddr::new(0), CoreId::new(0));
         let before = *pf.stats();
         pf.peek(LineAddr::new(0));
         pf.peek(LineAddr::new(5));
+        pf.find(LineAddr::new(0));
         assert_eq!(*pf.stats(), before);
-    }
-
-    #[test]
-    fn any_core_index_fits_and_reads_back() {
-        // Core 1000 is far past one sharer word and past every reference
-        // machine: the slots widen, and the entry reads back through a
-        // lookup and through the eviction that displaces it.
-        let mut pf = tiny();
-        let (line, far) = (LineAddr::new(0), CoreId::new(1000));
-        pf.allocate(line, CoreId::new(3));
-        assert!(pf.add_sharer(line, far));
-        let entry = pf.lookup(line).unwrap();
-        assert_eq!(entry.owner, CoreId::new(3));
-        assert_eq!(
-            entry.sharers.iter().collect::<Vec<_>>(),
-            vec![CoreId::new(3), far]
-        );
-        pf.allocate(LineAddr::new(2), far);
-        assert_eq!(pf.peek(LineAddr::new(2)).unwrap().owner, far);
-        pf.lookup(LineAddr::new(2));
-        let victim = pf.allocate(LineAddr::new(4), CoreId::new(1)).unwrap();
-        assert_eq!(victim.line, line);
-        assert!(victim.sharers.contains(far));
-        assert_eq!(victim.sharers.count(), 2);
-        assert_eq!(victim.to_entry().sharers.to_string(), "{3,1000}");
     }
 
     #[test]
@@ -847,7 +773,8 @@ mod tests {
     /// The grow-only nested-`Vec` storage the flat slab replaced, kept as
     /// an executable specification: a set was a `Vec<Slot>` that only ever
     /// pushed or overwrote in place, so a pre-initialised invalid slab
-    /// must reproduce it operation for operation.
+    /// must reproduce it operation for operation, with an entry's slab slot
+    /// at `set * ways + ` its position in the set's `Vec`.
     struct NestedModel {
         sets: Vec<Vec<Slot>>,
         ways: usize,
@@ -880,6 +807,15 @@ mod tests {
             }
         }
 
+        /// The slab slot of `line`'s entry, if it has one.
+        fn slot_of(&self, line: LineAddr) -> Option<usize> {
+            let set = self.set_index(line);
+            self.sets[set]
+                .iter()
+                .position(|s| s.valid && s.entry.line == line)
+                .map(|pos| set * self.ways + pos)
+        }
+
         fn find_mut(&mut self, line: LineAddr) -> Option<&mut Slot> {
             let set = self.set_index(line);
             self.sets[set]
@@ -907,14 +843,11 @@ mod tests {
             }
         }
 
+        /// Allocates an entry for `line`, which has none.
         fn allocate(&mut self, line: LineAddr, owner: CoreId) -> Option<PfEntry> {
             self.tick += 1;
             let tick = self.tick;
             self.touch_array();
-            if let Some(slot) = self.find_mut(line) {
-                slot.last_touch = tick;
-                return None;
-            }
             self.stats.allocations.incr();
             let new_slot = Slot {
                 entry: PfEntry::new(line, owner),
@@ -950,57 +883,31 @@ mod tests {
             Some(victim)
         }
 
-        fn add_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
-            if let Some(slot) = self.find_mut(line) {
-                slot.entry.sharers.insert(core);
-                true
-            } else {
-                false
-            }
+        /// The entry of `line`, which has one.
+        fn entry_mut(&mut self, line: LineAddr) -> &mut PfEntry {
+            &mut self.find_mut(line).expect("line has an entry").entry
         }
 
-        fn set_owner(&mut self, line: LineAddr, owner: CoreId, exclusive: bool) -> bool {
-            if let Some(slot) = self.find_mut(line) {
-                slot.entry.owner = owner;
-                if exclusive {
-                    slot.entry.sharers = SharerSet::only(owner);
-                } else {
-                    slot.entry.sharers.insert(owner);
-                }
-                true
+        fn set_owner(&mut self, line: LineAddr, owner: CoreId, exclusive: bool) {
+            let entry = self.entry_mut(line);
+            entry.owner = owner;
+            if exclusive {
+                entry.sharers = SharerSet::only(owner);
             } else {
-                false
+                entry.sharers.insert(owner);
             }
         }
 
         fn remove_sharer(&mut self, line: LineAddr, core: CoreId) -> bool {
-            let mut emptied_opt = None;
-            if let Some(slot) = self.find_mut(line) {
-                slot.entry.sharers.remove(core);
-                let emptied = slot.entry.sharers.is_empty();
-                if emptied {
-                    slot.valid = false;
-                }
-                emptied_opt = Some(emptied);
-            }
-            if let Some(emptied) = emptied_opt {
-                self.touch_array();
-                if emptied {
-                    self.stats.deallocations.incr();
-                    return true;
-                }
-            }
-            false
-        }
-
-        fn deallocate(&mut self, line: LineAddr) -> bool {
-            if let Some(slot) = self.find_mut(line) {
-                slot.valid = false;
+            let slot = self.find_mut(line).expect("line has an entry");
+            slot.entry.sharers.remove(core);
+            let emptied = slot.entry.sharers.is_empty();
+            slot.valid = !emptied;
+            self.touch_array();
+            if emptied {
                 self.stats.deallocations.incr();
-                true
-            } else {
-                false
             }
+            emptied
         }
 
         fn occupancy(&self) -> usize {
@@ -1023,12 +930,15 @@ mod tests {
     /// Drives the flat-slab filter and the grow-only nested-`Vec`
     /// reference through the same seeded operation stream and demands
     /// identical return values — every entry read and every evicted
-    /// victim, sharers included — stats and occupancy, covering the
-    /// position-dependent pieces (first-invalid reuse, LRU and random
-    /// victim selection) across both replacement policies, the flat and
-    /// hierarchical sharer-tracking modes, and sharer sets of one word
-    /// (8 cores) and of four (256 cores: in slots sized up front, or, on
-    /// the flat filter, widened from one word on demand).
+    /// victim, sharers included — the same slot for every line, stats and
+    /// occupancy. Updates go through the slot of an entry the model also
+    /// holds, and only lines without an entry are allocated, as the
+    /// directory does. The stream covers the position-dependent pieces
+    /// (first-free reuse, LRU and random victim selection) across both
+    /// replacement policies, the flat and hierarchical sharer-tracking
+    /// modes, and sharer sets of one word (8 cores) and of four (256 cores,
+    /// in slots sized for the machine or by `hierarchical`'s 64 cores per
+    /// core of a node).
     #[test]
     fn flat_slab_matches_nested_vec_reference_model() {
         for replacement in [PfReplacement::Lru, PfReplacement::Random] {
@@ -1036,7 +946,7 @@ mod tests {
                 for seed in 1..=3u64 {
                     let mut cfg = ProbeFilterConfig::new(16 * 64, 4);
                     cfg.replacement = replacement;
-                    let mut flat = if cores_per_node > 1 && cores > 64 && seed % 2 == 1 {
+                    let mut flat = if cores > 64 && (cores_per_node == 1 || seed % 2 == 1) {
                         let nodes = (cores as u32) / cores_per_node;
                         ProbeFilter::for_machine(&cfg, Topology::new(nodes, cores_per_node))
                     } else {
@@ -1049,34 +959,34 @@ mod tests {
                         let r = splitmix64(&mut rng);
                         let line = LineAddr::new(r % 64); // 4x conflict pressure
                         let core = CoreId::new(((r >> 8) % cores) as u16);
-                        match (r >> 16) % 6 {
-                            0 => assert_eq!(
-                                flat.lookup(line).map(|e| e.to_entry()),
+                        let slot = flat.find(line);
+                        assert_eq!(slot.map(|slot| slot.0), model.slot_of(line));
+                        match ((r >> 16) % 6, slot) {
+                            (0, _) => assert_eq!(
+                                flat.lookup(line).map(|slot| flat.entry(slot).to_entry()),
                                 model.lookup(line)
                             ),
-                            1 | 2 => assert_eq!(
-                                flat.allocate(line, core).map(|e| e.to_entry()),
+                            (1 | 2, None) => assert_eq!(
+                                flat.allocate(line, core).1.map(|e| e.to_entry()),
                                 model.allocate(line, core)
                             ),
-                            3 => assert_eq!(
-                                flat.add_sharer(line, core),
-                                model.add_sharer(line, core)
-                            ),
-                            4 => {
-                                let exclusive = (r >> 32) & 1 == 1;
-                                assert_eq!(
-                                    flat.set_owner(line, core, exclusive),
-                                    model.set_owner(line, core, exclusive)
-                                );
+                            (3, Some(slot)) => {
+                                flat.add_sharer(slot, core);
+                                model.entry_mut(line).sharers.insert(core);
                             }
-                            _ => assert_eq!(
-                                flat.remove_sharer(line, core),
+                            (4, Some(slot)) => {
+                                let exclusive = (r >> 32) & 1 == 1;
+                                flat.set_owner(slot, core, exclusive);
+                                model.set_owner(line, core, exclusive);
+                            }
+                            (5, Some(slot)) => assert_eq!(
+                                flat.remove_sharer(slot, core),
                                 model.remove_sharer(line, core)
                             ),
+                            _ => continue,
                         }
-                        if r.is_multiple_of(97) {
-                            assert_eq!(flat.deallocate(line), model.deallocate(line));
-                        }
+                        let expected = model.find_mut(line).map(|s| s.entry.clone());
+                        assert_eq!(flat.peek(line).map(|e| e.to_entry()), expected);
                     }
                     assert_eq!(
                         *flat.stats(),
@@ -1091,17 +1001,10 @@ mod tests {
                     restored.restore_state(&state);
                     assert_eq!(restored.export_state(), state);
                     for addr in 0..64u64 {
-                        let expected = model
-                            .sets
-                            .iter()
-                            .flat_map(|s| s.iter())
-                            .find(|s| s.valid && s.entry.line == LineAddr::new(addr))
-                            .map(|s| s.entry.clone());
+                        let line = LineAddr::new(addr);
+                        let expected = model.find_mut(line).map(|s| s.entry.clone());
                         for pf in [&flat, &restored] {
-                            assert_eq!(
-                                pf.peek(LineAddr::new(addr)).map(|e| e.to_entry()),
-                                expected
-                            );
+                            assert_eq!(pf.peek(line).map(|e| e.to_entry()), expected);
                         }
                     }
                 }

@@ -6,37 +6,17 @@
 //! as a borrowed [`SharerView`], so reading an entry never allocates.
 //! [`SharerSet`] is the owned form that API users build and keep
 //! (snapshots, tests, benchmarks): one inline word up to 64 cores, a word
-//! vector beyond, so neither form imposes a ceiling on the core count. On
-//! top of the exact per-core set, [`SharerView::node_set`] projects the
-//! hierarchical (level-1) view — which *NUMA nodes* have a copy — that
-//! multi-core-node directories and probe filters track first.
+//! vector beyond, so it imposes no ceiling on the core count.
 
-use allarm_types::ids::{CoreId, NodeId};
+use allarm_types::ids::CoreId;
 use std::fmt;
 
 /// Bits per word of every representation.
 pub(crate) const WORD_BITS: usize = 64;
 
 /// The words needed to hold bit `index`.
-pub(crate) fn words_for(index: usize) -> usize {
+fn words_for(index: usize) -> usize {
     index / WORD_BITS + 1
-}
-
-/// True if bit `index` of `words` is set (bits past the slice are clear).
-fn get(words: &[u64], index: usize) -> bool {
-    words
-        .get(index / WORD_BITS)
-        .is_some_and(|w| (w >> (index % WORD_BITS)) & 1 == 1)
-}
-
-/// Number of set bits in `words`.
-fn count(words: &[u64]) -> u32 {
-    words.iter().map(|w| w.count_ones()).sum()
-}
-
-/// True if no bit of `words` is set.
-fn is_empty(words: &[u64]) -> bool {
-    words.iter().all(|&w| w == 0)
 }
 
 /// The indices of the set bits of `words`, ascending. Each word is walked
@@ -75,8 +55,8 @@ impl Iterator for SetBits<'_> {
     }
 }
 
-/// The owned bit set behind [`SharerSet`] and [`NodeSet`]: one inline word
-/// up to 64 members, a word vector beyond. Kept canonical (a set whose
+/// The owned bit set behind [`SharerSet`]: one inline word up to 64
+/// members, a word vector beyond. Kept canonical (a set whose
 /// members all fit one word is always `Inline`, and a wide set has no
 /// trailing zero words) so the derived equality and hash match set
 /// equality.
@@ -193,39 +173,25 @@ impl<'a> SharerView<'a> {
 
     /// True if the core is in the set.
     pub fn contains(self, core: CoreId) -> bool {
-        get(self.0, core.index())
+        let index = core.index();
+        self.0
+            .get(index / WORD_BITS)
+            .is_some_and(|w| (w >> (index % WORD_BITS)) & 1 == 1)
     }
 
     /// Number of cores in the set.
     pub fn count(self) -> u32 {
-        count(self.0)
+        self.0.iter().map(|w| w.count_ones()).sum()
     }
 
     /// True if the set is empty.
     pub fn is_empty(self) -> bool {
-        is_empty(self.0)
+        self.0.iter().all(|&w| w == 0)
     }
 
     /// Iterates over the cores in ascending index order.
     pub fn iter(self) -> impl Iterator<Item = CoreId> + 'a {
         SetBits::new(self.0).map(|i| CoreId::new(i as u16))
-    }
-
-    /// Projects the level-1 (node-granularity) view of this set: the NUMA
-    /// nodes on which at least one member core lives, under a blocked
-    /// core-to-node assignment of `cores_per_node` cores each. With
-    /// `cores_per_node == 1` the node set mirrors the core set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores_per_node` is zero.
-    pub fn node_set(self, cores_per_node: u32) -> NodeSet {
-        assert!(cores_per_node > 0, "a node hosts at least one core");
-        let mut nodes = Bits::empty();
-        for index in SetBits::new(self.0) {
-            nodes.set(index / cores_per_node as usize);
-        }
-        NodeSet(nodes)
     }
 
     /// The owned copy of this set.
@@ -254,12 +220,6 @@ impl<'a> SharerView<'a> {
 /// assert!(sharers.contains(CoreId::new(200)));
 /// sharers.remove(CoreId::new(200));
 /// assert_eq!(sharers.iter().collect::<Vec<_>>(), vec![CoreId::new(3)]);
-///
-/// // The hierarchical level-1 view: which nodes have a copy, at 4 cores
-/// // per node.
-/// sharers.insert(CoreId::new(5));
-/// let nodes = sharers.node_set(4);
-/// assert_eq!(nodes.count(), 2); // cores 3 and 5 live on nodes 0 and 1
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SharerSet(Bits);
@@ -316,15 +276,6 @@ impl SharerSet {
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
         self.view().iter()
     }
-
-    /// The level-1 projection of this set; see [`SharerView::node_set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores_per_node` is zero.
-    pub fn node_set(&self, cores_per_node: u32) -> NodeSet {
-        self.view().node_set(cores_per_node)
-    }
 }
 
 impl fmt::Display for SharerSet {
@@ -355,40 +306,6 @@ impl FromIterator<CoreId> for SharerSet {
             set.insert(core);
         }
         set
-    }
-}
-
-/// The level-1 view of a sharer set: the NUMA nodes holding at least one
-/// copy. This is what a hierarchical (two-level) directory tracks first —
-/// one probe or back-invalidation message per *node*, expanded to the
-/// node's member cores on arrival.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct NodeSet(Bits);
-
-impl NodeSet {
-    /// The empty set.
-    pub const fn empty() -> Self {
-        NodeSet(Bits::empty())
-    }
-
-    /// True if the node is in the set.
-    pub fn contains(&self, node: NodeId) -> bool {
-        get(self.0.words(), node.index())
-    }
-
-    /// Number of nodes in the set.
-    pub fn count(&self) -> u32 {
-        count(self.0.words())
-    }
-
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        is_empty(self.0.words())
-    }
-
-    /// Iterates over the nodes in ascending index order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        SetBits::new(self.0.words()).map(|i| NodeId::new(i as u16))
     }
 }
 
@@ -470,29 +387,5 @@ mod tests {
         let s: SharerSet = [CoreId::new(2), CoreId::new(4)].into_iter().collect();
         assert_eq!(s.to_string(), "{2,4}");
         assert_eq!(SharerSet::empty().to_string(), "{}");
-    }
-
-    #[test]
-    fn node_set_projects_cores_onto_nodes() {
-        let s: SharerSet = [CoreId::new(0), CoreId::new(3), CoreId::new(9)]
-            .into_iter()
-            .collect();
-        let nodes = s.node_set(4);
-        assert_eq!(nodes.count(), 2);
-        assert!(nodes.contains(NodeId::new(0))); // cores 0 and 3
-        assert!(nodes.contains(NodeId::new(2))); // core 9
-        assert!(!nodes.contains(NodeId::new(1)));
-        let listed: Vec<u16> = nodes.iter().map(|n| n.raw()).collect();
-        assert_eq!(listed, vec![0, 2]);
-    }
-
-    #[test]
-    fn flat_node_set_mirrors_the_core_set() {
-        let s: SharerSet = [CoreId::new(1), CoreId::new(90)].into_iter().collect();
-        let nodes = s.node_set(1);
-        assert_eq!(nodes.count(), s.count());
-        assert!(nodes.contains(NodeId::new(1)));
-        assert!(nodes.contains(NodeId::new(90)));
-        assert!(NodeSet::empty().is_empty());
     }
 }

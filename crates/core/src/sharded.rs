@@ -1120,9 +1120,12 @@ impl<'a> ShardWorker<'a> {
                 // A Shared data reply also fills the node's LLC slice, so
                 // later read misses from any core on this node are served
                 // locally. Exclusive/Modified fills never enter the slice:
-                // a resident copy could go stale through a silent E→M
-                // upgrade that no directory message announces. The slice
-                // is this shard's own node's — shard-local, deterministic.
+                // a store hits a writable copy with no directory message
+                // (`CoherenceState::can_write`), so a slice copy could go
+                // stale unannounced (the line stays Exclusive, as
+                // `CoreCaches::access` does not model the E→M transition).
+                // The slice is this shard's own node's — shard-local,
+                // deterministic.
                 if self.llc_enabled && reply.fill_state == CoherenceState::Shared {
                     self.llc[slot.node.index()]
                         .lock()

@@ -154,6 +154,13 @@ fn run_steps(policy: AllocationPolicy, steps: &[Step]) {
             let dirty = holders.iter().filter(|(_, s)| s.is_dirty()).count();
             assert!(dirty <= 1, "line {l}: multiple dirty copies: {holders:?}");
 
+            // Every tracked entry has a sharer: an entry whose last sharer
+            // leaves is freed, so the directory can tell from
+            // `remove_sharer` alone whether other copies remain.
+            if let Some(entry) = dir.probe_filter().peek(line) {
+                assert!(!entry.sharers.is_empty(), "line {l}: entry without sharers");
+            }
+
             // Any line cached by a core *remote* to its home (node 0) must be
             // tracked by the probe filter — ALLARM only ever skips tracking
             // for the local core.

@@ -114,9 +114,14 @@ impl TwoCallHierarchy {
         }
     }
 
+    /// Sets a resident line's state, in L1 if it is there, else in L2.
+    fn set_state(&mut self, line: LineAddr, state: CoherenceState) -> bool {
+        self.l1d.map_state(line, |_| state).is_some()
+            || self.l2.map_state(line, |_| state).is_some()
+    }
+
     fn grant_write(&mut self, line: LineAddr) -> bool {
-        self.l1d.set_state(line, CoherenceState::Modified)
-            || self.l2.set_state(line, CoherenceState::Modified)
+        self.set_state(line, CoherenceState::Modified)
     }
 
     fn probe(&mut self, line: LineAddr, downgrade: bool, invalidate: bool) -> ProbeOutcome {
@@ -126,10 +131,7 @@ impl TwoCallHierarchy {
         if invalidate {
             self.invalidate(line);
         } else if downgrade {
-            let next = state.after_remote_read();
-            if !self.l1d.set_state(line, next) {
-                self.l2.set_state(line, next);
-            }
+            self.set_state(line, state.after_remote_read());
         }
         ProbeOutcome::Hit {
             state,
@@ -223,7 +225,8 @@ fn one_hierarchy_walk_matches_the_two_call_sequence() {
 }
 
 /// The probe filter never exceeds its capacity, and its occupancy accounting
-/// balances: allocations = evictions + resident + deallocations.
+/// balances: allocations = evictions + resident + deallocations. As the
+/// directory does, only lines without an entry are allocated.
 #[test]
 fn probe_filter_occupancy_bounded() {
     for_cases(64, |rng| {
@@ -231,9 +234,13 @@ fn probe_filter_occupancy_bounded() {
         let ops = 1 + rng.below(499);
         for _ in 0..ops {
             let line = LineAddr::new(rng.below(2048));
-            pf.allocate(line, CoreId::new(0));
-            assert!(
-                pf.peek(line).is_some(),
+            if pf.find(line).is_some() {
+                continue;
+            }
+            let (slot, _) = pf.allocate(line, CoreId::new(0));
+            assert_eq!(
+                pf.find(line),
+                Some(slot),
                 "freshly allocated entry must be present"
             );
             assert!(pf.occupancy() <= pf.capacity());

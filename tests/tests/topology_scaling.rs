@@ -68,7 +68,7 @@ fn sharer_set_agrees_with_a_hash_set_model_across_widths() {
 
 /// Two sharer sets with the same members are equal however they were
 /// built — growth past 64 cores and shrinkage back must not leak into
-/// equality or the level-1 node projection.
+/// equality.
 #[test]
 fn sharer_set_equality_is_representation_independent() {
     for_cases(64, |rng| {
@@ -83,47 +83,16 @@ fn sharer_set_equality_is_representation_independent() {
             detour.insert(core);
         }
         detour.remove(CoreId::new(255));
-        let same = !cores.contains(&CoreId::new(255));
-        assert_eq!(direct == detour, same);
-        if same {
-            for cores_per_node in [1u32, 2, 4] {
-                let a = direct.node_set(cores_per_node);
-                let b = detour.node_set(cores_per_node);
-                assert_eq!(a, b);
-            }
-        }
-    });
-}
-
-/// The node projection of a sharer set matches projecting each member core
-/// through the topology, at every hierarchy width the scaled machines use.
-#[test]
-fn node_set_matches_per_core_topology_projection() {
-    for_cases(64, |rng| {
-        let cores_per_node = *rng.choose(&[1u32, 2, 4]).unwrap();
-        let num_nodes = 1 + rng.below(16) as u32;
-        let topo = Topology::new(num_nodes, cores_per_node);
-        let set: SharerSet = (0..rng.below(12))
-            .map(|_| CoreId::new(rng.below(u64::from(topo.num_cores())) as u16))
-            .collect();
-        let nodes = set.node_set(cores_per_node);
-        let expected: HashSet<NodeId> = set.iter().map(|c| topo.node_of_core(c)).collect();
-        assert_eq!(nodes.count() as usize, expected.len());
-        for node in (0..num_nodes as u16).map(NodeId::new) {
-            assert_eq!(nodes.contains(node), expected.contains(&node));
-        }
+        assert_eq!(direct == detour, !cores.contains(&CoreId::new(255)));
     });
 }
 
 /// The 256-core machine's substrate, pinned: sharer sets driven across the
 /// full 0..256 core range — so every sequence exercises the multi-word
 /// representation and the inline ↔ wide promotion boundary at 64 — agree
-/// with a `HashSet` model, and their level-1 projection at 4 cores per
-/// node agrees with a 64-entry node model built through the topology.
+/// with a `HashSet` model.
 #[test]
 fn wide_sharer_and_node_sets_model_the_256_core_machine() {
-    let topo = Topology::new(64, 4);
-    assert_eq!(topo.num_cores(), 256);
     for_cases(96, |rng| {
         let mut set = SharerSet::empty();
         let mut model: HashSet<CoreId> = HashSet::new();
@@ -142,22 +111,6 @@ fn wide_sharer_and_node_sets_model_the_256_core_machine() {
         for probe in (0..256u16).map(CoreId::new) {
             assert_eq!(set.contains(probe), model.contains(&probe));
         }
-        // The node projection: exactly the nodes hosting a member core.
-        let nodes = set.node_set(4);
-        let node_model: HashSet<NodeId> = model.iter().map(|&c| topo.node_of_core(c)).collect();
-        assert_eq!(nodes.count() as usize, node_model.len());
-        for node in (0..64u16).map(NodeId::new) {
-            assert_eq!(nodes.contains(node), node_model.contains(&node));
-        }
-        assert_eq!(
-            nodes.iter().collect::<Vec<_>>(),
-            {
-                let mut sorted: Vec<NodeId> = node_model.into_iter().collect();
-                sorted.sort();
-                sorted
-            },
-            "node iteration must be ascending and exact"
-        );
     });
 }
 
