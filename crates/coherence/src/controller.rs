@@ -767,6 +767,7 @@ impl DirectoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe_filter::PfEntryView;
     use allarm_cache::CoreCaches;
     use allarm_noc::Network;
     use allarm_types::config::{MachineConfig, NocConfig};
@@ -782,6 +783,12 @@ mod tests {
         dram_latency: Nanos,
         dram_reads: u64,
         dram_writes: u64,
+    }
+
+    /// `line`'s probe-filter entry at `dir`, if it has one.
+    fn tracked(dir: &DirectoryController, line: LineAddr) -> Option<PfEntryView<'_>> {
+        let pf = dir.probe_filter();
+        pf.find(line).map(|slot| pf.entry(slot))
     }
 
     impl MiniSystem {
@@ -895,7 +902,7 @@ mod tests {
         let mut dir = big_controller(AllocationPolicy::Baseline);
         let resp = dir.handle_request(gets(100, 0), &mut sys);
         assert_eq!(resp.fill_state, CoherenceState::Exclusive);
-        assert!(dir.probe_filter().peek(LineAddr::new(100)).is_some());
+        assert!(tracked(&dir, LineAddr::new(100)).is_some());
         assert_eq!(dir.stats().requests_local.get(), 1);
         assert_eq!(sys.dram_reads, 1);
         // Local request: only the DRAM latency and the (free) on-node
@@ -909,7 +916,7 @@ mod tests {
         let mut dir = big_controller(AllocationPolicy::Allarm);
         let resp = dir.handle_request(gets(100, 0), &mut sys);
         assert_eq!(resp.fill_state, CoherenceState::Exclusive);
-        assert!(dir.probe_filter().peek(LineAddr::new(100)).is_none());
+        assert!(tracked(&dir, LineAddr::new(100)).is_none());
         assert_eq!(dir.stats().allarm_allocation_skips.get(), 1);
         assert_eq!(resp.local_probe_hidden, None);
         assert_eq!(sys.dram_reads, 1);
@@ -922,7 +929,7 @@ mod tests {
         // Remote core 3 requests a line homed on node 0; the local core does
         // not hold it, so the probe is hidden behind DRAM.
         let resp = dir.handle_request(gets(100, 3), &mut sys);
-        assert!(dir.probe_filter().peek(LineAddr::new(100)).is_some());
+        assert!(tracked(&dir, LineAddr::new(100)).is_some());
         assert_eq!(resp.local_probe_hidden, Some(true));
         assert_eq!(dir.stats().local_probes.get(), 1);
         assert_eq!(dir.stats().local_probes_hidden.get(), 1);
@@ -945,7 +952,7 @@ mod tests {
         assert_eq!(dir.stats().local_probe_hits.get(), 1);
         assert_eq!(dir.stats().cache_transfers.get(), 1);
         // The local core keeps an owned copy and is tracked as the owner.
-        let entry = dir.probe_filter().peek(LineAddr::new(100)).unwrap();
+        let entry = tracked(&dir, LineAddr::new(100)).unwrap();
         assert!(entry.sharers.contains(CoreId::new(0)));
         assert!(entry.sharers.contains(CoreId::new(2)));
         assert_eq!(entry.owner, CoreId::new(0));
@@ -970,7 +977,7 @@ mod tests {
         assert_eq!(resp.fill_state, CoherenceState::Shared);
         // The requester stays the owner of record; the local core joins
         // the sharers with a copy demoted to Shared.
-        let entry = dir.probe_filter().peek(LineAddr::new(100)).unwrap();
+        let entry = tracked(&dir, LineAddr::new(100)).unwrap();
         assert_eq!(entry.owner, CoreId::new(2));
         assert_eq!(
             entry.sharers.iter().collect::<Vec<_>>(),
@@ -992,7 +999,7 @@ mod tests {
         assert_eq!(resp.fill_state, CoherenceState::Modified);
         // The local copy is gone and the requester is the sole tracked owner.
         assert_eq!(sys.caches[0].state_of(LineAddr::new(100)), None);
-        let entry = dir.probe_filter().peek(LineAddr::new(100)).unwrap();
+        let entry = tracked(&dir, LineAddr::new(100)).unwrap();
         assert_eq!(entry.owner, CoreId::new(2));
         assert_eq!(entry.sharers.count(), 1);
     }
@@ -1008,7 +1015,7 @@ mod tests {
         let r2 = dir.handle_request(gets(200, 2), &mut sys);
         assert_eq!(r2.fill_state, CoherenceState::Shared);
         assert_eq!(dir.stats().cache_transfers.get(), 1);
-        let entry = dir.probe_filter().peek(LineAddr::new(200)).unwrap();
+        let entry = tracked(&dir, LineAddr::new(200)).unwrap();
         assert!(entry.sharers.contains(CoreId::new(1)));
         assert!(entry.sharers.contains(CoreId::new(2)));
     }
@@ -1044,7 +1051,7 @@ mod tests {
         // requester's Shared.
         assert_eq!(r.fill_state, CoherenceState::Shared);
         assert_eq!(sys.dram_reads, reads_before + 1);
-        let entry = dir.probe_filter().peek(line).unwrap();
+        let entry = tracked(&dir, line).unwrap();
         assert_eq!(
             entry.sharers.iter().collect::<Vec<_>>(),
             vec![CoreId::new(2), CoreId::new(3)]
@@ -1068,7 +1075,7 @@ mod tests {
         assert!(dir.stats().ownership_invalidations.get() >= 2);
         assert_eq!(sys.caches[1].state_of(LineAddr::new(300)), None);
         assert_eq!(sys.caches[2].state_of(LineAddr::new(300)), None);
-        let entry = dir.probe_filter().peek(LineAddr::new(300)).unwrap();
+        let entry = tracked(&dir, LineAddr::new(300)).unwrap();
         assert_eq!(entry.owner, CoreId::new(3));
         assert_eq!(entry.sharers.count(), 1);
     }
@@ -1137,9 +1144,9 @@ mod tests {
         let mut dir = big_controller(AllocationPolicy::Baseline);
         let r = dir.handle_request(gets(500, 1), &mut sys);
         sys.caches[1].fill(LineAddr::new(500), r.fill_state);
-        assert!(dir.probe_filter().peek(LineAddr::new(500)).is_some());
+        assert!(tracked(&dir, LineAddr::new(500)).is_some());
         dir.note_cache_eviction(LineAddr::new(500), CoreId::new(1), false, &mut sys);
-        assert!(dir.probe_filter().peek(LineAddr::new(500)).is_none());
+        assert!(tracked(&dir, LineAddr::new(500)).is_none());
     }
 
     #[test]
@@ -1220,13 +1227,13 @@ mod tests {
         );
         // The designated core's local miss stays untracked...
         dir.handle_request(gets2(100, 0), &mut sys);
-        assert!(dir.probe_filter().peek(LineAddr::new(100)).is_none());
+        assert!(tracked(&dir, LineAddr::new(100)).is_none());
         assert_eq!(dir.stats().allarm_allocation_skips.get(), 1);
         // ...but the same node's other core allocates like the baseline:
         // the remote-miss flow only ever probes the designated core, so
         // lines cached elsewhere on the node must be tracked.
         dir.handle_request(gets2(101, 1), &mut sys);
-        assert!(dir.probe_filter().peek(LineAddr::new(101)).is_some());
+        assert!(tracked(&dir, LineAddr::new(101)).is_some());
         assert_eq!(dir.stats().allarm_allocation_skips.get(), 1);
     }
 
@@ -1248,14 +1255,7 @@ mod tests {
         sys.caches[2].fill(LineAddr::new(0), r.fill_state);
         let r = dir.handle_request(gets2(0, 3), &mut sys);
         sys.caches[3].fill(LineAddr::new(0), r.fill_state);
-        assert_eq!(
-            dir.probe_filter()
-                .peek(LineAddr::new(0))
-                .unwrap()
-                .sharers
-                .count(),
-            2
-        );
+        assert_eq!(tracked(&dir, LineAddr::new(0)).unwrap().sharers.count(), 2);
         // Fill the set (lines 0 and 2 map to set 0) and displace line 0.
         dir.handle_request(gets2(2, 0), &mut sys);
         dir.handle_request(gets2(4, 0), &mut sys);
@@ -1294,9 +1294,7 @@ mod tests {
             let r = dir.handle_request(request(RequestKind::GetS, core), &mut sys);
             sys.caches[core as usize].fill(LineAddr::new(300), r.fill_state);
         }
-        let sharers: Vec<u16> = dir
-            .probe_filter()
-            .peek(LineAddr::new(300))
+        let sharers: Vec<u16> = tracked(&dir, LineAddr::new(300))
             .unwrap()
             .sharers
             .iter()
@@ -1317,7 +1315,7 @@ mod tests {
         for core in [5, 70, 130] {
             assert_eq!(sys.caches[core].state_of(LineAddr::new(300)), None);
         }
-        let entry = dir.probe_filter().peek(LineAddr::new(300)).unwrap();
+        let entry = tracked(&dir, LineAddr::new(300)).unwrap();
         assert_eq!(entry.owner, CoreId::new(200));
         assert_eq!(
             entry.sharers.iter().collect::<Vec<_>>(),

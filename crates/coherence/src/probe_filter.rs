@@ -67,9 +67,9 @@ impl PfEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PfSlot(usize);
 
-/// One directory entry read in place: what [`ProbeFilter::entry`] and
-/// [`ProbeFilter::peek`] return, and what [`ProbeFilter::allocate`]
-/// returns for the victim of a full set. The sharers are the slot's own
+/// One directory entry read in place: what [`ProbeFilter::entry`]
+/// returns, and what [`ProbeFilter::allocate`] returns for the victim of a
+/// full set. The sharers are the slot's own
 /// words, so reading an entry never allocates.
 #[derive(Debug, Clone, Copy)]
 pub struct PfEntryView<'a> {
@@ -335,12 +335,6 @@ impl ProbeFilter {
         PfEntryView::of(words)
     }
 
-    /// Reads `line`'s entry, if it has one, without touching recency or
-    /// statistics.
-    pub fn peek(&self, line: LineAddr) -> Option<PfEntryView<'_>> {
-        self.find(line).map(|slot| self.entry(slot))
-    }
-
     /// Allocates an entry, owned and solely shared by `owner`, for `line`,
     /// which has none (the directory allocates after a lookup miss, or
     /// after freeing the line's entry). The set's first free slot is used;
@@ -436,14 +430,6 @@ impl ProbeFilter {
             self.stats.deallocations.incr();
         }
         emptied
-    }
-
-    /// Number of valid entries currently resident.
-    pub fn occupancy(&self) -> usize {
-        self.slab
-            .chunks_exact(self.slot_len())
-            .filter(|slot| slot[TAG] != FREE)
-            .count()
     }
 
     /// Maximum number of entries.
@@ -577,6 +563,16 @@ mod tests {
         ProbeFilter::new(&ProbeFilterConfig::new(4 * 64, 2))
     }
 
+    /// `line`'s entry, if it has one.
+    fn entry_of(pf: &ProbeFilter, line: LineAddr) -> Option<PfEntry> {
+        pf.find(line).map(|slot| pf.entry(slot).to_entry())
+    }
+
+    /// The number of valid entries.
+    fn occupancy(pf: &ProbeFilter) -> usize {
+        pf.export_state().slots.iter().flatten().count()
+    }
+
     #[test]
     fn allocate_then_lookup() {
         let mut pf = tiny();
@@ -608,8 +604,8 @@ mod tests {
         // The new entry took the victim's slot.
         assert_eq!(slot, lru_slot);
         assert_eq!(pf.stats().evictions.get(), 1);
-        assert!(pf.peek(LineAddr::new(0)).is_some());
-        assert!(pf.peek(LineAddr::new(2)).is_none());
+        assert!(pf.find(LineAddr::new(0)).is_some());
+        assert!(pf.find(LineAddr::new(2)).is_none());
     }
 
     #[test]
@@ -626,7 +622,7 @@ mod tests {
         assert_eq!(entry.sharers.count(), 3);
         // GetX by core 3: owner changes and sharers collapse.
         pf.set_owner(slot, CoreId::new(3), true);
-        let entry = pf.peek(line).unwrap();
+        let entry = pf.entry(pf.find(line).unwrap());
         assert_eq!(entry.owner, CoreId::new(3));
         assert_eq!(
             entry.sharers.iter().collect::<Vec<_>>(),
@@ -642,13 +638,13 @@ mod tests {
         pf.add_sharer(slot, CoreId::new(1));
         assert!(!pf.remove_sharer(slot, CoreId::new(0)));
         // The owner of record survives its own removal.
-        let entry = pf.peek(line).unwrap();
+        let entry = pf.entry(pf.find(line).unwrap());
         assert_eq!(entry.owner, CoreId::new(0));
         assert!(!entry.sharers.contains(CoreId::new(0)));
         assert!(pf.remove_sharer(slot, CoreId::new(1)));
-        assert!(pf.peek(line).is_none());
+        assert!(pf.find(line).is_none());
         assert_eq!(pf.stats().deallocations.get(), 1);
-        assert_eq!(pf.occupancy(), 0);
+        assert_eq!(occupancy(&pf), 0);
     }
 
     #[test]
@@ -669,17 +665,17 @@ mod tests {
     fn occupancy_and_capacity() {
         let mut pf = tiny();
         assert_eq!(pf.capacity(), 4);
-        assert_eq!(pf.occupancy(), 0);
+        assert_eq!(occupancy(&pf), 0);
         pf.allocate(LineAddr::new(0), CoreId::new(0));
         pf.allocate(LineAddr::new(1), CoreId::new(0));
-        assert_eq!(pf.occupancy(), 2);
+        assert_eq!(occupancy(&pf), 2);
         // Over-filling never exceeds capacity.
         for i in 0..32u64 {
             if pf.find(LineAddr::new(i)).is_none() {
                 pf.allocate(LineAddr::new(i), CoreId::new(0));
             }
         }
-        assert_eq!(pf.occupancy(), 4);
+        assert_eq!(occupancy(&pf), 4);
     }
 
     #[test]
@@ -738,13 +734,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_affect_stats() {
+    fn find_does_not_affect_stats() {
         let mut pf = tiny();
         pf.allocate(LineAddr::new(0), CoreId::new(0));
         let before = *pf.stats();
-        pf.peek(LineAddr::new(0));
-        pf.peek(LineAddr::new(5));
         pf.find(LineAddr::new(0));
+        pf.find(LineAddr::new(5));
         assert_eq!(*pf.stats(), before);
     }
 
@@ -986,14 +981,14 @@ mod tests {
                             _ => continue,
                         }
                         let expected = model.find_mut(line).map(|s| s.entry.clone());
-                        assert_eq!(flat.peek(line).map(|e| e.to_entry()), expected);
+                        assert_eq!(entry_of(&flat, line), expected);
                     }
                     assert_eq!(
                         *flat.stats(),
                         model.stats,
                         "{replacement:?} cpn {cores_per_node} cores {cores} seed {seed}"
                     );
-                    assert_eq!(flat.occupancy(), model.occupancy());
+                    assert_eq!(occupancy(&flat), model.occupancy());
                     // A checkpoint round trip onto a fresh filter of the
                     // same width reproduces every entry.
                     let state = flat.export_state();
@@ -1004,7 +999,7 @@ mod tests {
                         let line = LineAddr::new(addr);
                         let expected = model.find_mut(line).map(|s| s.entry.clone());
                         for pf in [&flat, &restored] {
-                            assert_eq!(pf.peek(line).map(|e| e.to_entry()), expected);
+                            assert_eq!(entry_of(pf, line), expected);
                         }
                     }
                 }

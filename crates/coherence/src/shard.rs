@@ -421,11 +421,8 @@ mod tests {
         let mut s = directory(0);
         let replies = process(&mut s, &mut [request_event(0, 100, 1, 10, 0)], &mut sys);
         assert_eq!(replies.len(), 1);
-        assert!(s
-            .controller()
-            .probe_filter()
-            .peek(LineAddr::new(100))
-            .is_some());
+        let pf = s.controller().probe_filter();
+        assert!(pf.find(LineAddr::new(100)).is_some());
 
         let notice = CoherenceEvent {
             home: NodeId::new(0),
@@ -438,11 +435,8 @@ mod tests {
         };
         let replies = process(&mut s, &mut [notice], &mut sys);
         assert!(replies.is_empty());
-        assert!(s
-            .controller()
-            .probe_filter()
-            .peek(LineAddr::new(100))
-            .is_none());
+        let pf = s.controller().probe_filter();
+        assert!(pf.find(LineAddr::new(100)).is_none());
     }
 
     #[test]

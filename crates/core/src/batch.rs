@@ -11,9 +11,11 @@
 //!
 //! Each distinct `(spec, seed)` workload is opened once and shared between
 //! scenarios via [`Arc`], so a policy-comparison grid does not pay trace
-//! generation twice per benchmark. Frame-chunked v2 trace replays stream
-//! off disk; generated workloads and text and v1 trace replays are
-//! materialized.
+//! generation twice per benchmark. It is opened by the first row that
+//! needs it, on the worker that claimed that row, and dropped after the
+//! last row that shares it, so a grid holds only the inputs of the rows in
+//! flight. Frame-chunked v2 trace replays stream off disk; generated
+//! workloads and text and v1 trace replays are materialized.
 //!
 //! Scenarios that declare a [`crate::Scenario::warmup_accesses`] prefix are
 //! additionally grouped by machine, policies, seed and workload shape:
@@ -33,7 +35,7 @@ use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
 use allarm_types::error::ConfigError;
 use allarm_workloads::{AccessSource, TraceSource, Workload};
@@ -47,7 +49,9 @@ use crate::snapshot::SimSnapshot;
 /// hold only the trace's header and frame directory and stream the body
 /// straight off disk during the run — a batch over a
 /// multi-hundred-million-access trace never holds the decoded stream in
-/// memory; every other workload is materialized.
+/// memory; every other workload is materialized. A batch opens each one
+/// when the first row that needs it starts and drops it after the last row
+/// that shares it ([`Inputs`]).
 #[derive(Debug, Clone)]
 pub(crate) enum WorkloadHandle {
     /// Every access in memory, shared between scenarios via [`Arc`].
@@ -89,6 +93,109 @@ impl WorkloadHandle {
             WorkloadHandle::Streaming(_) => None,
         }
     }
+}
+
+/// The inputs of one batch, built once per batch. Every pending row shares
+/// the input of the first pending row with the same `(workload, seed)`; a
+/// row a resumed sweep already completed has none. A row takes its input
+/// when it starts (the first taker opens it) and gives it back when its
+/// report is produced, and the last sharer to give it back drops it.
+struct Inputs<'a> {
+    scenarios: &'a [Scenario],
+    /// Per row, the row whose slot holds its input; `None` for a row the
+    /// resumed sweep already completed.
+    owner: Vec<Option<usize>>,
+    /// Per row, its input when it owns one (unused otherwise).
+    slots: Vec<Input>,
+}
+
+/// One input's slot in [`Inputs`].
+#[derive(Default)]
+struct Input {
+    /// The open input, stored only once `open` returned: a panic while
+    /// opening leaves `None`, so a poisoned lock still guards valid data.
+    handle: Mutex<Option<WorkloadHandle>>,
+    /// The pending rows sharing this input that have not given it back.
+    holders: AtomicUsize,
+    /// How many times the input was opened.
+    #[cfg(test)]
+    opens: AtomicUsize,
+}
+
+impl<'a> Inputs<'a> {
+    fn new(scenarios: &'a [Scenario], completed: &HashSet<usize>) -> Self {
+        let owner = input_owners(scenarios, completed);
+        let mut slots: Vec<Input> = scenarios.iter().map(|_| Input::default()).collect();
+        for &row in owner.iter().flatten() {
+            *slots[row].holders.get_mut() += 1;
+        }
+        Inputs {
+            scenarios,
+            owner,
+            slots,
+        }
+    }
+
+    /// The slot that holds pending row `index`'s input.
+    fn input(&self, index: usize) -> &Input {
+        &self.slots[self.owner[index].expect("only a pending row has an input")]
+    }
+
+    /// Pending row `index`'s input, opened here if no earlier row left it
+    /// open. Taking leaves the holder count alone; only [`Inputs::run`]'s
+    /// give-back lowers it.
+    fn take(&self, index: usize) -> Result<WorkloadHandle, ConfigError> {
+        let input = self.input(index);
+        let mut handle = input.handle.lock().unwrap_or_else(PoisonError::into_inner);
+        if handle.is_none() {
+            *handle = Some(WorkloadHandle::open(&self.scenarios[index])?);
+            #[cfg(test)]
+            input.opens.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(handle.clone().expect("opened above"))
+    }
+
+    /// Runs `row` on pending row `index`'s input, which the row takes when
+    /// it starts and gives back when `row` returns, fails or unwinds.
+    fn run<T>(
+        &self,
+        index: usize,
+        row: impl FnOnce(&WorkloadHandle) -> Result<T, ConfigError>,
+    ) -> Result<T, ConfigError> {
+        struct GiveBack<'t>(&'t Input);
+        impl Drop for GiveBack<'_> {
+            fn drop(&mut self) {
+                // AcqRel: every sharer's take happens before the last
+                // give-back empties the slot.
+                if self.0.holders.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    *self.0.handle.lock().unwrap_or_else(PoisonError::into_inner) = None;
+                }
+            }
+        }
+        let _give_back = GiveBack(self.input(index));
+        let workload = self.take(index)?;
+        row(&workload)
+    }
+}
+
+/// Per row, the row that owns its input: the first pending row with the
+/// same `(workload, seed)`, or `None` for a row in `completed`.
+fn input_owners(scenarios: &[Scenario], completed: &HashSet<usize>) -> Vec<Option<usize>> {
+    let mut owner: Vec<Option<usize>> = Vec::with_capacity(scenarios.len());
+    for (index, scenario) in scenarios.iter().enumerate() {
+        let row = if completed.contains(&index) {
+            None
+        } else {
+            let shared = (0..index).find(|&i| {
+                owner[i].is_some()
+                    && scenarios[i].workload == scenario.workload
+                    && scenarios[i].seed == scenario.seed
+            });
+            Some(shared.unwrap_or(index))
+        };
+        owner.push(row);
+    }
+    owner
 }
 
 /// One completed scenario: the descriptor and its report.
@@ -910,29 +1017,17 @@ impl BatchRunner {
         sink: &mut dyn ResultSink,
     ) -> Result<RunOutcome, ConfigError> {
         self.validate(scenarios)?;
+        self.run_inputs(&Inputs::new(scenarios, &self.completed), sink)
+    }
 
-        // Open each distinct (spec, seed) workload exactly once, in
-        // scenario order, and share it across the batch. Scenarios already
-        // completed by a resumed sweep never open one (None) — unless a
-        // still-pending sibling shares the workload, in which case that
-        // sibling does.
-        let mut workloads: Vec<Option<WorkloadHandle>> = Vec::with_capacity(scenarios.len());
-        for (index, scenario) in scenarios.iter().enumerate() {
-            if self.completed.contains(&index) {
-                workloads.push(None);
-                continue;
-            }
-            let existing = (0..index).find(|&i| {
-                workloads[i].is_some()
-                    && scenarios[i].workload == scenario.workload
-                    && scenarios[i].seed == scenario.seed
-            });
-            workloads.push(match existing {
-                Some(i) => workloads[i].clone(),
-                None => Some(WorkloadHandle::open(scenario)?),
-            });
-        }
-
+    /// Runs every pending row of a batch that passed
+    /// [`BatchRunner::validate`], each on its input from `inputs`.
+    fn run_inputs(
+        &self,
+        inputs: &Inputs<'_>,
+        sink: &mut dyn ResultSink,
+    ) -> Result<RunOutcome, ConfigError> {
+        let scenarios = inputs.scenarios;
         // Execute each warm-up group's shared prefix once and keep the
         // image in memory; members fork from it instead of replaying the
         // prefix. Checkpointed batches skip the optimisation — the
@@ -941,7 +1036,12 @@ impl BatchRunner {
         let warm = if self.checkpoint.is_some() {
             vec![None; scenarios.len()]
         } else {
-            self.plan_warm_images(scenarios, &workloads)
+            self.plan_warm_images(inputs)
+        };
+        let run_pending = |index: usize| {
+            inputs.run(index, |workload| {
+                self.run_row(index, &scenarios[index], workload, warm[index].as_deref())
+            })
         };
 
         // Split the thread budget between scenario-level workers and the
@@ -966,13 +1066,13 @@ impl BatchRunner {
         if workers <= 1 {
             let mut recorded = 0usize;
             for (index, scenario) in scenarios.iter().enumerate() {
-                let Some(workload) = &workloads[index] else {
+                if self.completed.contains(&index) {
                     continue; // already completed by the resumed sweep
-                };
+                }
                 if self.cancelled() {
                     return Ok(RunOutcome::Cancelled);
                 }
-                let report = self.run_row(index, scenario, workload, warm[index].as_deref())?;
+                let report = run_pending(index)?;
                 sink.record(&BatchEntry {
                     index,
                     scenario: scenario.clone(),
@@ -989,8 +1089,7 @@ impl BatchRunner {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
-                let workloads = &workloads;
-                let warm = &warm;
+                let run_pending = &run_pending;
                 scope.spawn(move || loop {
                     // Cancellation is checked before a worker claims its
                     // next row; rows already claimed run to completion.
@@ -1001,15 +1100,13 @@ impl BatchRunner {
                     if index >= scenarios.len() {
                         return;
                     }
-                    let Some(workload) = &workloads[index] else {
+                    if self.completed.contains(&index) {
                         continue; // already completed by the resumed sweep
-                    };
+                    }
                     // A row's panic travels to the flushing loop as its error
                     // does, and either moves the cursor past the end, so no
                     // row after a failure is claimed.
-                    let report = panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.run_row(index, &scenarios[index], workload, warm[index].as_deref())
-                    }));
+                    let report = panic::catch_unwind(AssertUnwindSafe(|| run_pending(index)));
                     if !matches!(report, Ok(Ok(_))) {
                         cursor.store(scenarios.len(), Ordering::Relaxed);
                     }
@@ -1059,9 +1156,12 @@ impl BatchRunner {
     /// Checks everything [`BatchRunner::run_with_sink`] checks before it
     /// touches the sink: every scenario validates (completed ones too — a
     /// resumed sweep must be the same sweep), every completed index exists
-    /// in the batch, and a restore snapshot is a batch checkpoint naming a
-    /// pending row whose scenario name matches and whose machine and
-    /// policies (`snapshot.config_fingerprint`) and workload
+    /// in the batch, every pending row's binary-v2 trace opens (its
+    /// trailer and frame directory are read and checked, and a `limit`ed
+    /// replay's prefix checksum is computed, as the row's own open will),
+    /// and a restore snapshot is a batch checkpoint naming a pending row
+    /// whose scenario name matches and whose machine and policies
+    /// (`snapshot.config_fingerprint`) and workload
     /// (`snapshot.workload_checksum`) it was taken from. A front end that
     /// rewrites an output file before running calls this first, so a
     /// refused run leaves the file untouched.
@@ -1069,8 +1169,9 @@ impl BatchRunner {
     /// # Errors
     ///
     /// Returns the first failing check: a scenario's own [`ConfigError`],
-    /// a `resume` error for a stray completed index, a `restore` error for
-    /// a snapshot that does not name a pending row of this batch, or the
+    /// a `resume` error for a stray completed index, a `workload` error
+    /// for a v2 trace that does not open, a `restore` error for a snapshot
+    /// that does not name a pending row of this batch, or the
     /// [`crate::Simulator::replay`] restore check's error.
     pub fn validate(&self, scenarios: &[Scenario]) -> Result<(), ConfigError> {
         for scenario in scenarios {
@@ -1085,6 +1186,16 @@ impl BatchRunner {
                     scenarios.len()
                 ),
             ));
+        }
+        // A scenario's own check reads only a trace's header; each distinct
+        // pending v2 input is opened here too, so a corrupt frame directory
+        // is refused before the sink is touched, not by the row that
+        // replays it.
+        let owners = input_owners(scenarios, &self.completed);
+        for (index, scenario) in scenarios.iter().enumerate() {
+            if owners[index] == Some(index) {
+                scenario.streaming_source()?;
+            }
         }
         let Some(snap) = &self.restore else {
             return Ok(());
@@ -1142,44 +1253,46 @@ impl BatchRunner {
     /// and each member is admitted only if [`forkable`] proves the
     /// consumed prefix exists verbatim in its own workload; anything else
     /// falls back to a cold run, never to a wrong one.
-    fn plan_warm_images(
-        &self,
-        scenarios: &[Scenario],
-        workloads: &[Option<WorkloadHandle>],
-    ) -> Vec<Option<Arc<SimSnapshot>>> {
+    ///
+    /// Only rows with a warm-up open their inputs here, and those stay
+    /// open until their rows give them back.
+    fn plan_warm_images(&self, inputs: &Inputs<'_>) -> Vec<Option<Arc<SimSnapshot>>> {
+        let scenarios = inputs.scenarios;
         // Streaming handles never join a warm group: fork admission
         // compares raw access prefixes, which only materialized workloads
-        // carry. A streaming scenario simply runs cold.
-        let materialized = |j: usize| workloads[j].as_ref().and_then(WorkloadHandle::materialized);
+        // carry. A streaming scenario simply runs cold, and so does one
+        // whose open fails (its row reports the error).
+        let materialized = |j: usize| -> Option<Arc<Workload>> {
+            if self.completed.contains(&j) {
+                return None;
+            }
+            inputs.take(j).ok()?.materialized().cloned()
+        };
         let mut warm: Vec<Option<Arc<SimSnapshot>>> = vec![None; scenarios.len()];
         let mut grouped = vec![false; scenarios.len()];
         for i in 0..scenarios.len() {
-            if grouped[i] || materialized(i).is_none() || scenarios[i].warmup_accesses == 0 {
+            if grouped[i] || scenarios[i].warmup_accesses == 0 || materialized(i).is_none() {
                 continue;
             }
-            let members: Vec<usize> = (i..scenarios.len())
-                .filter(|&j| {
-                    !grouped[j]
-                        && materialized(j).is_some()
-                        && same_warm_group(&scenarios[i], &scenarios[j])
-                })
+            let members: Vec<(usize, Arc<Workload>)> = (i..scenarios.len())
+                .filter(|&j| !grouped[j] && same_warm_group(&scenarios[i], &scenarios[j]))
+                .filter_map(|j| Some((j, materialized(j)?)))
                 .collect();
-            for &j in &members {
+            for &(j, _) in &members {
                 grouped[j] = true;
             }
-            let &host = members
+            let (host, host_workload) = members
                 .iter()
-                .max_by_key(|&&j| materialized(j).expect("filtered above").total_accesses())
+                .max_by_key(|(_, workload)| workload.total_accesses())
                 .expect("the group contains at least scenario i");
-            let host_workload = materialized(host).expect("filtered above");
-            let warmup = scenarios[host].warmup_accesses;
+            let warmup = scenarios[*host].warmup_accesses;
             if warmup >= host_workload.total_accesses() as u64 {
                 continue; // the warm-up would finish even the longest member: all run cold
             }
             // The warm image is the cold run's first checkpoint at the
             // warm-up length; if the workload finishes first (the
             // final-round edge), no checkpoint is taken and all run cold.
-            let simulator = scenarios[host].build().expect("validated above");
+            let simulator = scenarios[*host].build().expect("validated above");
             let mut image = None;
             simulator
                 .replay((&**host_workload).into(), Start::Cold, warmup, |snap| {
@@ -1190,13 +1303,9 @@ impl BatchRunner {
             let Some(snap) = image.map(Arc::new) else {
                 continue;
             };
-            for &j in &members {
-                if forkable(
-                    &snap,
-                    host_workload,
-                    materialized(j).expect("filtered above"),
-                ) {
-                    warm[j] = Some(snap.clone());
+            for (j, workload) in &members {
+                if forkable(&snap, host_workload, workload) {
+                    warm[*j] = Some(snap.clone());
                 }
             }
         }
@@ -1390,6 +1499,176 @@ mod tests {
             results.entries[0].report.total_accesses,
             results.entries[1].report.total_accesses
         );
+    }
+
+    /// Whether row `index`'s input is open, and how often it was opened.
+    fn slot(inputs: &Inputs<'_>, index: usize) -> (bool, usize) {
+        let input = inputs.input(index);
+        let open = input
+            .handle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some();
+        (open, input.opens.load(Ordering::Relaxed))
+    }
+
+    /// `[A/baseline, B/baseline, A/allarm, B/allarm]`: the rows that share
+    /// an input are not adjacent.
+    fn interleaved_rows() -> Vec<Scenario> {
+        [AllocationPolicy::Baseline, AllocationPolicy::Allarm]
+            .into_iter()
+            .flat_map(|policy| {
+                [Benchmark::Barnes, Benchmark::Cholesky]
+                    .map(|benchmark| Scenario::quick_test(benchmark, policy).with_accesses(300))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sharers_take_one_arc_and_the_last_to_give_it_back_drops_it() {
+        let scenarios = ScenarioGrid::new(
+            Scenario::quick_test(Benchmark::Dedup, AllocationPolicy::Baseline).with_accesses(300),
+        )
+        .policies(vec![AllocationPolicy::Baseline, AllocationPolicy::Allarm])
+        .expand();
+        let inputs = Inputs::new(&scenarios, &HashSet::new());
+        assert_eq!(inputs.owner, [Some(0), Some(0)]);
+        inputs
+            .run(0, |first| {
+                inputs.run(1, |second| {
+                    assert!(Arc::ptr_eq(
+                        first.materialized().unwrap(),
+                        second.materialized().unwrap()
+                    ));
+                    Ok(())
+                })?;
+                // Row 0 has not given the input back yet.
+                assert_eq!(slot(&inputs, 0), (true, 1));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(slot(&inputs, 0), (false, 1));
+    }
+
+    #[test]
+    fn interleaved_sharers_open_each_input_once_at_every_worker_count() {
+        let scenarios = interleaved_rows();
+        let run = |workers: usize| {
+            let runner = BatchRunner::with_threads(workers);
+            let inputs = Inputs::new(&scenarios, &runner.completed);
+            assert_eq!(inputs.owner, [Some(0), Some(1), Some(0), Some(1)]);
+            // Without a warm-up, nothing is opened before the first row.
+            assert!(runner.plan_warm_images(&inputs).iter().all(Option::is_none));
+            assert_eq!([slot(&inputs, 0), slot(&inputs, 1)], [(false, 0); 2]);
+            let mut sink = JsonlSink::new();
+            runner.run_inputs(&inputs, &mut sink).unwrap();
+            assert_eq!([slot(&inputs, 0), slot(&inputs, 1)], [(false, 1); 2]);
+            sink.into_string()
+        };
+        let serial = run(1);
+        assert_eq!(serial.lines().count(), 4);
+        for workers in [2, 4] {
+            assert_eq!(run(workers), serial, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_resumed_run_opens_a_shared_input_at_its_next_pending_sharer() {
+        let scenarios = interleaved_rows();
+        let full = BatchRunner::with_threads(1).run(&scenarios).unwrap();
+        for workers in [1, 2] {
+            let runner = BatchRunner::with_threads(workers).with_completed(HashSet::from([0]));
+            let inputs = Inputs::new(&scenarios, &runner.completed);
+            assert_eq!(inputs.owner, [None, Some(1), Some(2), Some(1)]);
+            let mut sink = VecSink::new();
+            runner.run_inputs(&inputs, &mut sink).unwrap();
+            assert_eq!(sink.into_entries(), full.entries[1..]);
+            assert_eq!(slot(&inputs, 2), (false, 1));
+        }
+    }
+
+    #[test]
+    fn a_shared_unreadable_trace_panics_with_its_own_message() {
+        use allarm_workloads::{tracefile, TraceFormat, WorkloadSpec};
+        let dir = std::env::temp_dir().join(format!("allarm-cut-input-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cut.btrace");
+        let mut base =
+            Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Baseline).with_accesses(300);
+        tracefile::write_trace_file(&path, &base.workload(), TraceFormat::Binary).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        base.workload = WorkloadSpec::trace_file(path.to_string_lossy(), TraceFormat::Binary);
+        let scenarios = ScenarioGrid::new(base)
+            .policies(vec![AllocationPolicy::Baseline, AllocationPolicy::Allarm])
+            .expand();
+        // Validation reads only the header; the cut body panics the first
+        // row that opens the input.
+        BatchRunner::with_threads(2).validate(&scenarios).unwrap();
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload.downcast::<String>().map(|m| *m).unwrap_or_default()
+        };
+
+        // Whichever sharer opens first poisons the slot's lock and leaves it
+        // empty; the other opens again and panics with the same message.
+        let inputs = Inputs::new(&scenarios, &HashSet::new());
+        for index in [1, 0] {
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| inputs.take(index))).unwrap_err();
+            let message = message(payload);
+            assert!(message.starts_with("unreadable trace"), "{message}");
+            assert!(inputs.input(index).handle.is_poisoned());
+        }
+        assert_eq!(slot(&inputs, 0), (false, 0));
+
+        let payload = panic::catch_unwind(|| BatchRunner::with_threads(2).run(&scenarios))
+            .expect_err("the cut trace panics its rows");
+        let message = message(payload);
+        assert!(message.starts_with("unreadable trace"), "{message}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn validate_refuses_a_v2_trace_with_a_corrupt_frame_directory() {
+        use allarm_workloads::{tracefile, TraceFormat, WorkloadSpec};
+        let dir = std::env::temp_dir().join(format!("allarm-bad-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let base =
+            Scenario::quick_test(Benchmark::Barnes, AllocationPolicy::Baseline).with_accesses(300);
+        let good = dir.join("good.btrace");
+        tracefile::write_trace_file(&good, &base.workload(), TraceFormat::BinaryV2).unwrap();
+        // The trailer's first word is the frame directory's offset: flip
+        // the directory's first byte.
+        let mut bytes = std::fs::read(&good).unwrap();
+        let trailer = bytes.len() - 24;
+        let directory = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+        bytes[directory as usize] ^= 0x55;
+        let bad = dir.join("bad.btrace");
+        std::fs::write(&bad, &bytes).unwrap();
+        let scenarios: Vec<Scenario> = [&good, &bad]
+            .into_iter()
+            .flat_map(|path| {
+                let mut replay = base.clone();
+                replay.workload =
+                    WorkloadSpec::trace_file(path.to_string_lossy(), TraceFormat::BinaryV2);
+                ScenarioGrid::new(replay)
+                    .policies(vec![AllocationPolicy::Baseline, AllocationPolicy::Allarm])
+                    .expand()
+            })
+            .collect();
+        // Each scenario's own check reads only the (intact) header.
+        for scenario in &scenarios {
+            scenario.validate().unwrap();
+        }
+        for workers in [1, 2] {
+            let runner = BatchRunner::with_threads(workers);
+            let err = runner.validate(&scenarios).unwrap_err();
+            assert_eq!(err.field(), "workload");
+            assert!(err.reason().contains("frame directory checksum"), "{err}");
+            let mut sink = VecSink::new();
+            assert_eq!(runner.run_with_sink(&scenarios, &mut sink), Err(err));
+            assert!(sink.into_entries().is_empty(), "{workers} workers");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1964,12 +2243,13 @@ mod tests {
         // Every grid point actually gets a warm image (the planner did
         // not silently fall back cold).
         let runner = BatchRunner::with_threads(1);
-        let workloads: Vec<Option<WorkloadHandle>> = scenarios
-            .iter()
-            .map(|s| Some(WorkloadHandle::Materialized(Arc::new(s.workload()))))
-            .collect();
-        let warm = runner.plan_warm_images(&scenarios, &workloads);
+        let inputs = Inputs::new(&scenarios, &runner.completed);
+        let warm = runner.plan_warm_images(&inputs);
         assert!(warm.iter().all(Option::is_some), "a member fell back cold");
+        // Planning opened the group's inputs, and they stay open for the
+        // rows.
+        assert_eq!(slot(&inputs, 0), (true, 1));
+        assert_eq!(slot(&inputs, 2), (true, 1));
         // Each policy forms its own group: baseline points share one
         // image, ALLARM points another.
         assert!(Arc::ptr_eq(
@@ -2021,11 +2301,8 @@ mod tests {
             .warmup(800)
             .expand();
         let runner = BatchRunner::with_threads(1);
-        let workloads: Vec<Option<WorkloadHandle>> = scenarios
-            .iter()
-            .map(|s| Some(WorkloadHandle::open(s).unwrap()))
-            .collect();
-        let warm = runner.plan_warm_images(&scenarios, &workloads);
+        let inputs = Inputs::new(&scenarios, &runner.completed);
+        let warm = runner.plan_warm_images(&inputs);
         assert!(warm.iter().all(Option::is_some), "a member fell back cold");
         assert!(Arc::ptr_eq(
             warm[0].as_ref().unwrap(),
@@ -2061,11 +2338,7 @@ mod tests {
             .map(|s| s.with_warmup_accesses(1_000_000))
             .collect();
         let runner = BatchRunner::with_threads(1);
-        let workloads: Vec<Option<WorkloadHandle>> = scenarios
-            .iter()
-            .map(|s| Some(WorkloadHandle::Materialized(Arc::new(s.workload()))))
-            .collect();
-        let warm = runner.plan_warm_images(&scenarios, &workloads);
+        let warm = runner.plan_warm_images(&Inputs::new(&scenarios, &runner.completed));
         assert!(warm.iter().all(Option::is_none));
         let results = runner.run(&scenarios).unwrap();
         let cold: Vec<Scenario> = scenarios

@@ -157,8 +157,13 @@ fn run_steps(policy: AllocationPolicy, steps: &[Step]) {
             // Every tracked entry has a sharer: an entry whose last sharer
             // leaves is freed, so the directory can tell from
             // `remove_sharer` alone whether other copies remain.
-            if let Some(entry) = dir.probe_filter().peek(line) {
-                assert!(!entry.sharers.is_empty(), "line {l}: entry without sharers");
+            let pf = dir.probe_filter();
+            let tracked = pf.find(line);
+            if let Some(slot) = tracked {
+                assert!(
+                    !pf.entry(slot).sharers.is_empty(),
+                    "line {l}: entry without sharers"
+                );
             }
 
             // Any line cached by a core *remote* to its home (node 0) must be
@@ -167,7 +172,7 @@ fn run_steps(policy: AllocationPolicy, steps: &[Step]) {
             for (core_idx, _) in &holders {
                 if *core_idx != 0 {
                     assert!(
-                        dir.probe_filter().peek(line).is_some(),
+                        tracked.is_some(),
                         "line {l} cached by remote core {core_idx} but untracked"
                     );
                 }
